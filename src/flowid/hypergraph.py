@@ -15,7 +15,10 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-_KNN_BLOCK = 256  # query rows per distance block
+# Byte budget for one distance block's (rows, N, d) difference temporary.
+# Rows per block follow from N and d, so peak memory stays near this budget
+# whatever the snapshot size.
+_KNN_BLOCK_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -69,8 +72,9 @@ def knn_hyperedges(features: np.ndarray, k: int, include_self: bool = True) -> n
         raise ConfigError(f"need more flows than neighbors: N={n}, K={k}")
 
     h = np.zeros((n, n), dtype=np.float64)
-    for start in range(0, n, _KNN_BLOCK):
-        stop = min(n, start + _KNN_BLOCK)
+    block = max(1, _KNN_BLOCK_BYTES // max(1, 8 * n * features.shape[1]))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
         diff = features[start:stop, None, :] - features[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         for row, i in enumerate(range(start, stop)):

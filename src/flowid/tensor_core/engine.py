@@ -10,25 +10,36 @@ are created by ParameterStore and accumulate into their `.grad` array.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ShapeError
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread graph-construction switch; every thread starts enabled."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the block (pure forward evaluation)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph construction inside the block (pure forward evaluation).
+
+    The switch is per thread: a block in one thread never disables or
+    re-enables graph construction in another.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -114,7 +125,7 @@ def constant(x) -> Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.grad = None  # interior node; gradients flow through, never stored
         out._parents = tuple(parents)
@@ -518,7 +529,15 @@ def logsumexp_last(a) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-_CONV_CHUNK_BYTES = 64 * 1024 * 1024  # scratch cap for the im2col buffer
+# Scratch cap for one chunk's patch matrix (and, in the backward, its column
+# gradient). Cache-sized on purpose: the matmul reads a chunk's patches right
+# after im2col writes them, and the backward scatters its column gradient right
+# after the matmul writes it, so a chunk that is still in cache skips a round
+# trip through memory. The paper's conv2 (16->32 channels, k=25, L=320) at
+# N=300 on a 2-core Xeon VM (2 MB L2 per core), 1/4/16/64 MB chunks: forward
+# 0.113/0.115/0.156/0.175 s, backward 0.319/0.302/0.339/0.408 s. It also
+# bounds conv1d's transient memory per chunk rather than per batch.
+_CONV_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
@@ -536,6 +555,15 @@ def conv1d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
 
     x: (C_in, L) or batched (N, C_in, L); kernel: (C_out, C_in, k).
     Output length floor((L + 2*padding - k)/stride) + 1; zero padding.
+
+    Both passes run over chunks of flows whose patch matrix fits in
+    _CONV_CHUNK_BYTES, so scratch memory is a few chunks, not the whole batch.
+    The backward builds each chunk's column gradient tap-major, as
+    (rows, k, C_in): tap j's slab is then contiguous over channels and is added
+    into a channels-last input gradient with one strided add per tap, instead
+    of k adds that each read the whole column gradient at a k-element stride.
+    Every input-gradient element still sums its taps in ascending order, so
+    the result equals the channel-major scatter exactly.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     squeeze = x.ndim == 2
@@ -563,42 +591,54 @@ def conv1d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
 
     def bw(g):
         gb = g[None] if g.ndim == 2 else g  # (N, C_out, L_out)
+        w_taps = kernel.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
+        span = stride * l_out
         gw = np.zeros_like(w2)
-        gxp = np.zeros_like(xp)
+        # channels-last input gradient; a constant input (the raw byte
+        # stream) needs none
+        gxp = np.zeros((n, xp.shape[2], c_in)) if x.requires_grad else None
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             gflat = gb[lo:hi].transpose(0, 2, 1).reshape((hi - lo) * l_out, c_out)
             cols = _im2col(xp[lo:hi], k, stride, l_out)
             gw += gflat.T @ cols
-            gcols = (gflat @ w2).reshape(hi - lo, l_out, c_in, k)
-            # scatter patches back: k shifted strided adds instead of add.at
+            if gxp is None:
+                continue
+            gcols = (gflat @ w_taps).reshape(hi - lo, l_out, k, c_in)
+            gx_chunk = gxp[lo:hi]
             for j in range(k):
-                gxp[lo:hi, :, j : j + stride * l_out : stride] += gcols[:, :, :, j].transpose(0, 2, 1)
-        gx = gxp[:, :, padding : padding + length] if padding else gxp
-        if squeeze:
-            gx = gx[0]
+                gx_chunk[:, j : j + span : stride] += gcols[:, :, j]
+        gx = None
+        if gxp is not None:
+            gx = gxp[:, padding : padding + length].transpose(0, 2, 1)
+            if squeeze:
+                gx = gx[0]
         return gx, gw.reshape(kernel.shape)
 
     return _node(out[0] if squeeze else out, (x, kernel), bw)
 
 
 def maxpool1d_w2(x) -> Tensor:
-    """Non-overlapping width-2 max pool over the last axis (floor semantics)."""
+    """Non-overlapping width-2 max pool over the last axis (floor semantics).
+
+    Each output keeps the first element of its pair unless the second is
+    larger, or is NaN while the first is not: the choice argmax over the pair
+    makes, ties going to the first. The gradient goes to the kept element. An
+    odd length's trailing element is dropped and gets zero gradient.
+    """
     x = as_tensor(x)
     length = x.shape[-1]
     if length < 2:
         raise ShapeError(f"maxpool1d_w2 needs length >= 2, got {length}")
-    l2 = length // 2
-    trimmed = x.data[..., : 2 * l2]
-    pairs = trimmed.reshape(x.shape[:-1] + (l2, 2))
-    idx = np.argmax(pairs, axis=-1)
-    data = np.take_along_axis(pairs, idx[..., None], axis=-1)[..., 0]
+    stop = 2 * (length // 2)
+    first, second = x.data[..., 0:stop:2], x.data[..., 1:stop:2]
+    keep_first = (first >= second) | np.isnan(first)
+    data = np.where(keep_first, first, second)
 
     def bw(g):
-        zp = np.zeros_like(pairs)
-        np.put_along_axis(zp, idx[..., None], g[..., None], axis=-1)
         z = np.zeros_like(x.data)
-        z[..., : 2 * l2] = zp.reshape(trimmed.shape)
+        z[..., 0:stop:2] = np.where(keep_first, g, 0.0)
+        z[..., 1:stop:2] = np.where(keep_first, 0.0, g)
         return (z,)
 
     return _node(data, (x,), bw)

@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: formats, exit codes, golden files."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from flowid.cli import main
+from flowid.config import TrainConfig
+from flowid.ingest import generate_synthetic_flows, two_class_spec
+from flowid.trainer import build_parameter_store, fit, prepare_snapshot
 from pcap_util import build_pcap
 
 TINY_FLAGS = [
@@ -257,6 +261,43 @@ def test_detect_from_pcap(workspace, tmp_path, capsys):
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 5
     assert all("pred" in r for r in records)
+
+
+def test_training_still_works_after_detect(workspace, tmp_path, capsys):
+    # detect runs its windows on pool threads that each enter no_grad; none
+    # of that may leave graph construction off for this process. Twelve
+    # windows of three flows keep all four pool threads busy at once.
+    src = [json.loads(line)
+           for line in (workspace / "train.jsonl").read_text().splitlines()]
+    for i, rec in enumerate(src):
+        shift = rec["packets"][0]["ts"] - 60.0 * (i // 3)
+        for pkt in rec["packets"]:
+            pkt["ts"] = round(pkt["ts"] - shift, 6)
+    windowed = tmp_path / "windowed.jsonl"
+    windowed.write_text("".join(json.dumps(r) + "\n" for r in src))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for i in range(5):
+            assert main(["detect", "--flows", str(windowed),
+                         "--model", str(workspace / "model.ckpt"),
+                         "--window", "60", "--out", str(tmp_path / f"d{i}.jsonl")]) == 0
+    finally:
+        sys.setswitchinterval(switch)
+    assert "windows=12" in capsys.readouterr().out
+    cfg = TrainConfig(n=6, m=4, extractor_dim=6, hidden=5, projection_dim=4,
+                      lstm_hidden=3, cnn_channels=(2, 3), conv_kernel=3,
+                      conv_padding=1, gcn_hidden=3, fuse_hidden=4, predict_hidden=4,
+                      k=2, epochs=2, patience=None, seed=7, cosine_eps=1e-8,
+                      weight_decay=0.0).validate()
+    flows = generate_synthetic_flows(two_class_spec(6), seed=5)
+    store = build_parameter_store(cfg, 2)
+    before = store.copy()
+    fit(prepare_snapshot(flows[::2], store, cfg), prepare_snapshot(flows[1::2], store, cfg),
+        cfg, store=store)
+    moved = [name for name in store.names()
+             if not np.array_equal(store.get(name).data, before.get(name).data)]
+    assert moved
 
 
 # ---------------------------------------------------------------------------

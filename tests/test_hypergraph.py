@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowid import hypergraph
 from flowid.errors import ConfigError
 from flowid.hypergraph import (
     build_flow_hypergraph,
@@ -49,6 +50,24 @@ def test_k_equals_n_minus_one_complete():
     z = np.random.default_rng(0).normal(size=(6, 4))
     h = knn_hyperedges(z, k=5)
     np.testing.assert_array_equal(h, np.ones((6, 6)))
+
+
+def test_byte_sized_blocks_match_sort_oracle(monkeypatch):
+    # an 8 KiB budget gives 8192 // (8 * 70 * 4) = 3 query rows per block:
+    # 24 blocks, the last one holding a single row
+    monkeypatch.setattr(hypergraph, "_KNN_BLOCK_BYTES", 8192)
+    rng = np.random.default_rng(8)
+    z = rng.integers(0, 3, size=(70, 4)).astype(np.float64)  # many exact ties
+    for k in (1, 4):
+        d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        expected = np.zeros((70, 70))
+        for i in range(70):
+            # lexsort: distance first, then the lower flow index
+            nearest = np.lexsort((np.arange(70), d2[i]))[:k]
+            expected[nearest, i] = 1.0
+            expected[i, i] = 1.0
+        np.testing.assert_array_equal(knn_hyperedges(z, k), expected)
 
 
 def test_matches_brute_force_oracle_200_points():

@@ -1,6 +1,8 @@
 """Unit and oracle tests for the tensor engine, layers, optimizer, and grad checker."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +107,195 @@ def test_conv1d_stride_matches_naive():
             for o in range(l_out):
                 naive[n, f, o] = np.sum(xp[n, :, o * stride : o * stride + 3] * w[f])
     np.testing.assert_allclose(out, naive, atol=1e-12)
+
+
+def _conv_run(x, w, stride, pad, g):
+    """conv1d output plus input and kernel gradients for output gradient g."""
+    xt, wt = tc.Tensor(x, requires_grad=True), tc.Tensor(w, requires_grad=True)
+    out = tc.conv1d(xt, wt, stride, pad)
+    tc.backward(tc.tsum(out * tc.constant(g)))
+    return out.data, xt.grad, wt.grad
+
+
+def _conv_naive_grads(x, w, stride, pad, g):
+    """Loop reference: output, input gradient and kernel gradient."""
+    xb, gb = (x[None], g[None]) if x.ndim == 2 else (x, g)
+    n, _, length = xb.shape
+    c_out, _, k = w.shape
+    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
+    l_out = gb.shape[-1]
+    out, gxp, gw = np.zeros(gb.shape), np.zeros_like(xp), np.zeros_like(w)
+    for i in range(n):
+        for f in range(c_out):
+            for o in range(l_out):
+                patch = xp[i, :, o * stride : o * stride + k]
+                out[i, f, o] = np.sum(patch * w[f])
+                gxp[i, :, o * stride : o * stride + k] += gb[i, f, o] * w[f]
+                gw[f] += gb[i, f, o] * patch
+    gx = gxp[:, :, pad : pad + length]
+    return (out[0], gx[0], gw) if x.ndim == 2 else (out, gx, gw)
+
+
+def _conv_channel_major_grads(x, w, stride, pad, g):
+    """The channel-major backward conv1d used before its tap-major rewrite,
+    one chunk: column gradient as (rows, C_in, k), one strided add per tap."""
+    xb, gb = (x[None], g[None]) if x.ndim == 2 else (x, g)
+    n, c_in, length = xb.shape
+    c_out, _, k = w.shape
+    l_out = gb.shape[-1]
+    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
+    w2 = w.reshape(c_out, c_in * k)
+    gflat = gb.transpose(0, 2, 1).reshape(n * l_out, c_out)
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, l_out, c_in, k),
+        strides=(xp.strides[0], xp.strides[2] * stride, xp.strides[1], xp.strides[2]))
+    gw = np.zeros_like(w2)
+    gw += gflat.T @ windows.reshape(n * l_out, c_in * k)
+    gcols = (gflat @ w2).reshape(n, l_out, c_in, k)
+    gxp = np.zeros_like(xp)
+    for j in range(k):
+        gxp[:, :, j : j + stride * l_out : stride] += gcols[:, :, :, j].transpose(0, 2, 1)
+    gx = gxp[:, :, pad : pad + length]
+    return (gx[0] if x.ndim == 2 else gx), gw.reshape(w.shape)
+
+
+CONV_CASES = {
+    "s1_cin1_pad": ((5, 1, 23), (3, 1, 5), 1, 2),
+    "s1_cin3_nopad": ((5, 3, 23), (4, 3, 5), 1, 0),
+    "s1_cin3_pad": ((5, 3, 22), (4, 3, 5), 1, 3),
+    "s2_pad": ((5, 2, 24), (3, 2, 4), 2, 1),
+    "s3_nopad": ((5, 2, 25), (3, 2, 4), 3, 0),
+    "unbatched_s2": ((3, 19), (2, 3, 5), 2, 2),
+}
+
+
+def _conv_case(name):
+    x_shape, w_shape, stride, pad = CONV_CASES[name]
+    rng = np.random.default_rng(sorted(CONV_CASES).index(name))
+    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+    l_out = (x_shape[-1] + 2 * pad - w_shape[-1]) // stride + 1
+    g = rng.normal(size=x_shape[:-2] + (w_shape[0], l_out))
+    return x, w, stride, pad, g
+
+
+@pytest.mark.parametrize("name", sorted(CONV_CASES))
+def test_conv1d_single_chunk_matches_channel_major_and_naive(name, monkeypatch):
+    x, w, stride, pad, g = _conv_case(name)
+    monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", 1 << 40)
+    out, gx, gw = _conv_run(x, w, stride, pad, g)
+    ref_gx, ref_gw = _conv_channel_major_grads(x, w, stride, pad, g)
+    np.testing.assert_array_equal(gx, ref_gx)
+    np.testing.assert_array_equal(gw, ref_gw)
+    for got, want in zip((out, gx, gw), _conv_naive_grads(x, w, stride, pad, g)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flows_per_chunk", [1, 2])
+@pytest.mark.parametrize("name", sorted(CONV_CASES))
+def test_conv1d_chunking_does_not_change_results(name, flows_per_chunk, monkeypatch):
+    # N=5 flows: chunks of one flow, and chunks of 2, 2, 1 (not dividing N)
+    x, w, stride, pad, g = _conv_case(name)
+    monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", 1 << 40)
+    whole = _conv_run(x, w, stride, pad, g)
+    c_in, k = w.shape[1:]
+    flow_bytes = 8 * g.shape[-1] * c_in * k
+    monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", flows_per_chunk * flow_bytes)
+    out, gx, gw = _conv_run(x, w, stride, pad, g)
+    np.testing.assert_array_equal(out, whole[0])
+    np.testing.assert_array_equal(gx, whole[1])
+    # the kernel gradient sums per-chunk partial products, so only its
+    # rounding may depend on where the chunks split the batch
+    np.testing.assert_allclose(gw, whole[2], rtol=1e-12, atol=1e-12)
+    for got, want in zip((out, gx, gw), _conv_naive_grads(x, w, stride, pad, g)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_conv1d_constant_input_gets_no_gradient():
+    x = tc.constant(np.random.default_rng(1).normal(size=(2, 1, 9)))
+    w = tc.Tensor(np.random.default_rng(2).normal(size=(2, 1, 3)), requires_grad=True)
+    out = tc.conv1d(x, w, 1, 1)
+    gx, gw = out._backward(np.ones(out.shape))
+    assert gx is None
+    assert gw.shape == w.shape
+
+
+def test_conv1d_scratch_memory_is_bounded_per_chunk():
+    # paper conv2 geometry at N=64: a whole-batch patch matrix alone would be
+    # 64 * 320 * 16 * 25 * 8 B = 65.5 MB
+    rng = np.random.default_rng(3)
+    x = tc.Tensor(rng.normal(size=(64, 16, 320)), requires_grad=True)
+    w = tc.Tensor(rng.normal(size=(32, 16, 25)), requires_grad=True)
+    g = tc.constant(rng.normal(size=(64, 32, 320)))
+    tracemalloc.start()
+    try:
+        tc.backward(tc.tsum(tc.conv1d(x, w, 1, 12) * g))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three 4 MiB chunks (patches, column gradient, slack) plus four
+    # input-sized arrays (padded input, input gradient) and four output-sized
+    # ones (output, product, incoming and outgoing gradients): 42 MiB
+    bound = 3 * 4 * 2**20 + 4 * x.data.nbytes + 4 * g.data.nbytes
+    assert peak < bound, (peak, bound)
+
+
+# ---------------------------------------------------------------------------
+# maxpool1d_w2
+# ---------------------------------------------------------------------------
+
+def _argmax_pool(a, g):
+    """argmax-over-pairs reference: pooled values and the input gradient."""
+    l2 = a.shape[-1] // 2
+    pairs = a[..., : 2 * l2].reshape(a.shape[:-1] + (l2, 2))
+    idx = np.argmax(pairs, axis=-1)[..., None]
+    values = np.take_along_axis(pairs, idx, axis=-1)[..., 0]
+    zp = np.zeros_like(pairs)
+    np.put_along_axis(zp, idx, g[..., None], axis=-1)
+    grad = np.zeros_like(a)
+    grad[..., : 2 * l2] = zp.reshape(a.shape[:-1] + (2 * l2,))
+    return values, grad
+
+
+def _pool_run(a, g):
+    x = tc.Tensor(a, requires_grad=True)
+    out = tc.maxpool1d_w2(x)
+    tc.backward(tc.tsum(out * tc.constant(g)))
+    return out.data, x.grad
+
+
+def test_maxpool_ties_route_gradient_to_first():
+    a = np.array([[3.0, 3.0, 1.0, 1.0, 2.0, 5.0, -4.0, -4.0]])
+    out, grad = _pool_run(a, np.array([[10.0, 20.0, 30.0, 40.0]]))
+    np.testing.assert_array_equal(out, [[3.0, 1.0, 5.0, -4.0]])
+    np.testing.assert_array_equal(grad, [[10.0, 0.0, 20.0, 0.0, 0.0, 30.0, 40.0, 0.0]])
+
+
+def test_maxpool_odd_trailing_element_is_dropped():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(2, 3, 7))
+    g = rng.normal(size=(2, 3, 3))
+    out, grad = _pool_run(a, g)
+    bumped = a.copy()
+    bumped[..., -1] += 100.0
+    out_bumped, _ = _pool_run(bumped, g)
+    np.testing.assert_array_equal(out_bumped, out)
+    np.testing.assert_array_equal(grad[..., -1], np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("length", [2, 9, 40])
+def test_maxpool_matches_argmax_formulation(length):
+    rng = np.random.default_rng(length)
+    a = rng.normal(size=(4, 3, length))
+    a[0, 0, 1] = a[0, 0, 0]            # exact tie
+    a[1, :, 1::2] = a[1, :, 0:2 * (length // 2):2]  # a whole row of ties
+    if length > 2:
+        a[2, 0, 0] = np.nan                # NaN first: argmax keeps it
+        a[2, 1, 3] = np.nan                # NaN second: argmax keeps it too
+    g = rng.normal(size=(4, 3, length // 2))
+    out, grad = _pool_run(a, g)
+    want_out, want_grad = _argmax_pool(a, g)
+    np.testing.assert_array_equal(out, want_out)
+    np.testing.assert_array_equal(grad, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +637,44 @@ def test_no_grad_blocks_graph():
     with tc.no_grad():
         out = tc.tsum(w * w)
     assert not out.requires_grad
+
+
+def test_no_grad_is_per_thread():
+    # force the interleaving A enters, B enters, A exits, B exits; a shared
+    # flag would re-enable graphs inside B's block and leave them disabled
+    w = tc.Tensor(np.ones(3), requires_grad=True)
+    barrier = threading.Barrier(2, timeout=10)
+    built_in_b = []
+    errors = []
+
+    def thread_a():
+        try:
+            with tc.no_grad():
+                barrier.wait()  # 1: A is inside
+                barrier.wait()  # 2: B is inside
+            barrier.wait()      # 3: A has left
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    def thread_b():
+        try:
+            barrier.wait()      # 1
+            with tc.no_grad():
+                barrier.wait()  # 2
+                barrier.wait()  # 3
+                built_in_b.append(tc.tsum(w * w).requires_grad)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+        assert not t.is_alive()
+    assert errors == []
+    assert built_in_b == [False]
+    assert tc.tsum(w * w).requires_grad
 
 
 def test_parameter_store_contracts():
