@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -156,22 +155,25 @@ def _load_model(model_path: str, overrides: dict) -> tuple:
     cfg = TrainConfig()
     n_classes = None
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text())
-        c = meta["config"]
-        cfg = replace(
-            cfg,
-            n=c["n"], m=c["m"], k=c["k"], depth=c["depth"], hidden=c["hidden"],
-            projection_dim=c["projection_dim"], extractor_dim=c["extractor_dim"],
-            dropout=c["dropout"], conv_kernel=c["conv_kernel"],
-            conv_stride=c["conv_stride"], conv_padding=c["conv_padding"],
-            include_self=c.get("include_self", True),
-            cnn_channels=tuple(meta.get("cnn_channels", cfg.cnn_channels)),
-            lstm_hidden=meta.get("lstm_hidden", cfg.lstm_hidden),
-            gcn_hidden=meta.get("gcn_hidden", cfg.gcn_hidden),
-            fuse_hidden=meta.get("fuse_hidden", cfg.fuse_hidden),
-            predict_hidden=meta.get("predict_hidden", cfg.predict_hidden),
-        )
-        n_classes = meta.get("n_classes")
+        try:
+            meta = json.loads(meta_file.read_text())
+            c = meta["config"]
+            cfg = replace(
+                cfg,
+                n=c["n"], m=c["m"], k=c["k"], depth=c["depth"], hidden=c["hidden"],
+                projection_dim=c["projection_dim"], extractor_dim=c["extractor_dim"],
+                dropout=c["dropout"], conv_kernel=c["conv_kernel"],
+                conv_stride=c["conv_stride"], conv_padding=c["conv_padding"],
+                include_self=c.get("include_self", True),
+                cnn_channels=tuple(meta.get("cnn_channels", cfg.cnn_channels)),
+                lstm_hidden=meta.get("lstm_hidden", cfg.lstm_hidden),
+                gcn_hidden=meta.get("gcn_hidden", cfg.gcn_hidden),
+                fuse_hidden=meta.get("fuse_hidden", cfg.fuse_hidden),
+                predict_hidden=meta.get("predict_hidden", cfg.predict_hidden),
+            )
+            n_classes = meta.get("n_classes")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:
         cfg = replace(cfg, **applied)
@@ -230,17 +232,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_snapshot(flows, store, cfg, n_classes):
-    snapshot = prepare_snapshot(flows, store, cfg)
-    probs = evaluate_probs(snapshot, store, cfg)
-    return snapshot, probs
-
-
 def cmd_eval(args) -> int:
     overrides = {"n": args.n, "m": args.m, "k": args.k}
     store, cfg, n_classes = _load_model(args.model, overrides)
     flows = read_flows_jsonl(args.flows)
-    snapshot, probs = _eval_snapshot(flows, store, cfg, n_classes)
+    snapshot = prepare_snapshot(flows, store, cfg)
+    probs = evaluate_probs(snapshot, store, cfg)
     labels = snapshot.labels
     idx = labels.labeled_indices()
     if idx.size == 0:
@@ -275,30 +272,24 @@ def cmd_detect(args) -> int:
     flows, _ = _read_input_flows(args, cfg.n, cfg.m, args.timeout)
     windows = assign_windows(flows, args.window)
 
-    def run_window(item):
-        index, members = item
+    records = []  # written only after every window has been scored
+    for index, members in sorted(windows.items()):
         if len(members) < cfg.k + 1:
             print(f"window {index}: skipped ({len(members)} flows < K+1={cfg.k + 1})",
                   file=sys.stderr)
-            return index, [{"window": index, "skipped": True, "flows": len(members),
-                            "reason": f"fewer than K+1={cfg.k + 1} flows"}]
+            records.append({"window": index, "skipped": True, "flows": len(members),
+                            "reason": f"fewer than K+1={cfg.k + 1} flows"})
+            continue
         snapshot = prepare_snapshot(members, store, cfg)
         probs = evaluate_probs(snapshot, store, cfg)
         pred = probs.argmax(axis=1)
-        return index, [
-            {"flow_id": fid, "window": index, "pred": int(pred[i]),
-             "probs": [float(p) for p in probs[i]]}
-            for i, fid in enumerate(snapshot.flow_ids)
-        ]
-
-    items = sorted(windows.items())
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(items)))) as pool:
-        results = list(pool.map(run_window, items))
+        records.extend({"flow_id": fid, "window": index, "pred": int(pred[i]),
+                        "probs": [float(p) for p in probs[i]]}
+                       for i, fid in enumerate(snapshot.flow_ids))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for _, records in sorted(results):
-            for record in records:
-                fh.write(json.dumps(record) + "\n")
-    print(f"windows={len(items)} flows={len(flows)}")
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
+    print(f"windows={len(windows)} flows={len(flows)}")
     return EXIT_OK
 
 

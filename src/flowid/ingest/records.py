@@ -107,6 +107,10 @@ def flow_from_json(line: str) -> FlowRecord:
                        bytes.fromhex(p["payload_hex"]))
             for p in obj["packets"]
         ]
+        if not packets:
+            raise FlowFormatError("flow has no packets")
+        if any(p.direction not in (-1, 1) for p in packets):
+            raise FlowFormatError("packet dir must be -1 or 1")
         label = obj["label"]
         return FlowRecord(obj["id"], key, packets, None if label is None else int(label))
     except (KeyError, TypeError, ValueError) as exc:

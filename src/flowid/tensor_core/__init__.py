@@ -4,7 +4,6 @@ from .engine import (
     Tensor,
     add,
     as_tensor,
-    assert_finite,
     backward,
     clamp,
     concat,

@@ -654,9 +654,3 @@ def dropout_mask(shape, rate: float, rng) -> Tensor:
         return constant(np.ones(shape))
     keep = ~rng.bernoulli(rate, shape)
     return constant(keep.astype(np.float64) / (1.0 - rate))
-
-
-def assert_finite(t: Tensor, what: str = "tensor") -> Tensor:
-    if not np.all(np.isfinite(t.data)):
-        raise FloatingPointError(f"non-finite values in {what}")
-    return t

@@ -56,15 +56,6 @@ class ParameterStore:
         for t in self._params.values():
             t.zero_grad()
 
-    def set_trainable(self, prefix: str, trainable: bool) -> int:
-        """Toggle updates for every parameter whose name starts with prefix."""
-        hit = 0
-        for name, t in self._params.items():
-            if name.startswith(prefix):
-                t.trainable = trainable
-                hit += 1
-        return hit
-
     def freeze(self, prefix: str) -> int:
         """Exclude matching parameters from both gradients and updates."""
         hit = 0
@@ -94,12 +85,6 @@ class ParameterStore:
                     f"parameter {name}: expected shape {t.data.shape}, got {arr.shape}"
                 )
             t.data[...] = arr
-
-    def total_parameters(self) -> int:
-        return sum(t.data.size for t in self._params.values())
-
-    def grad_norms(self) -> dict[str, float]:
-        return {n: float(np.linalg.norm(t.grad)) for n, t in self._params.items()}
 
     def value_norms(self) -> dict[str, float]:
         return {n: float(np.linalg.norm(t.data)) for n, t in self._params.items()}

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, golden files."""
 
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -182,6 +181,22 @@ def test_eval_corrupt_checkpoint_exit_2(workspace, tmp_path):
                  "--model", str(bad), "--report", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("meta", [
+    "{not json",
+    json.dumps({"n_classes": 2}),
+    json.dumps({"config": {"n": 8, "m": 6}}),
+])
+def test_detect_malformed_metadata_exit_2(workspace, tmp_path, capsys, meta):
+    model = tmp_path / "model.ckpt"
+    model.write_bytes((workspace / "model.ckpt").read_bytes())
+    (tmp_path / "model.ckpt.meta.json").write_text(meta)
+    out = tmp_path / "det.jsonl"
+    assert main(["detect", "--flows", str(workspace / "test.jsonl"),
+                 "--model", str(model), "--window", "60", "--out", str(out)]) == 2
+    assert "format error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
@@ -209,12 +224,13 @@ def test_detect_single_window_matches_eval(workspace, tmp_path, capsys):
 
 
 def test_detect_skips_undersized_window(workspace, tmp_path, capsys):
-    # window 0 holds 6 flows, window 1 only 2 (< K+1 = 3)
+    # the input lists window 2 (6 flows) first, then window 1 with only 2
+    # flows (< K+1 = 3), then window 0 (4 flows)
     src = [json.loads(line)
            for line in (workspace / "test.jsonl").read_text().splitlines()]
     flows = []
-    for i, rec in enumerate(src[:8]):
-        base = 10.0 if i < 6 else 70.0
+    for i, rec in enumerate(src[:12]):
+        base = 130.0 if i < 6 else 70.0 if i < 8 else 10.0
         shift = rec["packets"][0]["ts"]
         for pkt in rec["packets"]:
             pkt["ts"] = round(pkt["ts"] - shift + base, 6)
@@ -225,13 +241,16 @@ def test_detect_skips_undersized_window(workspace, tmp_path, capsys):
     rc = main(["detect", "--flows", str(moved), "--model",
                str(workspace / "model.ckpt"), "--window", "60", "--out", str(out)])
     assert rc == 0
-    err = capsys.readouterr().err
-    assert "skipped" in err
+    captured = capsys.readouterr()
+    assert "window 1: skipped" in captured.err
+    assert "windows=3 flows=12" in captured.out
     records = [json.loads(line) for line in out.read_text().splitlines()]
     skip_records = [r for r in records if r.get("skipped")]
     assert len(skip_records) == 1
     assert skip_records[0]["window"] == 1 and skip_records[0]["flows"] == 2
-    assert sum(1 for r in records if "pred" in r) == 6
+    assert sum(1 for r in records if "pred" in r) == 10
+    # ascending window order, the skipped record in window 1's place
+    assert [r["window"] for r in records] == [0] * 4 + [1] + [2] * 6
 
 
 def test_detect_deterministic(workspace, tmp_path, capsys):
@@ -263,10 +282,26 @@ def test_detect_from_pcap(workspace, tmp_path, capsys):
     assert all("pred" in r for r in records)
 
 
+@pytest.mark.parametrize("packets", [
+    [],
+    [{"ts": 1.0, "dir": 0, "len": 60, "payload_hex": ""}],
+])
+def test_detect_malformed_flow_exit_2(workspace, tmp_path, capsys, packets):
+    rec = json.loads((workspace / "test.jsonl").read_text().splitlines()[0])
+    rec["packets"] = packets
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(rec) + "\n")
+    out = tmp_path / "det.jsonl"
+    assert main(["detect", "--flows", str(bad), "--model",
+                 str(workspace / "model.ckpt"), "--window", "60",
+                 "--out", str(out)]) == 2
+    assert "format error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_training_still_works_after_detect(workspace, tmp_path, capsys):
-    # detect runs its windows on pool threads that each enter no_grad; none
-    # of that may leave graph construction off for this process. Twelve
-    # windows of three flows keep all four pool threads busy at once.
+    # detect scores every window under no_grad; none of that may leave graph
+    # construction off for the rest of this process
     src = [json.loads(line)
            for line in (workspace / "train.jsonl").read_text().splitlines()]
     for i, rec in enumerate(src):
@@ -275,15 +310,9 @@ def test_training_still_works_after_detect(workspace, tmp_path, capsys):
             pkt["ts"] = round(pkt["ts"] - shift, 6)
     windowed = tmp_path / "windowed.jsonl"
     windowed.write_text("".join(json.dumps(r) + "\n" for r in src))
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for i in range(5):
-            assert main(["detect", "--flows", str(windowed),
-                         "--model", str(workspace / "model.ckpt"),
-                         "--window", "60", "--out", str(tmp_path / f"d{i}.jsonl")]) == 0
-    finally:
-        sys.setswitchinterval(switch)
+    assert main(["detect", "--flows", str(windowed),
+                 "--model", str(workspace / "model.ckpt"),
+                 "--window", "60", "--out", str(tmp_path / "d.jsonl")]) == 0
     assert "windows=12" in capsys.readouterr().out
     cfg = TrainConfig(n=6, m=4, extractor_dim=6, hidden=5, projection_dim=4,
                       lstm_hidden=3, cnn_channels=(2, 3), conv_kernel=3,

@@ -1,11 +1,13 @@
 """Parser, view derivation, synthetic generator, and JSONL format tests."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowid.errors import ConfigError, PcapFormatError
+from flowid.errors import ConfigError, FlowFormatError, PcapFormatError
 from flowid.ingest import (
     FiveTuple,
     FlowRecord,
@@ -320,6 +322,21 @@ def test_jsonl_field_order_and_hex():
     assert line == ('{"id":"f1","five_tuple":{"src":"1.2.3.4","sport":10,'
                     '"dst":"5.6.7.8","dport":20,"proto":"udp"},"label":null,'
                     '"packets":[{"ts":1.5,"dir":-1,"len":60,"payload_hex":"abcd"}]}')
+
+
+@pytest.mark.parametrize("packets, message", [
+    ([], "no packets"),
+    ([{"ts": 1.0, "dir": 0, "len": 60, "payload_hex": ""}], "dir"),
+    ([{"ts": 1.0, "dir": -1, "len": 60, "payload_hex": ""},
+      {"ts": 1.5, "dir": 2, "len": 60, "payload_hex": ""}], "dir"),
+])
+def test_jsonl_rejects_empty_flow_and_bad_direction(packets, message):
+    line = json.dumps({"id": "f1", "five_tuple": {"src": "1.2.3.4", "sport": 10,
+                                                  "dst": "5.6.7.8", "dport": 20,
+                                                  "proto": "udp"},
+                       "label": None, "packets": packets})
+    with pytest.raises(FlowFormatError, match=message):
+        flow_from_json(line)
 
 
 def test_parsed_pcap_round_trips_through_jsonl(tmp_path):
