@@ -148,6 +148,29 @@ def _write_meta(model_path: str, cfg: TrainConfig, n_classes: int) -> None:
     _meta_path(model_path).write_text(json.dumps(meta, indent=2))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# sidecar value types, by the name used in error messages
+_META_TYPES = {
+    "an int": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a bool": lambda v: isinstance(v, bool),
+    "two ints": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+}
+_META_CONFIG_INTS = ("n", "m", "k", "depth", "hidden", "projection_dim", "extractor_dim",
+                     "conv_kernel", "conv_stride", "conv_padding")
+_META_HEAD_INTS = ("lstm_hidden", "gcn_hidden", "fuse_hidden", "predict_hidden")
+
+
+def _typed(meta_file: Path, key: str, value, kind: str):
+    """`value` if it has the sidecar type `kind`, else CheckpointError."""
+    if not _META_TYPES[kind](value):
+        raise CheckpointError(f"{meta_file}: {key} must be {kind}, got {value!r}")
+    return value
+
+
 def _load_model(model_path: str, overrides: dict) -> tuple:
     """(store, cfg, n_classes) from checkpoint + sidecar metadata."""
     store = load_checkpoint(model_path)
@@ -158,22 +181,22 @@ def _load_model(model_path: str, overrides: dict) -> tuple:
         try:
             meta = json.loads(meta_file.read_text())
             c = meta["config"]
-            cfg = replace(
-                cfg,
-                n=c["n"], m=c["m"], k=c["k"], depth=c["depth"], hidden=c["hidden"],
-                projection_dim=c["projection_dim"], extractor_dim=c["extractor_dim"],
-                dropout=c["dropout"], conv_kernel=c["conv_kernel"],
-                conv_stride=c["conv_stride"], conv_padding=c["conv_padding"],
-                include_self=c.get("include_self", True),
-                cnn_channels=tuple(meta.get("cnn_channels", cfg.cnn_channels)),
-                lstm_hidden=meta.get("lstm_hidden", cfg.lstm_hidden),
-                gcn_hidden=meta.get("gcn_hidden", cfg.gcn_hidden),
-                fuse_hidden=meta.get("fuse_hidden", cfg.fuse_hidden),
-                predict_hidden=meta.get("predict_hidden", cfg.predict_hidden),
-            )
+            values = {key: _typed(meta_file, key, c[key], "an int")
+                      for key in _META_CONFIG_INTS}
+            values["dropout"] = _typed(meta_file, "dropout", c["dropout"], "a number")
+            values["include_self"] = _typed(meta_file, "include_self",
+                                            c.get("include_self", True), "a bool")
+            values["cnn_channels"] = tuple(_typed(
+                meta_file, "cnn_channels", meta.get("cnn_channels", list(cfg.cnn_channels)),
+                "two ints"))
+            for key in _META_HEAD_INTS:
+                values[key] = _typed(meta_file, key, meta.get(key, getattr(cfg, key)), "an int")
             n_classes = meta.get("n_classes")
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
+        if n_classes is not None:
+            _typed(meta_file, "n_classes", n_classes, "an int")
+        cfg = replace(cfg, **values)
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:
         cfg = replace(cfg, **applied)
@@ -305,14 +328,14 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values is empty")
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [base.seed]
 
+    if args.flows:  # read once: nothing below modifies the flows
+        given = tuple(read_flows_jsonl(path) for path in (args.flows, args.val, args.test))
     rows = []
     for value in values:
         for seed in seeds:
             cfg = replace(base, seed=seed, **{args.param: value}).validate()
             if args.flows:
-                train_flows = read_flows_jsonl(args.flows)
-                val_flows = read_flows_jsonl(args.val)
-                test_flows = read_flows_jsonl(args.test)
+                train_flows, val_flows, test_flows = given
             else:
                 flows = generate_synthetic_flows(
                     default_spec(args.synth_classes, args.per_class), seed=seed)

@@ -90,7 +90,10 @@ def total_loss(l_pred, l_n, l_g, omega_n: float, omega_g: float):
 
 @dataclass
 class Snapshot:
-    """Everything the trainer needs about one hypergraph snapshot."""
+    """Everything the trainer needs about one hypergraph snapshot.
+
+    `graph.node_features` holds the inference features of the store the
+    snapshot was prepared with; classify it with that same store."""
 
     flow_ids: list[str]
     views: ViewBatch
@@ -111,8 +114,9 @@ def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
                      cfg: TrainConfig) -> Snapshot:
     """Derive views, run the extractor once (inference mode, no gradients),
     and build the KNN hypergraph from those features. The incidence structure
-    is fixed for the snapshot's lifetime; node features are recomputed from
-    live parameters on every forward pass."""
+    is fixed for the snapshot's lifetime. The features stay on the graph for
+    evaluate_probs with the same store; training steps and fit's validation
+    extract features again from the live parameters."""
     views = build_view_batch(flows, cfg.n, cfg.m)
     with tc.no_grad():
         emb = extract(store, views, cfg, mode="infer")
@@ -181,18 +185,26 @@ def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
     return stats
 
 
-def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
-                   cfg: TrainConfig) -> np.ndarray:
-    """Inference-mode class distributions for every flow in the snapshot."""
+def evaluate_probs(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
+                   features: Optional[Tensor] = None) -> np.ndarray:
+    """Inference-mode class distributions for every flow in the snapshot.
+
+    The encoder reads the features prepare_snapshot stored on the graph, so
+    `store` must be the store the snapshot was prepared with. `features`
+    overrides them with features extracted from `store` after its
+    parameters moved."""
     with tc.no_grad():
-        emb = extract(store, snapshot.views, cfg, mode="infer")
-        enc = encode(snapshot.graph, store, cfg, mode="infer", features=emb.z_mv)
+        enc = encode(snapshot.graph, store, cfg, mode="infer", features=features)
         return predict(enc.node_final, store).data.copy()
 
 
 def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
                       n_classes: int) -> float:
-    probs = evaluate_probs(snapshot, store, cfg)
+    """Macro-F1 over the labeled flows, from features extracted with the live
+    parameters (fit moves them after the snapshot was prepared)."""
+    with tc.no_grad():
+        features = extract(store, snapshot.views, cfg, mode="infer").z_mv
+    probs = evaluate_probs(snapshot, store, cfg, features=features)
     idx = snapshot.labels.labeled_indices()
     if idx.size == 0:
         raise ConfigError("evaluation snapshot has no labeled flows")
@@ -247,21 +259,68 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
 
 CHECKPOINT_MAGIC = b"FLOWID01"
 _CRC64_POLY = 0xC96C5795D7870F42  # CRC-64/XZ, reflected
+_CRC64_ONES = 0xFFFFFFFFFFFFFFFF  # init and xorout
 _CRC64_TABLE: list[int] = []
 for _i in range(256):
     _crc = _i
     for _ in range(8):
         _crc = (_crc >> 1) ^ _CRC64_POLY if _crc & 1 else _crc >> 1
     _CRC64_TABLE.append(_crc)
+_CRC64_NP_TABLE = np.array(_CRC64_TABLE, dtype=np.uint64)
+_CRC64_LANES = 4096    # equal slices of the body stepped together in numpy
+_CRC64_MIN_WIDTH = 8   # bytes per lane below which the byte loop alone is faster
 
 
-def crc64(data: bytes) -> int:
-    """CRC-64/XZ (reflected, init and xorout all-ones)."""
-    crc = 0xFFFFFFFFFFFFFFFF
+def _crc64_update(crc: int, data) -> int:
+    """Feed `data` byte by byte to the raw (not inverted) register."""
     table = _CRC64_TABLE
     for byte in data:
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
+    return crc
+
+
+def _crc64_zero_feed_tables(width: int) -> list[list[int]]:
+    """Byte-sliced tables of the GF(2)-linear map "feed `width` zero bytes":
+    it sends register s to the XOR over k of tables[k][(s >> 8k) & 0xFF].
+    Built from the images of the 64 basis states."""
+    basis = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    for _ in range(width):
+        basis = _CRC64_NP_TABLE[basis & 0xFF] ^ (basis >> 8)
+    bit_set = (np.arange(256)[:, None] >> np.arange(8)) & 1 == 1  # (byte value, bit)
+    return [np.bitwise_xor.reduce(np.where(bit_set, basis[8 * k:8 * k + 8], 0), axis=1).tolist()
+            for k in range(8)]
+
+
+def crc64(data: bytes) -> int:
+    """CRC-64/XZ (reflected, init and xorout all-ones).
+
+    The register is affine in the bytes fed to it, so the body is cut into
+    _CRC64_LANES equal lanes stepped together in numpy, lane 0 from the
+    initial value and the others from 0. Folding the lanes in order (carry
+    the running register over one lane's width of zero bytes, XOR in the next
+    lane) gives the register after the whole body; the tail that fills no
+    lane, and any input too short for the lanes, go through the byte loop.
+    """
+    width = len(data) // _CRC64_LANES
+    if width < _CRC64_MIN_WIDTH:
+        return _crc64_update(_CRC64_ONES, data) ^ _CRC64_ONES
+    body = np.frombuffer(data, dtype=np.uint8, count=_CRC64_LANES * width)
+    body = body.reshape(_CRC64_LANES, width)  # a view: the input is not copied
+    lanes = np.zeros(_CRC64_LANES, dtype=np.uint64)
+    lanes[0] = _CRC64_ONES
+    index = np.empty_like(lanes)
+    for j in range(width):
+        np.bitwise_xor(lanes, body[:, j], out=index)
+        index &= 0xFF
+        lanes >>= 8
+        lanes ^= _CRC64_NP_TABLE[index]
+    t0, t1, t2, t3, t4, t5, t6, t7 = _crc64_zero_feed_tables(width)
+    crc = 0
+    for lane in lanes.tolist():
+        crc = (t0[crc & 0xFF] ^ t1[(crc >> 8) & 0xFF] ^ t2[(crc >> 16) & 0xFF]
+               ^ t3[(crc >> 24) & 0xFF] ^ t4[(crc >> 32) & 0xFF] ^ t5[(crc >> 40) & 0xFF]
+               ^ t6[(crc >> 48) & 0xFF] ^ t7[crc >> 56] ^ lane)
+    return _crc64_update(crc, data[_CRC64_LANES * width:]) ^ _CRC64_ONES
 
 
 def save_checkpoint(store: ParameterStore, path) -> None:

@@ -415,11 +415,12 @@ def test_criterion_9_formats(tmp_path, capsys):
     cfg = _toy_cfg()
     flows = generate_synthetic_flows(two_class_spec(6), seed=5)
     store = _nudged(build_parameter_store(cfg, 2), 31)
-    snap = prepare_snapshot(flows, store, cfg)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(store, ckpt)
-    before = evaluate_probs(snap, store, cfg)
-    after = evaluate_probs(snap, load_checkpoint(ckpt, into=build_parameter_store(cfg, 2)), cfg)
+    restored = load_checkpoint(ckpt, into=build_parameter_store(cfg, 2))
+    # each side extracts its own features, so the extractor weights are compared too
+    before = evaluate_probs(prepare_snapshot(flows, store, cfg), store, cfg)
+    after = evaluate_probs(prepare_snapshot(flows, restored, cfg), restored, cfg)
     second = tmp_path / "model2.ckpt"
     save_checkpoint(load_checkpoint(ckpt), second)
     ckpt_ok = np.array_equal(before, after) and ckpt.read_bytes() == second.read_bytes()

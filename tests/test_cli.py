@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from flowid import cli
 from flowid.cli import main
 from flowid.config import TrainConfig
 from flowid.ingest import generate_synthetic_flows, two_class_spec
@@ -185,10 +186,26 @@ def test_eval_corrupt_checkpoint_exit_2(workspace, tmp_path):
     "{not json",
     json.dumps({"n_classes": 2}),
     json.dumps({"config": {"n": 8, "m": 6}}),
+    # the trained model's own sidecar with one value of the wrong type:
+    # (section, key, value), section "config" or "" for the top level
+    ("config", "k", "3"),
+    ("config", "n", True),
+    ("config", "dropout", "0.2"),
+    ("config", "include_self", "no"),
+    ("config", "include_self", 1),
+    ("", "cnn_channels", [3]),
+    ("", "cnn_channels", [3, 4.0]),
+    ("", "lstm_hidden", 6.0),
+    ("", "n_classes", "2"),
 ])
 def test_detect_malformed_metadata_exit_2(workspace, tmp_path, capsys, meta):
     model = tmp_path / "model.ckpt"
     model.write_bytes((workspace / "model.ckpt").read_bytes())
+    if isinstance(meta, tuple):
+        section, key, value = meta
+        meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
+        (meta[section] if section else meta)[key] = value
+        meta = json.dumps(meta)
     (tmp_path / "model.ckpt.meta.json").write_text(meta)
     out = tmp_path / "det.jsonl"
     assert main(["detect", "--flows", str(workspace / "test.jsonl"),
@@ -223,9 +240,9 @@ def test_detect_single_window_matches_eval(workspace, tmp_path, capsys):
         assert record["probs"] == eval_records[fid]["probs"]
 
 
-def test_detect_skips_undersized_window(workspace, tmp_path, capsys):
-    # the input lists window 2 (6 flows) first, then window 1 with only 2
-    # flows (< K+1 = 3), then window 0 (4 flows)
+def _three_windows(workspace, tmp_path):
+    """12 test flows moved into 60 s windows, listed as window 2 (6 flows),
+    window 1 (2 flows, fewer than K+1 = 3) and window 0 (4 flows)."""
     src = [json.loads(line)
            for line in (workspace / "test.jsonl").read_text().splitlines()]
     flows = []
@@ -237,6 +254,11 @@ def test_detect_skips_undersized_window(workspace, tmp_path, capsys):
         flows.append(rec)
     moved = tmp_path / "windowed.jsonl"
     moved.write_text("".join(json.dumps(r) + "\n" for r in flows))
+    return moved
+
+
+def test_detect_skips_undersized_window(workspace, tmp_path, capsys):
+    moved = _three_windows(workspace, tmp_path)
     out = tmp_path / "det.jsonl"
     rc = main(["detect", "--flows", str(moved), "--model",
                str(workspace / "model.ckpt"), "--window", "60", "--out", str(out)])
@@ -251,6 +273,22 @@ def test_detect_skips_undersized_window(workspace, tmp_path, capsys):
     assert sum(1 for r in records if "pred" in r) == 10
     # ascending window order, the skipped record in window 1's place
     assert [r["window"] for r in records] == [0] * 4 + [1] + [2] * 6
+
+
+def test_detect_extracts_once_per_scored_window(workspace, tmp_path, capsys, extract_calls):
+    moved = _three_windows(workspace, tmp_path)
+    assert main(["detect", "--flows", str(moved), "--model", str(workspace / "model.ckpt"),
+                 "--window", "60", "--out", str(tmp_path / "det.jsonl")]) == 0
+    capsys.readouterr()
+    assert len(extract_calls) == 2  # windows 0 and 2; window 1 is skipped
+
+
+def test_eval_extracts_once(workspace, tmp_path, capsys, extract_calls):
+    assert main(["eval", "--flows", str(workspace / "test.jsonl"),
+                 "--model", str(workspace / "model.ckpt"),
+                 "--report", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert len(extract_calls) == 1
 
 
 def test_detect_deterministic(workspace, tmp_path, capsys):
@@ -349,6 +387,31 @@ def test_sweep_emits_one_csv_row_per_value(tmp_path, capsys):
     assert "macro_f1" in header
     values = [line.split(",")[1] for line in lines[1:]]
     assert values == ["2", "3", "4"]
+
+
+def test_sweep_reads_each_input_once(workspace, tmp_path, capsys, monkeypatch):
+    reads = []
+    real = cli.read_flows_jsonl
+    monkeypatch.setattr(cli, "read_flows_jsonl",
+                        lambda path: reads.append(str(path)) or real(path))
+    files = [str(workspace / f"{name}.jsonl") for name in ("train", "val", "test")]
+    args = ["sweep", "--param", "k", "--flows", files[0], "--val", files[1],
+            "--test", files[2], "--epochs", "2", "--cosine-eps", "1e-8",
+            "--no-early-stop", *TINY_FLAGS]
+    out = tmp_path / "sweep.csv"
+    assert main(args + ["--values", "2,3", "--seeds", "1,2", "--out", str(out)]) == 0
+    assert sorted(reads) == sorted(files)
+    # every (value, seed) pair run alone, on freshly read files, gives the same row
+    lines = out.read_text().splitlines()
+    expected = lines[:1]
+    for value in ("2", "3"):
+        for seed in ("1", "2"):
+            single = tmp_path / f"sweep-{value}-{seed}.csv"
+            assert main(args + ["--values", value, "--seeds", seed,
+                                "--out", str(single)]) == 0
+            expected.append(single.read_text().splitlines()[1])
+    capsys.readouterr()
+    assert lines == expected
 
 
 def test_window_assignment_partition():

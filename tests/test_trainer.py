@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 import flowid.tensor_core as tc
+from flowid import trainer
 from flowid.config import TrainConfig
 from flowid.augment import parse_pipeline
+from flowid.cli import main as cli_main
 from flowid.errors import CheckpointError, ConfigError
-from flowid.ingest import generate_synthetic_flows, two_class_spec
+from flowid.ingest import generate_synthetic_flows, two_class_spec, write_flows_jsonl
+from flowid.metrics import macro_f1_score
 from flowid.rng import Rng
 from flowid.tensor_core import Adam, grad_check
 from flowid.trainer import (
+    _CRC64_LANES,
+    _CRC64_MIN_WIDTH,
     LabelSet,
     Snapshot,
     build_parameter_store,
     crc64,
     cross_entropy_loss,
+    evaluate_macro_f1,
     evaluate_probs,
     fit,
     load_checkpoint,
@@ -229,6 +235,42 @@ def test_fit_early_stopping_can_shorten_history():
     assert len(result.history) < 40  # stalls immediately at lr ~ 0
 
 
+def test_fit_extracts_twice_per_epoch(extract_calls):
+    # one training step plus one validation pass on live parameters
+    cfg = tiny_cfg(epochs=3)
+    flows = generate_synthetic_flows(two_class_spec(6), seed=6)
+    store = generic_store(cfg)
+    train_snap = prepare_snapshot(flows[::2], store, cfg)
+    val_snap = prepare_snapshot(flows[1::2], store, cfg)
+    extract_calls.clear()  # the two prepare_snapshot calls above
+    result = fit(train_snap, val_snap, cfg, store=store)
+    assert len(result.history) == 3
+    assert len(extract_calls) == 2 * 3
+
+
+def test_validation_sees_live_extractor_parameters(monkeypatch):
+    cfg = tiny_cfg()
+    snap, store = toy_snapshot(cfg, per_class=5)
+    store.get("fuse.lin2.b").data += 0.5  # moves every flow's features after prepare
+    with tc.no_grad():
+        live = trainer.extract(store, snap.views, cfg, mode="infer").z_mv.data
+    assert not np.array_equal(live, snap.graph.node_features)
+    seen = []
+    real = trainer.encode
+
+    def spy(graph, *args, features=None, **kwargs):
+        seen.append(graph.node_features if features is None else features.data)
+        return real(graph, *args, features=features, **kwargs)
+
+    monkeypatch.setattr(trainer, "encode", spy)
+    f1 = evaluate_macro_f1(snap, store, cfg, 2)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], live)
+    probs = evaluate_probs(snap, store, cfg, features=tc.constant(live))
+    idx = snap.labels.labeled_indices()
+    assert f1 == macro_f1_score(probs[idx].argmax(axis=1), snap.labels.y[idx], 2)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_reports_parameter_norms():
     from flowid.errors import TrainingDivergedError
@@ -293,12 +335,14 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def test_checkpoint_predictions_exact_across_round_trip(tmp_path):
     cfg = tiny_cfg()
-    snap, store = toy_snapshot(cfg, per_class=5)
+    flows = generate_synthetic_flows(two_class_spec(5), seed=5)
+    store = generic_store(cfg)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)  # canonicalizes the live store to f32 grid
-    before = evaluate_probs(snap, store, cfg)
     restored = load_checkpoint(path, into=build_parameter_store(cfg, 2))
-    after = evaluate_probs(snap, restored, cfg)
+    # each side extracts its own features, so the extractor weights are compared too
+    before = evaluate_probs(prepare_snapshot(flows, store, cfg), store, cfg)
+    after = evaluate_probs(prepare_snapshot(flows, restored, cfg), restored, cfg)
     np.testing.assert_array_equal(before, after)
 
 
@@ -332,3 +376,73 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
 def test_crc64_known_vector():
     # CRC-64/XZ check value for the standard 9-byte test input
     assert crc64(b"123456789") == 0x995DC9BBDF1939FA
+
+
+def _crc64_table():
+    table = []
+    for i in range(256):
+        crc = i
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xC96C5795D7870F42 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+def crc64_reference(data: bytes, _table=_crc64_table()) -> int:
+    """Byte-at-a-time CRC-64/XZ, independent of the lane code under test."""
+    crc = 0xFFFFFFFFFFFFFFFF
+    for byte in data:
+        crc = _table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFFFFFFFFFF
+
+
+_LANE_THRESHOLD = _CRC64_LANES * _CRC64_MIN_WIDTH
+
+
+@pytest.mark.parametrize("length", [
+    0, 1,
+    _LANE_THRESHOLD - 1,                  # just too short: byte loop only
+    _LANE_THRESHOLD,                      # lanes; a multiple of the lane count, no tail
+    _CRC64_LANES * 11 + _CRC64_LANES - 1,  # a multiple plus the longest tail
+    1 << 20,                              # about 1 MB
+])
+def test_crc64_matches_byte_reference(length):
+    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+    assert crc64(data) == crc64_reference(data)
+
+
+def test_train_writes_checkpoint_sealed_with_reference_crc(tmp_path, capsys):
+    flows = generate_synthetic_flows(two_class_spec(8), seed=4)
+    write_flows_jsonl(flows[::2], tmp_path / "train.jsonl")
+    write_flows_jsonl(flows[1::2], tmp_path / "val.jsonl")
+    model = tmp_path / "model.ckpt"
+    assert cli_main([
+        "train", "--flows", str(tmp_path / "train.jsonl"),
+        "--val", str(tmp_path / "val.jsonl"), "--out", str(model),
+        "--epochs", "2", "--seed", "5", "--no-early-stop", "--cosine-eps", "1e-8",
+        "--n", "6", "--m", "4", "--k", "2", "--extractor-dim", "512", "--hidden", "8",
+        "--projection-dim", "4", "--lstm-hidden", "3", "--cnn-channels", "2,3",
+        "--conv-kernel", "3", "--conv-padding", "1", "--gcn-hidden", "3",
+        "--fuse-hidden", "8", "--predict-hidden", "4"]) == 0
+    capsys.readouterr()
+    blob = model.read_bytes()
+    assert len(blob) > 2 * _LANE_THRESHOLD  # sealed through the lanes
+    body = blob[:-8]
+    assert blob == body + crc64_reference(body).to_bytes(8, "little")
+
+
+def test_checkpoint_bit_flip_anywhere_is_a_checksum_mismatch(tmp_path):
+    # default dimensions: a checkpoint of several MB, far past the lane threshold
+    store = build_parameter_store(TrainConfig(), 2)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(store, path)
+    blob = path.read_bytes()
+    assert len(blob) > 64 * _LANE_THRESHOLD
+    assert blob[-8:] == crc64_reference(blob[:-8]).to_bytes(8, "little")
+    # first byte after the magic, the middle, the last body byte, the trailer
+    for offset in (8, len(blob) // 2, len(blob) - 9, len(blob) - 1):
+        bad = bytearray(blob)
+        bad[offset] ^= 0x10
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(path)
