@@ -148,26 +148,27 @@ def _write_meta(model_path: str, cfg: TrainConfig, n_classes: int) -> None:
     _meta_path(model_path).write_text(json.dumps(meta, indent=2))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# sidecar keys: required in "config", then optional at the top level
+_META_CONFIG_KEYS = ("n", "m", "k", "depth", "hidden", "projection_dim", "extractor_dim",
+                     "dropout", "conv_kernel", "conv_stride", "conv_padding")
+_META_TOP_KEYS = ("cnn_channels", "lstm_hidden", "gcn_hidden", "fuse_hidden", "predict_hidden")
 
 
-# sidecar value types, by the name used in error messages
-_META_TYPES = {
-    "an int": _is_int,
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
-    "a bool": lambda v: isinstance(v, bool),
-    "two ints": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-}
-_META_CONFIG_INTS = ("n", "m", "k", "depth", "hidden", "projection_dim", "extractor_dim",
-                     "conv_kernel", "conv_stride", "conv_padding")
-_META_HEAD_INTS = ("lstm_hidden", "gcn_hidden", "fuse_hidden", "predict_hidden")
-
-
-def _typed(meta_file: Path, key: str, value, kind: str):
-    """`value` if it has the sidecar type `kind`, else CheckpointError."""
-    if not _META_TYPES[kind](value):
-        raise CheckpointError(f"{meta_file}: {key} must be {kind}, got {value!r}")
+def _meta_value(meta_file: Path, key: str, value, default):
+    """`value` if it has the type of the config default `default` (a float
+    field also takes an int, a tuple field a JSON list of as many ints),
+    else CheckpointError."""
+    if isinstance(default, tuple):
+        ok = (isinstance(value, list) and len(value) == len(default)
+              and all(type(v) is int for v in value))
+        value = tuple(value) if ok else value
+    elif isinstance(default, float):
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise CheckpointError(f"{meta_file}: {key}={value!r} does not have the type "
+                              f"of {default!r}")
     return value
 
 
@@ -181,22 +182,16 @@ def _load_model(model_path: str, overrides: dict) -> tuple:
         try:
             meta = json.loads(meta_file.read_text())
             c = meta["config"]
-            values = {key: _typed(meta_file, key, c[key], "an int")
-                      for key in _META_CONFIG_INTS}
-            values["dropout"] = _typed(meta_file, "dropout", c["dropout"], "a number")
-            values["include_self"] = _typed(meta_file, "include_self",
-                                            c.get("include_self", True), "a bool")
-            values["cnn_channels"] = tuple(_typed(
-                meta_file, "cnn_channels", meta.get("cnn_channels", list(cfg.cnn_channels)),
-                "two ints"))
-            for key in _META_HEAD_INTS:
-                values[key] = _typed(meta_file, key, meta.get(key, getattr(cfg, key)), "an int")
+            given = {key: c[key] for key in _META_CONFIG_KEYS}
+            given["include_self"] = c.get("include_self", True)
+            given.update((key, meta[key]) for key in _META_TOP_KEYS if key in meta)
             n_classes = meta.get("n_classes")
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
+        cfg = replace(cfg, **{key: _meta_value(meta_file, key, value, getattr(cfg, key))
+                              for key, value in given.items()})
         if n_classes is not None:
-            _typed(meta_file, "n_classes", n_classes, "an int")
-        cfg = replace(cfg, **values)
+            _meta_value(meta_file, "n_classes", n_classes, 0)
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:
         cfg = replace(cfg, **applied)

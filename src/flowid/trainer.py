@@ -185,26 +185,28 @@ def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
     return stats
 
 
-def evaluate_probs(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
-                   features: Optional[Tensor] = None) -> np.ndarray:
+def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
+                   cfg: TrainConfig) -> np.ndarray:
     """Inference-mode class distributions for every flow in the snapshot.
 
     The encoder reads the features prepare_snapshot stored on the graph, so
-    `store` must be the store the snapshot was prepared with. `features`
-    overrides them with features extracted from `store` after its
-    parameters moved."""
+    `store` must be the store the snapshot was prepared with, unchanged
+    since. Once the parameters move (as during fit), prepare a new snapshot
+    or extract live features as evaluate_macro_f1 does."""
     with tc.no_grad():
-        enc = encode(snapshot.graph, store, cfg, mode="infer", features=features)
+        enc = encode(snapshot.graph, store, cfg, mode="infer")
         return predict(enc.node_final, store).data.copy()
 
 
 def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
                       n_classes: int) -> float:
     """Macro-F1 over the labeled flows, from features extracted with the live
-    parameters (fit moves them after the snapshot was prepared)."""
+    parameters: fit moves them after the snapshot was prepared, so the
+    features stored on its graph are stale."""
     with tc.no_grad():
         features = extract(store, snapshot.views, cfg, mode="infer").z_mv
-    probs = evaluate_probs(snapshot, store, cfg, features=features)
+        enc = encode(snapshot.graph, store, cfg, mode="infer", features=features)
+        probs = predict(enc.node_final, store).data
     idx = snapshot.labels.labeled_indices()
     if idx.size == 0:
         raise ConfigError("evaluation snapshot has no labeled flows")
@@ -267,8 +269,7 @@ for _i in range(256):
         _crc = (_crc >> 1) ^ _CRC64_POLY if _crc & 1 else _crc >> 1
     _CRC64_TABLE.append(_crc)
 _CRC64_NP_TABLE = np.array(_CRC64_TABLE, dtype=np.uint64)
-_CRC64_LANES = 4096    # equal slices of the body stepped together in numpy
-_CRC64_MIN_WIDTH = 8   # bytes per lane below which the byte loop alone is faster
+_CRC64_LANES = 4096  # equal slices of the body stepped together in numpy
 
 
 def _crc64_update(crc: int, data) -> int:
@@ -299,11 +300,10 @@ def crc64(data: bytes) -> int:
     initial value and the others from 0. Folding the lanes in order (carry
     the running register over one lane's width of zero bytes, XOR in the next
     lane) gives the register after the whole body; the tail that fills no
-    lane, and any input too short for the lanes, go through the byte loop.
+    lane goes through the byte loop. Under _CRC64_LANES bytes the lanes are
+    empty, the fold is the identity and the tail is the whole input.
     """
     width = len(data) // _CRC64_LANES
-    if width < _CRC64_MIN_WIDTH:
-        return _crc64_update(_CRC64_ONES, data) ^ _CRC64_ONES
     body = np.frombuffer(data, dtype=np.uint8, count=_CRC64_LANES * width)
     body = body.reshape(_CRC64_LANES, width)  # a view: the input is not copied
     lanes = np.zeros(_CRC64_LANES, dtype=np.uint64)

@@ -17,7 +17,6 @@ from flowid.rng import Rng
 from flowid.tensor_core import Adam, grad_check
 from flowid.trainer import (
     _CRC64_LANES,
-    _CRC64_MIN_WIDTH,
     LabelSet,
     Snapshot,
     build_parameter_store,
@@ -266,7 +265,9 @@ def test_validation_sees_live_extractor_parameters(monkeypatch):
     f1 = evaluate_macro_f1(snap, store, cfg, 2)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], live)
-    probs = evaluate_probs(snap, store, cfg, features=tc.constant(live))
+    with tc.no_grad():
+        enc = real(snap.graph, store, cfg, mode="infer", features=tc.constant(live))
+        probs = trainer.predict(enc.node_final, store).data
     idx = snap.labels.labeled_indices()
     assert f1 == macro_f1_score(probs[idx].argmax(axis=1), snap.labels.y[idx], 2)
 
@@ -396,13 +397,10 @@ def crc64_reference(data: bytes, _table=_crc64_table()) -> int:
     return crc ^ 0xFFFFFFFFFFFFFFFF
 
 
-_LANE_THRESHOLD = _CRC64_LANES * _CRC64_MIN_WIDTH
-
-
 @pytest.mark.parametrize("length", [
     0, 1,
-    _LANE_THRESHOLD - 1,                  # just too short: byte loop only
-    _LANE_THRESHOLD,                      # lanes; a multiple of the lane count, no tail
+    _CRC64_LANES - 1,                     # empty lanes: all of it is tail
+    _CRC64_LANES,                         # one byte per lane, no tail
     _CRC64_LANES * 11 + _CRC64_LANES - 1,  # a multiple plus the longest tail
     1 << 20,                              # about 1 MB
 ])
@@ -426,18 +424,18 @@ def test_train_writes_checkpoint_sealed_with_reference_crc(tmp_path, capsys):
         "--fuse-hidden", "8", "--predict-hidden", "4"]) == 0
     capsys.readouterr()
     blob = model.read_bytes()
-    assert len(blob) > 2 * _LANE_THRESHOLD  # sealed through the lanes
+    assert len(blob) > 2 * _CRC64_LANES  # sealed through non-empty lanes
     body = blob[:-8]
     assert blob == body + crc64_reference(body).to_bytes(8, "little")
 
 
 def test_checkpoint_bit_flip_anywhere_is_a_checksum_mismatch(tmp_path):
-    # default dimensions: a checkpoint of several MB, far past the lane threshold
+    # default dimensions: a checkpoint of several MB, hundreds of bytes per lane
     store = build_parameter_store(TrainConfig(), 2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
     blob = path.read_bytes()
-    assert len(blob) > 64 * _LANE_THRESHOLD
+    assert len(blob) > 512 * _CRC64_LANES
     assert blob[-8:] == crc64_reference(blob[:-8]).to_bytes(8, "little")
     # first byte after the magic, the middle, the last body byte, the trailer
     for offset in (8, len(blob) // 2, len(blob) - 9, len(blob) - 1):
