@@ -195,9 +195,13 @@ def _load_model(model_path: str, overrides: dict) -> tuple:
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:
         cfg = replace(cfg, **applied)
+    head_classes = store.get("predict.w2").data.shape[1]
     if n_classes is None:
-        n_classes = store.get("predict.w2").data.shape[1]
-    return store, cfg.validate(), int(n_classes)
+        n_classes = head_classes
+    elif n_classes != head_classes:
+        raise CheckpointError(f"{meta_file}: n_classes={n_classes} but the checkpoint's "
+                              f"prediction head has {head_classes} classes")
+    return store, cfg.validate(), n_classes
 
 
 def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):
@@ -276,7 +280,7 @@ def cmd_eval(args) -> int:
 def assign_windows(flows, duration: float) -> dict[int, list]:
     """Epoch-aligned tumbling windows: each flow lands in exactly one window,
     chosen by its first packet's timestamp."""
-    if duration <= 0:
+    if not duration > 0:  # NaN fails; inf means one window
         raise ConfigError(f"window duration must be positive, got {duration}")
     windows: dict[int, list] = {}
     for flow in flows:
@@ -372,9 +376,9 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"--split expects three floats, got {args.split!r}")
         if len(fractions) != 3:
             raise ConfigError("--split expects exactly three fractions")
+        train, val, test = split_flows(flows, fractions, seed=args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        train, val, test = split_flows(flows, fractions, seed=args.seed)
         for name, part in (("train", train), ("val", val), ("test", test)):
             write_flows_jsonl(part, out_dir / f"{name}.jsonl")
             print(f"{name}={len(part)}")

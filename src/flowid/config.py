@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .augment import AugmentationPipeline, parse_pipeline
@@ -57,6 +58,9 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("learning_rate", "weight_decay", "omega_n", "omega_g", "cosine_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("learning_rate", "weight_decay", "omega_n", "omega_g"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")

@@ -9,6 +9,7 @@ both over 2N anchors. Hyperedge rows get the identical treatment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,9 @@ class ContrastConfig:
     tau_g: float = 0.5
 
     def __post_init__(self):
-        if self.tau_n <= 0 or self.tau_g <= 0:
-            raise ConfigError(f"temperatures must be positive, got {self.tau_n}, {self.tau_g}")
+        if not all(0 < tau < math.inf for tau in (self.tau_n, self.tau_g)):  # NaN fails
+            raise ConfigError(f"temperatures must be positive and finite, "
+                              f"got {self.tau_n}, {self.tau_g}")
 
 
 def _normalize_rows(x: Tensor, eps: float, what: str) -> Tensor:

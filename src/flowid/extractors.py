@@ -2,8 +2,8 @@
 
 Three views of each flow are embedded to the shared extractor dimension:
   temporal: LSTM over the signed-length sequence + attention pooling,
-  payload:  two conv1d/ReLU/max-pool blocks over the flattened byte stream
-            (bytes scaled to [0,1]) + attention pooling,
+  payload:  two fused conv1d/ReLU/max-pool blocks over the flattened byte
+            stream (bytes scaled to [0,1]) + attention pooling,
   interaction: two GCN layers over the TIG with symmetric-normalized
             self-looped adjacency + mean pooling.
 The two sequence views are concatenated through a linear/dropout/linear
@@ -121,19 +121,13 @@ def payload_encode(store: ParameterStore, payloads: np.ndarray, cfg: TrainConfig
     if payloads.ndim != 3 or payloads.shape[1:] != (cfg.n, cfg.m):
         raise ShapeError(f"payloads must be (N, {cfg.n}, {cfg.m}), got {payloads.shape}")
     n_flows = payloads.shape[0]
-    stream = tc.constant((payloads / 255.0).reshape(n_flows, 1, cfg.n * cfg.m))
+    stream = tc.constant((payloads / 255.0).reshape(n_flows, cfg.n * cfg.m, 1))
 
-    c1, c2 = cfg.cnn_channels
-    h = tc.conv1d(stream, store.get("payload.conv1.w"), cfg.conv_stride, cfg.conv_padding)
-    h = tc.relu(h + tc.reshape(store.get("payload.conv1.b"), (c1, 1)))
-    if h.shape[-1] >= 2:
-        h = tc.maxpool1d_w2(h)
-    h = tc.conv1d(h, store.get("payload.conv2.w"), cfg.conv_stride, cfg.conv_padding)
-    h = tc.relu(h + tc.reshape(store.get("payload.conv2.b"), (c2, 1)))
-    if h.shape[-1] >= 2:
-        h = tc.maxpool1d_w2(h)
-
-    states = tc.swap_last2(h)  # (N, positions, channels)
+    # channels-last (N, positions, channels) throughout
+    h = tc.conv1d_relu_pool(stream, store.get("payload.conv1.w"), store.get("payload.conv1.b"),
+                            cfg.conv_stride, cfg.conv_padding)
+    states = tc.conv1d_relu_pool(h, store.get("payload.conv2.w"), store.get("payload.conv2.b"),
+                                 cfg.conv_stride, cfg.conv_padding)
     pooled = tc.attention_pool_batch(states, store.get("payload.attn.w"),
                                      store.get("payload.attn.b"),
                                      store.get("payload.attn.v"))

@@ -104,7 +104,7 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
     """Parse a classic pcap file into bidirectional FlowRecords."""
     if n < 1 or m < 1:
         raise ConfigError(f"packet cap n and byte cap m must be >= 1, got n={n}, m={m}")
-    if idle_timeout <= 0:
+    if not idle_timeout > 0:  # NaN fails; inf means flows never split on idle
         raise ConfigError(f"idle_timeout must be positive, got {idle_timeout}")
     with open(path, "rb") as fh:
         data = fh.read()

@@ -100,7 +100,8 @@ def default_spec(n_classes: int, per_class: int) -> list[SyntheticClassSpec]:
 def split_flows(flows: list[FlowRecord], fractions: tuple[float, float, float],
                 seed: int | Rng) -> tuple[list[FlowRecord], list[FlowRecord], list[FlowRecord]]:
     """Deterministic stratified train/val/test split by label."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f <= 0 for f in fractions):
+    # written so that NaN fails: every comparison with NaN is false
+    if not (all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ConfigError(f"split fractions must be positive and sum to 1, got {fractions}")
     rng = seed if isinstance(seed, Rng) else Rng(seed)
     by_label: dict[int | None, list[FlowRecord]] = {}

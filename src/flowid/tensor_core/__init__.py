@@ -8,7 +8,7 @@ from .engine import (
     clamp,
     concat,
     constant,
-    conv1d,
+    conv1d_relu_pool,
     div,
     dropout_mask,
     elu,
@@ -17,11 +17,8 @@ from .engine import (
     log,
     logsumexp_last,
     matmul,
-    max_last,
-    maxpool1d_w2,
     mul,
     no_grad,
-    pad_last,
     pow_const,
     relu,
     reshape,
@@ -30,7 +27,6 @@ from .engine import (
     softmax_last,
     sqrt,
     sub,
-    swap_last2,
     take_per_row,
     tanh,
     tmean,
@@ -38,11 +34,6 @@ from .engine import (
     tsum,
 )
 from .gradcheck import GradCheckFailure, GradCheckReport, grad_check
-from .layers import attention_pool, attention_pool_batch, lstm_batch, lstm_forward
+from .layers import attention_pool_batch, lstm_batch
 from .optim import Adam, AdamState, adam_step
 from .params import ParameterStore, glorot_uniform
-
-
-def softmax(logits) -> Tensor:
-    """Row-stable softmax over the last axis."""
-    return softmax_last(logits)

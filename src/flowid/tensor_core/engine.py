@@ -337,19 +337,6 @@ def transpose2d(a) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def swap_last2(a) -> Tensor:
-    """Exchange the last two axes (batched transpose)."""
-    a = as_tensor(a)
-    if a.ndim < 2:
-        raise ShapeError(f"swap_last2 needs >=2-D, got {a.shape}")
-    data = np.swapaxes(a.data, -1, -2)
-
-    def bw(g):
-        return (np.swapaxes(g, -1, -2),)
-
-    return _node(data, (a,), bw)
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
@@ -380,18 +367,6 @@ def slice_last(a, start: int, stop: int) -> Tensor:
         z = np.zeros_like(a.data)
         z[..., start:stop] = g
         return (z,)
-
-    return _node(data, (a,), bw)
-
-
-def pad_last(a, left: int, right: int) -> Tensor:
-    a = as_tensor(a)
-    width = [(0, 0)] * (a.ndim - 1) + [(left, right)]
-    data = np.pad(a.data, width)
-    stop = data.shape[-1] - right
-
-    def bw(g):
-        return (g[..., left:stop],)
 
     return _node(data, (a,), bw)
 
@@ -449,20 +424,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         n = a.data.shape[axis]
     return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def max_last(a) -> Tensor:
-    """Maximum over the last axis; gradient routed to the argmax entries."""
-    a = as_tensor(a)
-    idx = np.argmax(a.data, axis=-1)
-    data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def bw(g):
-        z = np.zeros_like(a.data)
-        np.put_along_axis(z, idx[..., None], g[..., None], axis=-1)
-        return (z,)
-
-    return _node(data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -529,119 +490,160 @@ def logsumexp_last(a) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-# Scratch cap for one chunk's patch matrix (and, in the backward, its column
-# gradient). Cache-sized on purpose: the matmul reads a chunk's patches right
-# after im2col writes them, and the backward scatters its column gradient right
-# after the matmul writes it, so a chunk that is still in cache skips a round
-# trip through memory. The paper's conv2 (16->32 channels, k=25, L=320) at
-# N=300 on a 2-core Xeon VM (2 MB L2 per core), 1/4/16/64 MB chunks: forward
-# 0.113/0.115/0.156/0.175 s, backward 0.319/0.302/0.339/0.408 s. It also
-# bounds conv1d's transient memory per chunk rather than per batch.
+# Scratch cap for one chunk of flows: its patch matrix, or its GEMM output if
+# that is larger. Cache-sized on purpose: bias, ReLU and the pool read a
+# chunk's GEMM output right after the matmul writes it, and the backward
+# overlap-adds its patch gradient right after the matmul writes that, so a
+# chunk still in cache skips a round trip through memory. It also bounds
+# conv1d_relu_pool's transient memory per chunk rather than per batch.
 _CONV_CHUNK_BYTES = 4 * 1024 * 1024
 
-
-def _im2col(xp: np.ndarray, k: int, stride: int, l_out: int) -> np.ndarray:
-    """(N, C, Lp) -> (N*l_out, C*k) patch matrix (copies; callers chunk N)."""
-    n, c, _ = xp.shape
-    s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, l_out, c, k), strides=(s0, s2 * stride, s1, s2), writeable=False
-    )
-    return windows.reshape(n * l_out, c * k)
+# Consecutive output positions per GEMM row of conv1d_relu_pool. Both payload
+# stages of the paper's geometry (1->16->32 channels, k=25, L=640) at N=300 on
+# a 2-core Xeon VM, forward + backward, median of three best-of-7 runs:
+# 0.56/0.34/0.32/0.33 s at 1/4/8/16 positions per row.
+_CONV_BLOCK = 8
 
 
-def conv1d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation.
+def _max_pool_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Width-2 max pool over axis 1 of (N, L, C): (pooled, first-of-pair kept).
 
-    x: (C_in, L) or batched (N, C_in, L); kernel: (C_out, C_in, k).
-    Output length floor((L + 2*padding - k)/stride) + 1; zero padding.
-
-    Both passes run over chunks of flows whose patch matrix fits in
-    _CONV_CHUNK_BYTES, so scratch memory is a few chunks, not the whole batch.
-    The backward builds each chunk's column gradient tap-major, as
-    (rows, k, C_in): tap j's slab is then contiguous over channels and is added
-    into a channels-last input gradient with one strided add per tap, instead
-    of k adds that each read the whole column gradient at a k-element stride.
-    Every input-gradient element still sums its taps in ascending order, so
-    the result equals the channel-major scatter exactly.
+    A pair keeps its first element unless the second is larger, or is NaN
+    while the first is not: the choice argmax over the pair makes, ties going
+    to the first. An odd length's trailing element is dropped.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3 or kernel.ndim != 3:
-        raise ShapeError(f"conv1d expects (N,C,L) and (C_out,C_in,k), got {x.shape}, {kernel.shape}")
-    n, c_in, length = xd.shape
+    stop = 2 * (y.shape[1] // 2)
+    first, second = y[:, 0:stop:2], y[:, 1:stop:2]
+    keep_first = (first >= second) | np.isnan(first)
+    return np.where(keep_first, first, second), keep_first
+
+
+def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0) -> Tensor:
+    """One payload-CNN stage: relu(conv1d(x, kernel) + bias), then a width-2 max pool.
+
+    x: channels-last (N, L, C_in); kernel: (C_out, C_in, k); bias: (C_out,).
+    The convolution is a cross-correlation over zero padding with
+    L_out = floor((L + 2*padding - k)/stride) + 1 positions; the output is
+    channels-last (N, floor(L_out/2), C_out), or (N, L_out, C_out) unpooled
+    when L_out < 2. The pool is _max_pool_pairs: ties keep the first element
+    of a pair, and an odd length's trailing position is dropped and gets zero
+    gradient.
+
+    Each GEMM row covers _CONV_BLOCK consecutive output positions: it reads
+    the (block-1)*stride + k input positions they span, and multiplies them by
+    a block-Toeplitz copy of the kernel of shape (span*C_in, block*C_out). The
+    patch matrix is thus block*k/span times smaller than im2col's (6.25 at
+    k=25, stride 1), and the GEMM block times wider. Because the Toeplitz
+    zeros multiply every input of the span, a non-finite input value makes
+    its whole block non-finite.
+
+    Both passes run over chunks of flows that fit in _CONV_CHUNK_BYTES; bias,
+    ReLU and the pool run on each chunk while it is in cache. The node keeps
+    only the padded input, the output and a bool "first of pair kept" mask;
+    the backward rebuilds each chunk's patches, computes the kernel and bias
+    gradients and the patch gradient with two GEMMs, and overlap-adds the
+    patch gradient into the input gradient one block-aligned slab at a time.
+    A constant input (the raw byte stream) gets no input gradient.
+
+    The kernel and bias gradients are summed one chunk at a time, so their
+    last bits depend on _CONV_CHUNK_BYTES and _CONV_BLOCK; the output and the
+    input gradient of each flow do not depend on the chunking.
+    """
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
+    if x.ndim != 3 or kernel.ndim != 3 or bias.shape != kernel.shape[:1]:
+        raise ShapeError(f"conv1d_relu_pool expects (N,L,C_in), (C_out,C_in,k) and (C_out,), "
+                         f"got {x.shape}, {kernel.shape}, {bias.shape}")
+    n, length, c_in = x.shape
     c_out, kc_in, k = kernel.shape
     if kc_in != c_in:
-        raise ShapeError(f"conv1d channel mismatch: input {c_in}, kernel {kc_in}")
+        raise ShapeError(f"conv1d_relu_pool channel mismatch: input {c_in}, kernel {kc_in}")
     if k < 1 or stride < 1 or padding < 0 or length + 2 * padding < k:
-        raise ShapeError(
-            f"conv1d geometry invalid: L={length}, k={k}, stride={stride}, padding={padding}"
-        )
+        raise ShapeError(f"conv1d_relu_pool geometry invalid: L={length}, k={k}, "
+                         f"stride={stride}, padding={padding}")
     l_out = (length + 2 * padding - k) // stride + 1
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
-    w2 = kernel.data.reshape(c_out, c_in * k)
+    pool = l_out >= 2
+    stop = 2 * (l_out // 2)
 
-    chunk = max(1, _CONV_CHUNK_BYTES // max(1, 8 * l_out * c_in * k))
-    out = np.empty((n, c_out, l_out))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        cols = _im2col(xp[lo:hi], k, stride, l_out)
-        out[lo:hi] = (cols @ w2.T).reshape(hi - lo, l_out, c_out).transpose(0, 2, 1)
+    block = _CONV_BLOCK
+    blocks = -(-l_out // block)
+    step = block * stride               # input positions from one block to the next
+    span = (block - 1) * stride + k     # input positions one block reads
+    segs = -(-span // step)             # step-sized slabs of one block's span
+    # whole step-sized slabs that hold the padded input and every block's span
+    slabs = max(blocks + segs - 1, -(-(length + padding) // step))
+    xp = np.zeros((n, slabs * step, c_in))
+    xp[:, padding : padding + length] = x.data
+
+    toeplitz = np.zeros((span, c_in, block, c_out))
+    taps = kernel.data.transpose(2, 1, 0)  # (k, C_in, C_out)
+    for j in range(block):
+        toeplitz[j * stride : j * stride + k, :, j] = taps
+    toeplitz = toeplitz.reshape(span * c_in, block * c_out)
+
+    # chunks of flows; at least two GEMM rows each when the batch has two,
+    # since numpy runs a one-row product as a matrix-vector product, whose
+    # rounding differs from the same row's in a matrix product
+    flow_bytes = 8 * blocks * max(span * c_in, block * c_out)
+    chunk = max(1 if blocks > 1 else 2, _CONV_CHUNK_BYTES // flow_bytes)
+    bounds = list(range(0, n, chunk)) + [n]
+    if blocks == 1 and len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    chunks = list(zip(bounds[:-1], bounds[1:]))
+
+    def patches(lo, hi):
+        """(flows*blocks, span*C_in) patch matrix of flows lo:hi (a copy)."""
+        s0, s1, s2 = xp.strides
+        windows = np.lib.stride_tricks.as_strided(
+            xp[lo:hi], shape=(hi - lo, blocks, span, c_in),
+            strides=(s0, s1 * step, s1, s2), writeable=False)
+        return windows.reshape((hi - lo) * blocks, span * c_in)
+
+    out = np.empty((n, l_out // 2 if pool else l_out, c_out))
+    keep_first = np.empty(out.shape, dtype=bool) if pool else None
+    for lo, hi in chunks:
+        y = (patches(lo, hi) @ toeplitz).reshape(hi - lo, blocks * block, c_out)[:, :l_out]
+        y += bias.data
+        np.maximum(y, 0.0, out=y)
+        if pool:
+            out[lo:hi], keep_first[lo:hi] = _max_pool_pairs(y)
+        else:
+            out[lo:hi] = y
 
     def bw(g):
-        gb = g[None] if g.ndim == 2 else g  # (N, C_out, L_out)
-        w_taps = kernel.data.transpose(0, 2, 1).reshape(c_out, k * c_in)
-        span = stride * l_out
-        gw = np.zeros_like(w2)
-        # channels-last input gradient; a constant input (the raw byte
-        # stream) needs none
-        gxp = np.zeros((n, xp.shape[2], c_in)) if x.requires_grad else None
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            gflat = gb[lo:hi].transpose(0, 2, 1).reshape((hi - lo) * l_out, c_out)
-            cols = _im2col(xp[lo:hi], k, stride, l_out)
-            gw += gflat.T @ cols
+        g_toeplitz = np.zeros_like(toeplitz)
+        g_bias = np.zeros(c_out)
+        # a constant input (the raw byte stream) needs no gradient
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for lo, hi in chunks:
+            g_out = g[lo:hi] * (out[lo:hi] > 0.0)  # ReLU passes where the kept value is > 0
+            g_bias += g_out.sum(axis=(0, 1))
+            gy = np.empty((hi - lo, blocks * block, c_out))
+            if pool:
+                gy[:, stop:] = 0.0  # an odd length's last position, and the last block's tail
+                pairs = gy[:, :stop].reshape(hi - lo, stop // 2, 2, c_out)
+                keep = keep_first[lo:hi]
+                np.multiply(g_out, keep, out=pairs[:, :, 0])
+                np.multiply(g_out, ~keep, out=pairs[:, :, 1])
+            else:
+                gy[:, :l_out] = g_out
+                gy[:, l_out:] = 0.0
+            gy = gy.reshape((hi - lo) * blocks, block * c_out)
+            g_toeplitz += patches(lo, hi).T @ gy
             if gxp is None:
                 continue
-            gcols = (gflat @ w_taps).reshape(hi - lo, l_out, k, c_in)
-            gx_chunk = gxp[lo:hi]
-            for j in range(k):
-                gx_chunk[:, j : j + span : stride] += gcols[:, :, j]
-        gx = None
-        if gxp is not None:
-            gx = gxp[:, padding : padding + length].transpose(0, 2, 1)
-            if squeeze:
-                gx = gx[0]
-        return gx, gw.reshape(kernel.shape)
+            g_patch = (gy @ toeplitz.T).reshape(hi - lo, blocks, span, c_in)
+            gx_slabs = gxp[lo:hi].reshape(hi - lo, slabs, step, c_in)
+            for q in range(segs):  # slab q of every block's span
+                width = min(step, span - q * step)
+                gx_slabs[:, q : q + blocks, :width] += g_patch[:, :, q * step : q * step + width]
+        g_taps = np.zeros((k, c_in, c_out))
+        g_toeplitz = g_toeplitz.reshape(span, c_in, block, c_out)
+        for j in range(block):
+            g_taps += g_toeplitz[j * stride : j * stride + k, :, j]
+        gx = None if gxp is None else gxp[:, padding : padding + length]
+        return gx, g_taps.transpose(2, 1, 0), g_bias
 
-    return _node(out[0] if squeeze else out, (x, kernel), bw)
-
-
-def maxpool1d_w2(x) -> Tensor:
-    """Non-overlapping width-2 max pool over the last axis (floor semantics).
-
-    Each output keeps the first element of its pair unless the second is
-    larger, or is NaN while the first is not: the choice argmax over the pair
-    makes, ties going to the first. The gradient goes to the kept element. An
-    odd length's trailing element is dropped and gets zero gradient.
-    """
-    x = as_tensor(x)
-    length = x.shape[-1]
-    if length < 2:
-        raise ShapeError(f"maxpool1d_w2 needs length >= 2, got {length}")
-    stop = 2 * (length // 2)
-    first, second = x.data[..., 0:stop:2], x.data[..., 1:stop:2]
-    keep_first = (first >= second) | np.isnan(first)
-    data = np.where(keep_first, first, second)
-
-    def bw(g):
-        z = np.zeros_like(x.data)
-        z[..., 0:stop:2] = np.where(keep_first, g, 0.0)
-        z[..., 1:stop:2] = np.where(keep_first, 0.0, g)
-        return (z,)
-
-    return _node(data, (x,), bw)
+    return _node(out, (x, kernel, bias), bw)
 
 
 def dropout_mask(shape, rate: float, rng) -> Tensor:

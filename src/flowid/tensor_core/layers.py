@@ -1,7 +1,6 @@
 """Recurrent and attention building blocks.
 
-Both come in a batched form used by the extractors (leading flow axis) and a
-single-sequence form matching the documented operation contracts.
+Both are batched: the extractors run them over a leading flow axis.
 """
 
 from __future__ import annotations
@@ -45,15 +44,6 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     return tc.concat(states, axis=1)
 
 
-def lstm_forward(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """Single sequence (T, d_in) -> hidden states (T, H)."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ShapeError(f"lstm_forward expects (T, d_in), got {inputs.shape}")
-    out = lstm_batch(inputs[None], wx, wh, b)
-    return tc.reshape(out, (inputs.shape[0], wh.shape[0]))
-
-
 def attention_pool_batch(states: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """Additive attention over the time axis of (N, T, d) states -> (N, d).
 
@@ -68,12 +58,3 @@ def attention_pool_batch(states: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Ten
     weights = tc.softmax_last(tc.reshape(scores, (n, t_steps)))
     weighted = states * tc.reshape(weights, (n, t_steps, 1))
     return tc.tsum(weighted, axis=1)
-
-
-def attention_pool(states: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
-    """Single sequence (T, d) -> pooled vector (d,)."""
-    if states.ndim != 2:
-        raise ShapeError(f"attention_pool expects (T, d), got {states.shape}")
-    t_steps, d = states.shape
-    out = attention_pool_batch(tc.reshape(states, (1, t_steps, d)), w, b, v)
-    return tc.reshape(out, (d,))

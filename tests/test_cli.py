@@ -214,6 +214,23 @@ def test_detect_malformed_metadata_exit_2(workspace, tmp_path, capsys, meta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_sidecar_n_classes_must_match_prediction_head(workspace, tmp_path, capsys, command):
+    # a 2-class model whose sidecar claims 3 classes would report a phantom class
+    model = tmp_path / "model.ckpt"
+    model.write_bytes((workspace / "model.ckpt").read_bytes())
+    meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
+    assert meta["n_classes"] == 2
+    meta["n_classes"] = 3
+    (tmp_path / "model.ckpt.meta.json").write_text(json.dumps(meta))
+    out = tmp_path / "out.json"
+    args = {"eval": ["--report", str(out)], "detect": ["--window", "60", "--out", str(out)]}
+    assert main([command, "--flows", str(workspace / "test.jsonl"),
+                 "--model", str(model), *args[command]]) == 2
+    assert "format error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
@@ -428,6 +445,71 @@ def test_window_assignment_partition():
     assert sum(len(v) for v in windows.values()) == len(flows)
     with pytest.raises(ConfigError):
         assign_windows(flows, 0.0)
+
+
+def _two_packet_pcap(tmp_path):
+    """One TCP conversation whose two packets are 100 s apart."""
+    pcap = tmp_path / "gap.pcap"
+    pcap.write_bytes(build_pcap([
+        (1.0, "10.0.0.1", 1234, "10.0.0.2", 80, "tcp", b"\x01"),
+        (101.0, "10.0.0.2", 80, "10.0.0.1", 1234, "tcp", b"\x02"),
+    ]))
+    return pcap
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"),
+    ("--weight-decay", "nan"),
+    ("--omega-n", "nan"),
+    ("--omega-g", "inf"),
+    ("--tau-n", "nan"),
+    ("--tau-g", "inf"),
+    ("--cosine-eps", "nan"),
+])
+def test_train_rejects_non_finite_values_exit_3(workspace, tmp_path, capsys, flag, value):
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", str(workspace / "train.jsonl"),
+                 "--val", str(workspace / "val.jsonl"), "--out", str(model),
+                 "--epochs", "1", "--seed", "3", flag, value, *TINY_FLAGS]) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("case", ["detect_window", "detect_timeout", "extract_timeout",
+                                  "synth_split"])
+def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
+    pcap = _two_packet_pcap(tmp_path)
+    out = tmp_path / "out"
+    detect = ["detect", "--model", str(workspace / "model.ckpt"), "--out", str(out)]
+    argv = {
+        "detect_window": detect + ["--flows", str(workspace / "test.jsonl"),
+                                   "--window", "nan"],
+        "detect_timeout": detect + ["--pcap", str(pcap), "--window", "60",
+                                    "--timeout", "nan"],
+        "extract_timeout": ["extract", "--pcap", str(pcap), "--out", str(out),
+                            "--timeout", "nan"],
+        "synth_split": ["synth", "--per-class", "5", "--out", str(out),
+                        "--split", "0.5,0.5,nan"],
+    }[case]
+    assert main(argv) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_window_and_timeout_keep_their_meaning(workspace, tmp_path, capsys):
+    # an infinite idle timeout never splits a flow: the 100 s gap stays one flow
+    flows = tmp_path / "flows.jsonl"
+    assert main(["extract", "--pcap", str(_two_packet_pcap(tmp_path)),
+                 "--out", str(flows), "--timeout", "inf"]) == 0
+    assert len(flows.read_text().splitlines()) == 1
+    # an infinite window puts every flow in window 0
+    out = tmp_path / "det.jsonl"
+    assert main(["detect", "--flows", str(workspace / "test.jsonl"),
+                 "--model", str(workspace / "model.ckpt"),
+                 "--window", "inf", "--out", str(out)]) == 0
+    capsys.readouterr()
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records and {r["window"] for r in records} == {0}
 
 
 def test_synth_deterministic(tmp_path):

@@ -63,239 +63,311 @@ def test_matmul_batched_matches_loop():
 
 
 # ---------------------------------------------------------------------------
-# conv1d
+# conv1d_relu_pool: conv1d + bias + ReLU + width-2 max pool, channels-last
 # ---------------------------------------------------------------------------
 
+def _stage(x, w, b, stride=1, pad=0):
+    return tc.conv1d_relu_pool(tc.constant(x), tc.constant(w), tc.constant(b), stride, pad).data
+
+
+def _identity_stage(a):
+    """conv1d_relu_pool with a 1-tap identity kernel and zero bias, which is
+    exactly pool(relu(a)) for finite a: the pool stage on its own."""
+    c = a.shape[-1]
+    return tc.conv1d_relu_pool(tc.Tensor(a, requires_grad=True),
+                               tc.constant(np.eye(c)[:, :, None]), tc.constant(np.zeros(c)))
+
+
 def test_conv1d_hand_example():
-    x = tc.constant([[1.0, 2.0, 3.0]])
-    k = tc.constant(np.ones((1, 1, 3)))
-    out = tc.conv1d(x, k, stride=1, padding=1)
-    np.testing.assert_allclose(out.data, [[3.0, 6.0, 5.0]], atol=1e-12)
+    # conv [3, 6, 4, 2] with padding 1, bias -3 -> relu [0, 3, 1, 0] -> pool [3, 1]
+    x = np.array([[[1.0], [2.0], [3.0], [-1.0]]])
+    out = _stage(x, np.ones((1, 1, 3)), np.array([-3.0]), 1, 1)
+    np.testing.assert_allclose(out, [[[3.0], [1.0]]], atol=1e-12)
 
 
 def test_conv1d_identity_kernel():
-    x = tc.constant([[2.0, -1.0, 0.5, 7.0]])
-    k = tc.constant([[[1.0]]])
-    out = tc.conv1d(x, k, stride=1, padding=0)
-    np.testing.assert_array_equal(out.data, x.data)
+    a = np.array([[[2.0], [-1.0], [0.5], [7.0], [-3.0], [-2.0]]])
+    out = _identity_stage(a)
+    np.testing.assert_array_equal(out.data, [[[2.0], [7.0], [0.0]]])
 
 
 def test_conv1d_paper_geometry():
-    # kernel 25, stride 1, padding 12 preserves a length-40 stream
-    x = tc.constant(np.random.default_rng(0).normal(size=(1, 40)))
-    k = tc.constant(np.random.default_rng(1).normal(size=(2, 1, 25)))
-    out = tc.conv1d(x, k, stride=1, padding=12)
-    assert out.shape == (2, 40)
+    # kernel 25, stride 1, padding 12 preserves a length-40 stream; the pool halves it
+    rng = np.random.default_rng(0)
+    out = _stage(rng.normal(size=(2, 40, 1)), rng.normal(size=(3, 1, 25)), np.zeros(3), 1, 12)
+    assert out.shape == (2, 20, 3)
 
 
 def test_conv1d_bad_geometry():
     with pytest.raises(ShapeError):
-        tc.conv1d(tc.constant(np.ones((1, 3))), tc.constant(np.ones((1, 1, 6))), 1, 1)
+        _stage(np.ones((1, 3, 1)), np.ones((1, 1, 6)), np.zeros(1), 1, 1)
+    with pytest.raises(ShapeError):  # channel mismatch
+        _stage(np.ones((1, 8, 2)), np.ones((1, 3, 3)), np.zeros(1))
+    with pytest.raises(ShapeError):  # unbatched input
+        _stage(np.ones((8, 1)), np.ones((1, 1, 3)), np.zeros(1))
+    with pytest.raises(ShapeError):  # bias of the wrong length
+        _stage(np.ones((1, 8, 1)), np.ones((2, 1, 3)), np.zeros(1))
 
 
-def test_conv1d_stride_matches_naive():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 3, 11))
-    w = rng.normal(size=(4, 3, 3))
-    stride, pad = 2, 1
-    out = tc.conv1d(tc.constant(x), tc.constant(w), stride, pad).data
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    l_out = (11 + 2 * pad - 3) // stride + 1
-    naive = np.zeros((2, 4, l_out))
-    for n in range(2):
-        for f in range(4):
-            for o in range(l_out):
-                naive[n, f, o] = np.sum(xp[n, :, o * stride : o * stride + 3] * w[f])
-    np.testing.assert_allclose(out, naive, atol=1e-12)
-
-
-def _conv_run(x, w, stride, pad, g):
-    """conv1d output plus input and kernel gradients for output gradient g."""
-    xt, wt = tc.Tensor(x, requires_grad=True), tc.Tensor(w, requires_grad=True)
-    out = tc.conv1d(xt, wt, stride, pad)
-    tc.backward(tc.tsum(out * tc.constant(g)))
-    return out.data, xt.grad, wt.grad
-
-
-def _conv_naive_grads(x, w, stride, pad, g):
-    """Loop reference: output, input gradient and kernel gradient."""
-    xb, gb = (x[None], g[None]) if x.ndim == 2 else (x, g)
-    n, _, length = xb.shape
+def _naive_stage(x, w, b, stride, pad, g):
+    """Loop reference: output, and the input, kernel and bias gradients for
+    output gradient g. Pool pairs go to argmax (ties to the first)."""
+    n, length, _ = x.shape
     c_out, _, k = w.shape
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
-    l_out = gb.shape[-1]
-    out, gxp, gw = np.zeros(gb.shape), np.zeros_like(xp), np.zeros_like(w)
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    l_out = (length + 2 * pad - k) // stride + 1
+    pre = np.zeros((n, l_out, c_out))
     for i in range(n):
-        for f in range(c_out):
-            for o in range(l_out):
-                patch = xp[i, :, o * stride : o * stride + k]
-                out[i, f, o] = np.sum(patch * w[f])
-                gxp[i, :, o * stride : o * stride + k] += gb[i, f, o] * w[f]
-                gw[f] += gb[i, f, o] * patch
-    gx = gxp[:, :, pad : pad + length]
-    return (out[0], gx[0], gw) if x.ndim == 2 else (out, gx, gw)
+        for o in range(l_out):
+            patch = xp[i, o * stride : o * stride + k]  # (k, C_in)
+            for f in range(c_out):
+                pre[i, o, f] = np.sum(patch * w[f].T) + b[f]
+    act = np.maximum(pre, 0.0)
+    g_pre = np.zeros_like(pre)
+    if l_out < 2:
+        out = act
+        g_pre[:] = g * (pre > 0.0)
+    else:
+        out = np.zeros((n, l_out // 2, c_out))
+        for i in range(n):
+            for p in range(l_out // 2):
+                for f in range(c_out):
+                    kept = 2 * p + int(np.argmax(act[i, 2 * p : 2 * p + 2, f]))
+                    out[i, p, f] = act[i, kept, f]
+                    g_pre[i, kept, f] = g[i, p, f] * (pre[i, kept, f] > 0.0)
+    gxp, gw, gb = np.zeros_like(xp), np.zeros_like(w), g_pre.sum(axis=(0, 1))
+    for i in range(n):
+        for o in range(l_out):
+            patch = xp[i, o * stride : o * stride + k]
+            for f in range(c_out):
+                gxp[i, o * stride : o * stride + k] += g_pre[i, o, f] * w[f].T
+                gw[f] += g_pre[i, o, f] * patch.T
+    return out, gxp[:, pad : pad + length], gw, gb
 
 
-def _conv_channel_major_grads(x, w, stride, pad, g):
-    """The channel-major backward conv1d used before its tap-major rewrite,
-    one chunk: column gradient as (rows, C_in, k), one strided add per tap."""
-    xb, gb = (x[None], g[None]) if x.ndim == 2 else (x, g)
-    n, c_in, length = xb.shape
+def _channel_major_stage(x, w, b, stride, pad, g):
+    """The channel-major im2col formulation of the conv1d this op replaced,
+    followed by bias, ReLU and an argmax pool: output and the input, kernel
+    and bias gradients."""
+    n, length, c_in = x.shape
     c_out, _, k = w.shape
-    l_out = gb.shape[-1]
-    xp = np.pad(xb, ((0, 0), (0, 0), (pad, pad)))
-    w2 = w.reshape(c_out, c_in * k)
-    gflat = gb.transpose(0, 2, 1).reshape(n * l_out, c_out)
-    windows = np.lib.stride_tricks.as_strided(
+    xp = np.pad(x.transpose(0, 2, 1), ((0, 0), (0, 0), (pad, pad)))
+    l_out = (length + 2 * pad - k) // stride + 1
+    cols = np.lib.stride_tricks.as_strided(
         xp, shape=(n, l_out, c_in, k),
-        strides=(xp.strides[0], xp.strides[2] * stride, xp.strides[1], xp.strides[2]))
-    gw = np.zeros_like(w2)
-    gw += gflat.T @ windows.reshape(n * l_out, c_in * k)
+        strides=(xp.strides[0], xp.strides[2] * stride, xp.strides[1], xp.strides[2]),
+    ).reshape(n * l_out, c_in * k)
+    w2 = w.reshape(c_out, c_in * k)
+    pre = (cols @ w2.T).reshape(n, l_out, c_out) + b
+    act = np.maximum(pre, 0.0)
+    pairs = act[:, : 2 * (l_out // 2)].reshape(n, l_out // 2, 2, c_out)
+    idx = np.argmax(pairs, axis=2)[:, :, None]
+    out = np.take_along_axis(pairs, idx, axis=2)[:, :, 0]
+    g_pairs = np.zeros_like(pairs)
+    np.put_along_axis(g_pairs, idx, g[:, :, None], axis=2)
+    g_pre = np.zeros_like(pre)
+    g_pre[:, : 2 * (l_out // 2)] = g_pairs.reshape(n, -1, c_out)
+    gflat = (g_pre * (pre > 0.0)).reshape(n * l_out, c_out)
     gcols = (gflat @ w2).reshape(n, l_out, c_in, k)
     gxp = np.zeros_like(xp)
     for j in range(k):
         gxp[:, :, j : j + stride * l_out : stride] += gcols[:, :, :, j].transpose(0, 2, 1)
-    gx = gxp[:, :, pad : pad + length]
-    return (gx[0] if x.ndim == 2 else gx), gw.reshape(w.shape)
+    gx = gxp[:, :, pad : pad + length].transpose(0, 2, 1)
+    return out, gx, (gflat.T @ cols).reshape(w.shape), gflat.sum(axis=0)
 
 
+def _stage_run(x, w, b, stride, pad, g):
+    """conv1d_relu_pool output plus input, kernel and bias gradients for
+    output gradient g."""
+    xt = tc.Tensor(x, requires_grad=True)
+    wt, bt = tc.Tensor(w, requires_grad=True), tc.Tensor(b, requires_grad=True)
+    out = tc.conv1d_relu_pool(xt, wt, bt, stride, pad)
+    tc.backward(tc.tsum(out * tc.constant(g)))
+    return out.data, xt.grad, wt.grad, bt.grad
+
+
+def test_conv1d_stride_matches_naive():
+    rng = np.random.default_rng(5)
+    x, w, b = rng.normal(size=(2, 11, 3)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+    g = rng.normal(size=(2, 3, 4))  # L_out = 6, pooled to 3
+    for got, want in zip(_stage_run(x, w, b, 2, 1, g), _naive_stage(x, w, b, 2, 1, g)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# (N, L, C_in), (C_out, C_in, k), stride, padding
 CONV_CASES = {
-    "s1_cin1_pad": ((5, 1, 23), (3, 1, 5), 1, 2),
-    "s1_cin3_nopad": ((5, 3, 23), (4, 3, 5), 1, 0),
-    "s1_cin3_pad": ((5, 3, 22), (4, 3, 5), 1, 3),
-    "s2_pad": ((5, 2, 24), (3, 2, 4), 2, 1),
-    "s3_nopad": ((5, 2, 25), (3, 2, 4), 3, 0),
-    "unbatched_s2": ((3, 19), (2, 3, 5), 2, 2),
+    "s1_cin1_pad": ((5, 23, 1), (3, 1, 5), 1, 2),
+    "s1_cin3_nopad": ((5, 23, 3), (4, 3, 5), 1, 0),
+    "s1_cin3_pad": ((5, 22, 3), (4, 3, 5), 1, 3),
+    "s2_pad": ((5, 24, 2), (3, 2, 4), 2, 1),
+    "s3_nopad": ((5, 25, 2), (3, 2, 4), 3, 0),
+    "n1_s2": ((1, 19, 3), (2, 3, 5), 2, 2),
 }
 
 
 def _conv_case(name):
     x_shape, w_shape, stride, pad = CONV_CASES[name]
     rng = np.random.default_rng(sorted(CONV_CASES).index(name))
-    x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
-    l_out = (x_shape[-1] + 2 * pad - w_shape[-1]) // stride + 1
-    g = rng.normal(size=x_shape[:-2] + (w_shape[0], l_out))
-    return x, w, stride, pad, g
+    x, w, b = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+    l_out = (x_shape[1] + 2 * pad - w_shape[-1]) // stride + 1
+    g = rng.normal(size=(x_shape[0], l_out // 2, w_shape[0]))
+    return x, w, b, stride, pad, g
 
 
 @pytest.mark.parametrize("name", sorted(CONV_CASES))
 def test_conv1d_single_chunk_matches_channel_major_and_naive(name, monkeypatch):
-    x, w, stride, pad, g = _conv_case(name)
+    x, w, b, stride, pad, g = _conv_case(name)
     monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", 1 << 40)
-    out, gx, gw = _conv_run(x, w, stride, pad, g)
-    ref_gx, ref_gw = _conv_channel_major_grads(x, w, stride, pad, g)
-    np.testing.assert_array_equal(gx, ref_gx)
-    np.testing.assert_array_equal(gw, ref_gw)
-    for got, want in zip((out, gx, gw), _conv_naive_grads(x, w, stride, pad, g)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    got = _stage_run(x, w, b, stride, pad, g)
+    for ref in (_channel_major_stage, _naive_stage):
+        for have, want in zip(got, ref(x, w, b, stride, pad, g)):
+            np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("flows_per_chunk", [1, 2])
 @pytest.mark.parametrize("name", sorted(CONV_CASES))
 def test_conv1d_chunking_does_not_change_results(name, flows_per_chunk, monkeypatch):
     # N=5 flows: chunks of one flow, and chunks of 2, 2, 1 (not dividing N)
-    x, w, stride, pad, g = _conv_case(name)
+    x, w, b, stride, pad, g = _conv_case(name)
     monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", 1 << 40)
-    whole = _conv_run(x, w, stride, pad, g)
-    c_in, k = w.shape[1:]
-    flow_bytes = 8 * g.shape[-1] * c_in * k
+    whole = _stage_run(x, w, b, stride, pad, g)
+    # one flow's share of the chunk budget, as conv1d_relu_pool computes it
+    block = tc.engine._CONV_BLOCK
+    c_out, c_in, k = w.shape
+    blocks = -(-((x.shape[1] + 2 * pad - k) // stride + 1) // block)
+    span = (block - 1) * stride + k
+    flow_bytes = 8 * blocks * max(span * c_in, block * c_out)
     monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", flows_per_chunk * flow_bytes)
-    out, gx, gw = _conv_run(x, w, stride, pad, g)
+    out, gx, gw, gb = _stage_run(x, w, b, stride, pad, g)
     np.testing.assert_array_equal(out, whole[0])
     np.testing.assert_array_equal(gx, whole[1])
-    # the kernel gradient sums per-chunk partial products, so only its
-    # rounding may depend on where the chunks split the batch
+    # the kernel and bias gradients sum per-chunk partial products, so only
+    # their rounding may depend on where the chunks split the batch
     np.testing.assert_allclose(gw, whole[2], rtol=1e-12, atol=1e-12)
-    for got, want in zip((out, gx, gw), _conv_naive_grads(x, w, stride, pad, g)):
+    np.testing.assert_allclose(gb, whole[3], rtol=1e-12, atol=1e-12)
+    for got, want in zip((out, gx, gw, gb), _naive_stage(x, w, b, stride, pad, g)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_conv1d_constant_input_gets_no_gradient():
-    x = tc.constant(np.random.default_rng(1).normal(size=(2, 1, 9)))
-    w = tc.Tensor(np.random.default_rng(2).normal(size=(2, 1, 3)), requires_grad=True)
-    out = tc.conv1d(x, w, 1, 1)
-    gx, gw = out._backward(np.ones(out.shape))
+    rng = np.random.default_rng(1)
+    x = tc.constant(rng.normal(size=(2, 9, 1)))
+    w = tc.Tensor(rng.normal(size=(2, 1, 3)), requires_grad=True)
+    b = tc.Tensor(rng.normal(size=2), requires_grad=True)
+    out = tc.conv1d_relu_pool(x, w, b, 1, 1)
+    gx, gw, gb = out._backward(np.ones(out.shape))
     assert gx is None
-    assert gw.shape == w.shape
+    assert gw.shape == w.shape and gb.shape == b.shape
+
+
+def test_conv1d_relu_pool_without_pool_when_output_is_short():
+    # L_out = (5 - 5)/1 + 1 = 1: conv, bias and ReLU, no pool
+    rng = np.random.default_rng(4)
+    x, w, b = rng.normal(size=(3, 5, 2)), rng.normal(size=(4, 2, 5)), rng.normal(size=4)
+    g = rng.normal(size=(3, 1, 4))
+    got = _stage_run(x, w, b, 1, 0, g)
+    assert got[0].shape == (3, 1, 4)
+    for have, want in zip(got, _naive_stage(x, w, b, 1, 0, g)):
+        np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
 
 
 def test_conv1d_scratch_memory_is_bounded_per_chunk():
-    # paper conv2 geometry at N=64: a whole-batch patch matrix alone would be
-    # 64 * 320 * 16 * 25 * 8 B = 65.5 MB
+    # paper conv2 geometry at N=64: a whole-batch im2col patch matrix alone
+    # would be 64 * 320 * 16 * 25 * 8 B = 65.5 MB
     rng = np.random.default_rng(3)
-    x = tc.Tensor(rng.normal(size=(64, 16, 320)), requires_grad=True)
+    x = tc.Tensor(rng.normal(size=(64, 320, 16)), requires_grad=True)
     w = tc.Tensor(rng.normal(size=(32, 16, 25)), requires_grad=True)
-    g = tc.constant(rng.normal(size=(64, 32, 320)))
+    b = tc.Tensor(rng.normal(size=32), requires_grad=True)
+    g = tc.constant(rng.normal(size=(64, 160, 32)))
     tracemalloc.start()
     try:
-        tc.backward(tc.tsum(tc.conv1d(x, w, 1, 12) * g))
+        tc.backward(tc.tsum(tc.conv1d_relu_pool(x, w, b, 1, 12) * g))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # three 4 MiB chunks (patches, column gradient, slack) plus four
-    # input-sized arrays (padded input, input gradient) and four output-sized
-    # ones (output, product, incoming and outgoing gradients): 42 MiB
-    bound = 3 * 4 * 2**20 + 4 * x.data.nbytes + 4 * g.data.nbytes
+    # three 4 MiB chunks (patches, GEMM output or patch gradient, slack) plus
+    # three input-sized arrays (padded input, input gradient, slack) and five
+    # pooled-output-sized ones (output, product, mask, incoming and outgoing
+    # gradients): 32 MiB
+    bound = 3 * 4 * 2**20 + 3 * x.data.nbytes + 5 * g.data.nbytes
     assert peak < bound, (peak, bound)
 
 
 # ---------------------------------------------------------------------------
-# maxpool1d_w2
+# the pool stage of conv1d_relu_pool
 # ---------------------------------------------------------------------------
 
 def _argmax_pool(a, g):
-    """argmax-over-pairs reference: pooled values and the input gradient."""
-    l2 = a.shape[-1] // 2
-    pairs = a[..., : 2 * l2].reshape(a.shape[:-1] + (l2, 2))
-    idx = np.argmax(pairs, axis=-1)[..., None]
-    values = np.take_along_axis(pairs, idx, axis=-1)[..., 0]
+    """argmax-over-pairs reference on axis 1: pooled values and the input gradient."""
+    l2 = a.shape[1] // 2
+    pairs = a[:, : 2 * l2].reshape((a.shape[0], l2, 2) + a.shape[2:])
+    idx = np.expand_dims(np.argmax(pairs, axis=2), 2)
+    values = np.take_along_axis(pairs, idx, axis=2)[:, :, 0]
     zp = np.zeros_like(pairs)
-    np.put_along_axis(zp, idx, g[..., None], axis=-1)
+    np.put_along_axis(zp, idx, np.expand_dims(g, 2), axis=2)
     grad = np.zeros_like(a)
-    grad[..., : 2 * l2] = zp.reshape(a.shape[:-1] + (2 * l2,))
+    grad[:, : 2 * l2] = zp.reshape((a.shape[0], 2 * l2) + a.shape[2:])
     return values, grad
 
 
 def _pool_run(a, g):
-    x = tc.Tensor(a, requires_grad=True)
-    out = tc.maxpool1d_w2(x)
+    """pool(relu(a)) through conv1d_relu_pool and its gradient for g."""
+    out = _identity_stage(a)
+    x = out._parents[0]
     tc.backward(tc.tsum(out * tc.constant(g)))
     return out.data, x.grad
 
 
 def test_maxpool_ties_route_gradient_to_first():
-    a = np.array([[3.0, 3.0, 1.0, 1.0, 2.0, 5.0, -4.0, -4.0]])
-    out, grad = _pool_run(a, np.array([[10.0, 20.0, 30.0, 40.0]]))
-    np.testing.assert_array_equal(out, [[3.0, 1.0, 5.0, -4.0]])
-    np.testing.assert_array_equal(grad, [[10.0, 0.0, 20.0, 0.0, 0.0, 30.0, 40.0, 0.0]])
+    a = np.array([3.0, 3.0, 1.0, 1.0, 2.0, 5.0, 4.0, 4.0])[None, :, None]
+    out, grad = _pool_run(a, np.array([10.0, 20.0, 30.0, 40.0])[None, :, None])
+    np.testing.assert_array_equal(out[0, :, 0], [3.0, 1.0, 5.0, 4.0])
+    np.testing.assert_array_equal(grad[0, :, 0], [10.0, 0.0, 20.0, 0.0, 0.0, 30.0, 40.0, 0.0])
 
 
 def test_maxpool_odd_trailing_element_is_dropped():
     rng = np.random.default_rng(9)
-    a = rng.normal(size=(2, 3, 7))
+    a = rng.normal(size=(2, 7, 3))
     g = rng.normal(size=(2, 3, 3))
     out, grad = _pool_run(a, g)
     bumped = a.copy()
-    bumped[..., -1] += 100.0
+    bumped[:, -1] += 100.0
     out_bumped, _ = _pool_run(bumped, g)
     np.testing.assert_array_equal(out_bumped, out)
-    np.testing.assert_array_equal(grad[..., -1], np.zeros((2, 3)))
+    np.testing.assert_array_equal(grad[:, -1], np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("length", [2, 9, 40])
 def test_maxpool_matches_argmax_formulation(length):
     rng = np.random.default_rng(length)
-    a = rng.normal(size=(4, 3, length))
-    a[0, 0, 1] = a[0, 0, 0]            # exact tie
-    a[1, :, 1::2] = a[1, :, 0:2 * (length // 2):2]  # a whole row of ties
-    if length > 2:
-        a[2, 0, 0] = np.nan                # NaN first: argmax keeps it
-        a[2, 1, 3] = np.nan                # NaN second: argmax keeps it too
-    g = rng.normal(size=(4, 3, length // 2))
+    a = rng.normal(size=(4, length, 3))
+    a[0, 1, 0] = a[0, 0, 0]                            # exact tie
+    a[1, 1::2] = a[1, 0 : 2 * (length // 2) : 2]       # a whole flow of ties
+    g = rng.normal(size=(4, length // 2, 3))
     out, grad = _pool_run(a, g)
-    want_out, want_grad = _argmax_pool(a, g)
+    relu = np.maximum(a, 0.0)
+    want_out, want_grad = _argmax_pool(relu, g)
     np.testing.assert_array_equal(out, want_out)
-    np.testing.assert_array_equal(grad, want_grad)
+    np.testing.assert_array_equal(grad, want_grad * (a > 0.0))
+    # NaN: argmax keeps a NaN in either slot, and so does the pool
+    if length > 2:
+        a[2, 0, 0] = np.nan                             # NaN first
+        a[2, 3, 1] = np.nan                             # NaN second
+        pooled, keep_first = tc.engine._max_pool_pairs(a)
+        want_out, _ = _argmax_pool(a, g)
+        np.testing.assert_array_equal(pooled, want_out)
+        assert keep_first[2, 0, 0] and not keep_first[2, 1, 1]
+
+
+def test_conv1d_nan_input_poisons_its_block():
+    # a non-finite input reaches every output of its GEMM block through the
+    # block-Toeplitz zeros, and is never dropped by the pool
+    a = np.ones((1, 4 * tc.engine._CONV_BLOCK, 1))
+    a[0, 1, 0] = np.nan
+    out = _identity_stage(a).data[0, :, 0]
+    half = tc.engine._CONV_BLOCK // 2
+    assert np.isnan(out[:half]).all()
+    np.testing.assert_array_equal(out[half:], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +377,16 @@ def test_maxpool_matches_argmax_formulation(length):
 def test_lstm_zero_params_zero_states():
     store = make_store(wx=np.zeros((2, 12)), wh=np.zeros((3, 12)), b=np.zeros(12))
     x = np.random.default_rng(2).normal(size=(5, 2))
-    out = tc.lstm_forward(x, store.get("wx"), store.get("wh"), store.get("b"))
+    out = tc.lstm_batch(x[None], store.get("wx"), store.get("wh"), store.get("b"))
     # gates are 0.5, the candidate is 0, so the cell and hidden states stay 0
-    np.testing.assert_array_equal(out.data, np.zeros((5, 3)))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 5, 3)))
 
 
 def test_lstm_single_step_is_one_cell():
     rng = np.random.default_rng(7)
     wx, wh, b = rng.normal(size=(2, 12)), rng.normal(size=(3, 12)), rng.normal(size=12)
     x = rng.normal(size=(1, 2))
-    out = tc.lstm_forward(x, tc.Tensor(wx), tc.Tensor(wh), tc.Tensor(b)).data
+    out = tc.lstm_batch(x[None], tc.Tensor(wx), tc.Tensor(wh), tc.Tensor(b)).data[0]
 
     def sig(z):
         return 1.0 / (1.0 + np.exp(-z))
@@ -336,7 +408,7 @@ def test_lstm_gradients_match_finite_differences():
     x = rng.normal(size=(4, 2))
 
     def loss(s):
-        h = tc.lstm_forward(x, s.get("wx"), s.get("wh"), s.get("b"))
+        h = tc.lstm_batch(x[None], s.get("wx"), s.get("wh"), s.get("b"))
         return tc.tsum(h * h)
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4)
@@ -355,21 +427,25 @@ def _attn_params(rng):
     )
 
 
+def _attend(states, w, b, v):
+    """Attention pooling of one (T, d) sequence."""
+    return tc.attention_pool_batch(tc.constant(states[None]), w, b, v).data[0]
+
+
 def test_attention_identical_states_passthrough():
     rng = np.random.default_rng(21)
     w, b, v = _attn_params(rng)
     s = rng.normal(size=3)
-    states = tc.constant(np.tile(s, (4, 1)))
-    out = tc.attention_pool(states, w, b, v)
-    np.testing.assert_allclose(out.data, s, atol=1e-12)
+    out = _attend(np.tile(s, (4, 1)), w, b, v)
+    np.testing.assert_allclose(out, s, atol=1e-12)
 
 
 def test_attention_single_state():
     rng = np.random.default_rng(22)
     w, b, v = _attn_params(rng)
     s = rng.normal(size=(1, 3))
-    out = tc.attention_pool(tc.constant(s), w, b, v)
-    np.testing.assert_allclose(out.data, s[0], atol=1e-12)
+    out = _attend(s, w, b, v)
+    np.testing.assert_allclose(out, s[0], atol=1e-12)
 
 
 def test_attention_hand_softmax():
@@ -378,8 +454,8 @@ def test_attention_hand_softmax():
     b = tc.constant([0.0])
     v = tc.constant([math.log(3.0) / math.tanh(1.0)])
     s1, s2 = np.array([1.0, 5.0]), np.array([0.0, -2.0])
-    out = tc.attention_pool(tc.constant(np.stack([s1, s2])), w, b, v)
-    np.testing.assert_allclose(out.data, 0.75 * s1 + 0.25 * s2, atol=1e-12)
+    out = _attend(np.stack([s1, s2]), w, b, v)
+    np.testing.assert_allclose(out, 0.75 * s1 + 0.25 * s2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -387,28 +463,29 @@ def test_attention_hand_softmax():
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():
-    np.testing.assert_allclose(tc.softmax(tc.constant([0.0, 0.0])).data, [0.5, 0.5], atol=1e-12)
+    out = tc.softmax_last(tc.constant([0.0, 0.0])).data
+    np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
 
 
 def test_softmax_large_logits_stable():
-    out = tc.softmax(tc.constant([1000.0, 1000.0])).data
+    out = tc.softmax_last(tc.constant([1000.0, 1000.0])).data
     np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-12)
     assert np.all(np.isfinite(out))
 
 
 def test_softmax_hand_values():
     logits = np.log(np.array([2.0, 1.0, 1.0]))
-    out = tc.softmax(tc.constant(logits)).data
+    out = tc.softmax_last(tc.constant(logits)).data
     np.testing.assert_allclose(out, [0.5, 0.25, 0.25], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(33)
     x = rng.normal(size=(6, 5)) * 10
-    out = tc.softmax(tc.constant(x)).data
+    out = tc.softmax_last(tc.constant(x)).data
     np.testing.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-9)
     assert np.all(out > 0.0) and np.all(out <= 1.0)
-    shifted = tc.softmax(tc.constant(x + 123.456)).data
+    shifted = tc.softmax_last(tc.constant(x + 123.456)).data
     np.testing.assert_allclose(out, shifted, atol=1e-9)
 
 
@@ -562,33 +639,28 @@ def _op_cases():
         ),
         "softmax": (
             {"a": x55.copy()},
-            lambda s: tc.tsum(tc.softmax(s.get("a"))
+            lambda s: tc.tsum(tc.softmax_last(s.get("a"))
                               * tc.constant(np.random.default_rng(42).normal(size=(5, 5)))),
         ),
         "logsumexp": (
             {"a": x55.copy()},
             lambda s: tc.tsum(tc.logsumexp_last(s.get("a"))),
         ),
-        "concat_slice_pad": (
+        "concat_slice_pad": (  # padded by concatenating zero constants
             {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 2))},
-            lambda s: tc.tsum(tc.pad_last(tc.slice_last(
-                tc.concat([s.get("a"), s.get("b")], axis=1), 1, 5), 1, 2) ** 2),
+            lambda s: tc.tsum(tc.concat([tc.constant(np.zeros((3, 1))), tc.slice_last(
+                tc.concat([s.get("a"), s.get("b")], axis=1), 1, 5),
+                tc.constant(np.zeros((3, 2)))], axis=1) ** 2),
         ),
         "reductions": (
             {"a": x55.copy()},
             lambda s: tc.tsum(tc.tmean(s.get("a"), axis=0) * tc.tsum(s.get("a"), axis=1, keepdims=False))
         ),
-        "max_last": (
-            {"a": x55.copy()},
-            lambda s: tc.tsum(tc.max_last(s.get("a"))),
-        ),
-        "maxpool": (
-            {"a": rng.normal(size=(2, 3, 7))},
-            lambda s: tc.tsum(tc.maxpool1d_w2(s.get("a")) ** 2),
-        ),
-        "conv1d": (
-            {"x": rng.normal(size=(2, 2, 8)), "k": rng.normal(size=(3, 2, 3))},
-            lambda s: tc.tsum(tc.conv1d(s.get("x"), s.get("k"), stride=2, padding=1) ** 2),
+        "conv1d_relu_pool": (  # L_out = 5: two pooled pairs and a dropped odd position
+            {"x": rng.normal(size=(2, 9, 2)), "k": rng.normal(size=(3, 2, 3)),
+             "b": rng.normal(size=3)},
+            lambda s: tc.tsum(tc.conv1d_relu_pool(
+                s.get("x"), s.get("k"), s.get("b"), stride=2, padding=1) ** 2),
         ),
         "gather_take": (
             {"a": x55.copy()},
