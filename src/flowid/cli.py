@@ -284,7 +284,11 @@ def assign_windows(flows, duration: float) -> dict[int, list]:
         raise ConfigError(f"window duration must be positive, got {duration}")
     windows: dict[int, list] = {}
     for flow in flows:
-        windows.setdefault(int(math.floor(flow.first_timestamp() / duration)), []).append(flow)
+        index = flow.first_timestamp() / duration
+        if not math.isfinite(index):
+            raise ConfigError(f"window duration {duration} puts a flow starting at "
+                              f"{flow.first_timestamp()} s in a non-finite window")
+        windows.setdefault(math.floor(index), []).append(flow)
     return windows
 
 

@@ -12,14 +12,12 @@ from .engine import (
     div,
     dropout_mask,
     elu,
-    exp,
     gather_rows,
     log,
     logsumexp_last,
     matmul,
     mul,
     no_grad,
-    pow_const,
     relu,
     reshape,
     sigmoid,

@@ -102,9 +102,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, exponent):
-        return pow_const(self, float(exponent))
-
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
@@ -227,26 +224,6 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _node(data, (a, b), bw)
-
-
-def pow_const(a, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    data = a.data ** exponent
-
-    def bw(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return _node(data, (a,), bw)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.exp(a.data)
-
-    def bw(g):
-        return (g * data,)
-
-    return _node(data, (a,), bw)
 
 
 def log(a) -> Tensor:

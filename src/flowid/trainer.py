@@ -387,6 +387,8 @@ def load_checkpoint(path, into: Optional[ParameterStore] = None) -> ParameterSto
             raise CheckpointError(f"tensor {name}: payload range [{offset}, {end}) "
                                   f"outside data section of {len(payload)} bytes")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name}: non-finite value")
         values[name] = arr.reshape(shape).astype(np.float64)
 
     if into is None:

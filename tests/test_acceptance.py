@@ -94,8 +94,11 @@ def test_criterion_1_gradient_suite():
     store.add("wh", rng.normal(size=(3, 12)) * 0.4)
     store.add("b", rng.normal(size=12) * 0.2)
     x = rng.normal(size=(4, 2))
-    rep = grad_check(lambda s: tc.tsum(tc.lstm_batch(
-        x[None], s.get("wx"), s.get("wh"), s.get("b")) ** 2), store, h=1e-5, tol=1e-4)
+    def lstm_loss(s):
+        out = tc.lstm_batch(x[None], s.get("wx"), s.get("wh"), s.get("b"))
+        return tc.tsum(out * out)
+
+    rep = grad_check(lstm_loss, store, h=1e-5, tol=1e-4)
     if not rep.passed:
         failures.append(f"lstm: {rep.max_rel_error:.2e}")
 

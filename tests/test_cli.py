@@ -9,7 +9,13 @@ from flowid import cli
 from flowid.cli import main
 from flowid.config import TrainConfig
 from flowid.ingest import generate_synthetic_flows, two_class_spec
-from flowid.trainer import build_parameter_store, fit, prepare_snapshot
+from flowid.trainer import (
+    build_parameter_store,
+    fit,
+    load_checkpoint,
+    prepare_snapshot,
+    save_checkpoint,
+)
 from pcap_util import build_pcap
 
 TINY_FLAGS = [
@@ -228,6 +234,24 @@ def test_sidecar_n_classes_must_match_prediction_head(workspace, tmp_path, capsy
     assert main([command, "--flows", str(workspace / "test.jsonl"),
                  "--model", str(model), *args[command]]) == 2
     assert "format error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_non_finite_checkpoint_value_exit_2(workspace, tmp_path, capsys, command):
+    # a NaN weight under a valid checksum would score every flow as one class
+    store = load_checkpoint(workspace / "model.ckpt")
+    store.get("predict.w2").data[0, 0] = np.nan
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(store, model)
+    (tmp_path / "model.ckpt.meta.json").write_text(
+        (workspace / "model.ckpt.meta.json").read_text())
+    out = tmp_path / "out.json"
+    args = {"eval": ["--report", str(out)], "detect": ["--window", "60", "--out", str(out)]}
+    assert main([command, "--flows", str(workspace / "test.jsonl"),
+                 "--model", str(model), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert "format error:" in err and "predict.w2" in err and "non-finite" in err
     assert not out.exists()
 
 
@@ -475,8 +499,8 @@ def test_train_rejects_non_finite_values_exit_3(workspace, tmp_path, capsys, fla
     assert not model.exists()
 
 
-@pytest.mark.parametrize("case", ["detect_window", "detect_timeout", "extract_timeout",
-                                  "synth_split"])
+@pytest.mark.parametrize("case", ["detect_window", "detect_tiny_window", "detect_timeout",
+                                  "extract_timeout", "synth_split"])
 def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
     pcap = _two_packet_pcap(tmp_path)
     out = tmp_path / "out"
@@ -484,6 +508,9 @@ def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
     argv = {
         "detect_window": detect + ["--flows", str(workspace / "test.jsonl"),
                                    "--window", "nan"],
+        # finite and positive, but a flow's window index overflows to inf
+        "detect_tiny_window": detect + ["--flows", str(workspace / "test.jsonl"),
+                                        "--window", "1e-310"],
         "detect_timeout": detect + ["--pcap", str(pcap), "--window", "60",
                                     "--timeout", "nan"],
         "extract_timeout": ["extract", "--pcap", str(pcap), "--out", str(out),

@@ -86,7 +86,8 @@ def test_temporal_gradient_check_2x4_batch():
     names = [n for n in store.names() if n.startswith("temporal.")]
 
     def loss(s):
-        return tc.tsum(temporal_encode(s, lengths, cfg) ** 2)
+        out = temporal_encode(s, lengths, cfg)
+        return tc.tsum(out * out)
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4, param_names=names)
     assert report.passed, report.worst()
@@ -130,7 +131,8 @@ def test_payload_gradients():
     names = [n for n in store.names() if n.startswith("payload.")]
 
     def loss(s):
-        return tc.tsum(payload_encode(s, payloads, cfg) ** 2)
+        out = payload_encode(s, payloads, cfg)
+        return tc.tsum(out * out)
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4, param_names=names)
     assert report.passed, report.worst()
@@ -192,7 +194,8 @@ def test_interaction_gradients():
     names = [n for n in store.names() if n.startswith("interaction.")]
 
     def loss(s):
-        return tc.tsum(interaction_encode(s, tigs, cfg) ** 2)
+        out = interaction_encode(s, tigs, cfg)
+        return tc.tsum(out * out)
 
     assert grad_check(loss, store, h=1e-5, tol=1e-4, param_names=names).passed
 

@@ -1,12 +1,14 @@
 """KNN hyperedge construction against the brute-force oracle, degrees, export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowid import hypergraph
-from flowid.errors import ConfigError
+from flowid.errors import ConfigError, ShapeError
 from flowid.hypergraph import (
     build_flow_hypergraph,
     degree_matrices,
@@ -34,6 +36,38 @@ def brute_force_hyperedges(features, k, include_self=True):
     return h
 
 
+_REFERENCE_BLOCK_BYTES = 4 * 1024 * 1024
+
+
+def difference_form_reference(features, k, include_self=True):
+    """Block-einsum brute force over every flow, kept verbatim as the oracle
+    for the GEMM candidate search."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ShapeError(f"features must be (N, d), got {features.shape}")
+    n = features.shape[0]
+    if k < 1:
+        raise ConfigError(f"K must be >= 1, got {k}")
+    if n <= k:
+        raise ConfigError(f"need more flows than neighbors: N={n}, K={k}")
+
+    h = np.zeros((n, n), dtype=np.float64)
+    block = max(1, _REFERENCE_BLOCK_BYTES // max(1, 8 * n * features.shape[1]))
+    for start in range(0, n, block):
+        stop = min(n, start + block)
+        diff = features[start:stop, None, :] - features[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        for row, i in enumerate(range(start, stop)):
+            d2[row, i] = np.inf  # self is never a candidate
+        # stable sort keeps lower index first on exact ties
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        for row, i in enumerate(range(start, stop)):
+            h[nearest[row], i] = 1.0
+            if include_self:
+                h[i, i] = 1.0
+    return h
+
+
 def test_three_flow_hand_example():
     z = np.array([[0.0], [1.0], [10.0]])
     h = knn_hyperedges(z, k=1, include_self=True)
@@ -53,8 +87,8 @@ def test_k_equals_n_minus_one_complete():
 
 
 def test_byte_sized_blocks_match_sort_oracle(monkeypatch):
-    # an 8 KiB budget gives 8192 // (8 * 70 * 4) = 3 query rows per block:
-    # 24 blocks, the last one holding a single row
+    # an 8 KiB budget gives 8192 // (8 * 70) = 14 query rows per block of the
+    # 70 x 70 GEMM distance matrix: 5 blocks
     monkeypatch.setattr(hypergraph, "_KNN_BLOCK_BYTES", 8192)
     rng = np.random.default_rng(8)
     z = rng.integers(0, 3, size=(70, 4)).astype(np.float64)  # many exact ties
@@ -188,3 +222,90 @@ def test_export_text_golden():
         "1.0 1 2\n"
     )
     assert export_text(g) == expected
+
+
+def _adversarial(name):
+    rng = np.random.default_rng(31)
+    if name == "duplicated_rows":  # zero-distance ties, as identical flows give
+        base = rng.normal(size=(40, 12))
+        return base[rng.integers(0, 40, size=90)]
+    if name == "one_ulp_near_ties":
+        z = np.repeat(rng.normal(size=(1, 8)), 60, axis=0)
+        cols = rng.integers(0, 8, size=60)
+        z[np.arange(60), cols] = np.nextafter(z[np.arange(60), cols], np.inf)
+        return z
+    if name == "offset_1e6":
+        return rng.normal(size=(80, 24)) + 1e6
+    if name == "offset_1e12":
+        return rng.normal(size=(80, 24)) + 1e12
+    if name == "integer_grid":
+        return rng.integers(0, 3, size=(150, 5)).astype(np.float64)
+    if name == "far_clusters":  # rounding of |z|^2 dwarfs in-cluster distances
+        z = rng.normal(size=(80, 24)) * 1e-3
+        z[:40] += 1e6
+        z[40:] -= 1e6
+        return z
+    if name == "subnormal_scale":  # squared terms are subnormal
+        return rng.normal(size=(50, 8)) * 1e-161
+    return rng.normal(size=(300, 512))  # a train_ref-sized snapshot
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize("name", ["duplicated_rows", "one_ulp_near_ties", "offset_1e6",
+                                  "offset_1e12", "integer_grid", "far_clusters",
+                                  "subnormal_scale", "n300_d512"])
+def test_gemm_candidates_match_difference_form(name, include_self):
+    z = _adversarial(name)
+    for k in (1, 3, 7):
+        np.testing.assert_array_equal(knn_hyperedges(z, k, include_self=include_self),
+                                      difference_form_reference(z, k, include_self))
+
+
+@st.composite
+def _partly_duplicated_rows(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    distinct = draw(st.integers(1, n))
+    values = draw(st.lists(st.floats(-1e6, 1e6) | st.integers(-3, 3).map(float),
+                           min_size=distinct * d, max_size=distinct * d))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    k = draw(st.integers(1, n - 1))
+    return np.array(values).reshape(distinct, d)[picks], k
+
+
+@given(_partly_duplicated_rows(), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_random_and_duplicated_rows_match_difference_form(case, include_self):
+    z, k = case
+    np.testing.assert_array_equal(knn_hyperedges(z, k, include_self=include_self),
+                                  difference_form_reference(z, k, include_self))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "overflow"])
+def test_non_finite_or_overflowing_features_rejected(bad):
+    z = np.random.default_rng(2).normal(size=(10, 4))
+    if bad == "overflow":
+        z[3, 1] = 1e300  # finite, but its squared distances are not
+    else:
+        z[3, 1] = float(bad)
+    with pytest.raises(ConfigError):
+        knn_hyperedges(z, 3)
+
+
+@pytest.mark.parametrize("rows,d,budgets", [
+    ("random", 512, 3),
+    ("identical", 64, 8),  # every flow ties with every other: all are candidates
+])
+def test_scratch_memory_stays_near_block_budget(rows, d, budgets):
+    n = 1000
+    z = (np.random.default_rng(4).normal(size=(n, d)) if rows == "random"
+         else np.ones((n, d)))
+    tracemalloc.start()
+    try:
+        h = knn_hyperedges(z, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the incidence matrix, the centred copy of the features, and a few
+    # block-sized temporaries (GEMM block, its partition, candidate lists)
+    assert peak <= h.nbytes + z.nbytes + budgets * hypergraph._KNN_BLOCK_BYTES
