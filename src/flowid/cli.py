@@ -41,9 +41,11 @@ from .metrics import confusion_matrix, macro_metrics
 from .trainer import (
     LabelSet,
     build_parameter_store,
+    check_parameters,
     evaluate_probs,
     fit,
     load_checkpoint,
+    parameter_shapes,
     prepare_snapshot,
     save_checkpoint,
 )
@@ -173,8 +175,13 @@ def _meta_value(meta_file: Path, key: str, value, default):
 
 
 def _load_model(model_path: str, overrides: dict) -> tuple:
-    """(store, cfg, n_classes) from checkpoint + sidecar metadata."""
-    store = load_checkpoint(model_path)
+    """(store, cfg, n_classes) from checkpoint + sidecar metadata.
+
+    The checkpoint must hold exactly the tensors, by name and shape, of the
+    model that the sidecar describes (the config defaults without one), with
+    the sidecar's n_classes or else the prediction head's width.
+    """
+    loaded = load_checkpoint(model_path)
     meta_file = _meta_path(model_path)
     cfg = TrainConfig()
     n_classes = None
@@ -195,13 +202,16 @@ def _load_model(model_path: str, overrides: dict) -> tuple:
     applied = {k: v for k, v in overrides.items() if v is not None}
     if applied:
         cfg = replace(cfg, **applied)
-    head_classes = store.get("predict.w2").data.shape[1]
-    if n_classes is None:
-        n_classes = head_classes
-    elif n_classes != head_classes:
-        raise CheckpointError(f"{meta_file}: n_classes={n_classes} but the checkpoint's "
-                              f"prediction head has {head_classes} classes")
-    return store, cfg.validate(), n_classes
+    cfg = cfg.validate()
+    if n_classes is None:  # the prediction head's width; check_parameters names a bad head
+        head = loaded.get("predict.w2").shape if "predict.w2" in loaded else ()
+        n_classes = head[1] if len(head) == 2 else 2
+    try:
+        shapes = parameter_shapes(cfg, n_classes)
+    except ConfigError as exc:  # fewer than two classes
+        raise CheckpointError(f"{model_path}: {exc}") from exc
+    check_parameters({name: t.data for name, t in loaded.items()}, shapes)
+    return loaded, cfg, n_classes
 
 
 def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):

@@ -20,8 +20,6 @@ from .engine import (
     no_grad,
     relu,
     reshape,
-    sigmoid,
-    slice_last,
     softmax_last,
     sqrt,
     sub,

@@ -120,9 +120,14 @@ def constant(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+def needs_grad(*parents: Tensor) -> bool:
+    """Whether an op on these operands builds a graph node (see _node)."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if needs_grad(*parents):
         out.requires_grad = True
         out.grad = None  # interior node; gradients flow through, never stored
         out._parents = tuple(parents)
@@ -256,16 +261,6 @@ def tanh(a) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g):
-        return (g * data * (1.0 - data),)
-
-    return _node(data, (a,), bw)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     data = np.maximum(a.data, 0.0)
@@ -334,18 +329,6 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _node(data, tuple(parts), bw)
-
-
-def slice_last(a, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    data = a.data[..., start:stop]
-
-    def bw(g):
-        z = np.zeros_like(a.data)
-        z[..., start:stop] = g
-        return (z,)
-
-    return _node(data, (a,), bw)
 
 
 def gather_rows(a, idx: np.ndarray) -> Tensor:

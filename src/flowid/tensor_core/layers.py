@@ -18,6 +18,22 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     Gate layout along the last axis of wx/wh/b is [input, forget, cell, output];
     input and forget and output gates are sigmoid, the cell candidate is tanh,
     and the initial hidden/cell state is zero.
+
+    One autodiff node. The input projection of all T steps is one product,
+    time-major (T, N, 4H); each step adds h @ wh and then b to its slice, and
+    applies 1/(1+exp(-x)) and tanh there in place. c = f*c + i*g and
+    h = o*tanh(c) are computed in that order, so at d_in = 1 (where the
+    projection is one exact product per element) the states are bitwise
+    those of the per-step graph of matmul/add/sigmoid/tanh/mul nodes.
+
+    When a gradient is needed the node keeps the activated gates (T, N, 4H),
+    the cells and tanh(c) (T, N, H each), and the returned states; otherwise
+    it keeps nothing. The backward runs BPTT one step at a time on (N, .)
+    buffers, writing each step's pre-activation gate gradients into one
+    (T, N, 4H) array, and then gets the wx, wh and b gradients from one GEMM
+    or sum each over all steps. Those sums run over steps and flows in one
+    pass rather than step by step, so the gradients differ from the per-step
+    graph's in the last bits. The inputs get no gradient.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
@@ -28,20 +44,53 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"lstm params inconsistent: wx {wx.shape}, wh {wh.shape}, b {b.shape}, d_in {d_in}"
         )
-    h = tc.constant(np.zeros((n, hidden)))
-    c = tc.constant(np.zeros((n, hidden)))
-    states = []
+    keep = tc.needs_grad(wx, wh, b)
+    gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    gif = slice(0, 2 * hidden)
+
+    x_steps = inputs.transpose(1, 0, 2).reshape(t_steps * n, d_in)
+    acts = (x_steps @ wx.data).reshape(t_steps, n, 4 * hidden)  # projection, then gates
+    # cells[t] is the cell state before step t; without a backward two slots do
+    cells = np.zeros((t_steps + 1 if keep else 2, n, hidden))
+    tanh_c = np.empty((t_steps if keep else 1, n, hidden))
+    out = np.empty((n, t_steps, hidden))
+    h = np.zeros((n, hidden))
     for t in range(t_steps):
-        x_t = tc.constant(inputs[:, t, :])
-        gates = tc.matmul(x_t, wx) + tc.matmul(h, wh) + b
-        i = tc.sigmoid(tc.slice_last(gates, 0, hidden))
-        f = tc.sigmoid(tc.slice_last(gates, hidden, 2 * hidden))
-        g = tc.tanh(tc.slice_last(gates, 2 * hidden, 3 * hidden))
-        o = tc.sigmoid(tc.slice_last(gates, 3 * hidden, 4 * hidden))
-        c = f * c + i * g
-        h = o * tc.tanh(c)
-        states.append(tc.reshape(h, (n, 1, hidden)))
-    return tc.concat(states, axis=1)
+        a = acts[t]
+        a += h @ wh.data
+        a += b.data
+        a[:, gif] = 1.0 / (1.0 + np.exp(-a[:, gif]))
+        a[:, go] = 1.0 / (1.0 + np.exp(-a[:, go]))
+        a[:, gg] = np.tanh(a[:, gg])
+        c = cells[(t + 1) % len(cells)]
+        c[...] = a[:, gf] * cells[t % len(cells)] + a[:, gi] * a[:, gg]
+        tanh_c[t % len(tanh_c)] = np.tanh(c)
+        h = a[:, go] * tanh_c[t % len(tanh_c)]
+        out[:, t] = h
+
+    def bw(g):
+        d_gates = np.empty_like(acts)
+        dh = np.zeros((n, hidden))
+        dc = np.zeros((n, hidden))
+        for t in reversed(range(t_steps)):
+            a, d, tc_t = acts[t], d_gates[t], tanh_c[t]
+            dh += g[:, t]
+            dc += dh * a[:, go] * (1.0 - tc_t * tc_t)
+            d[:, gi] = dc * a[:, gg]
+            d[:, gf] = dc * cells[t]
+            d[:, gg] = dc * a[:, gi]
+            d[:, go] = dh * tc_t
+            dc *= a[:, gf]
+            # through the activations: a*(1-a) for the sigmoids, 1-g^2 for tanh
+            deriv = a * (1.0 - a)
+            deriv[:, gg] = 1.0 - a[:, gg] * a[:, gg]
+            d *= deriv
+            dh = d @ wh.data.T
+        d_flat = d_gates.reshape(t_steps * n, 4 * hidden)
+        h_prev = out[:, :-1].transpose(1, 0, 2).reshape(-1, hidden)
+        return (x_steps.T @ d_flat, h_prev.T @ d_flat[n:], d_flat.sum(axis=0))
+
+    return tc._node(out, (wx, wh, b), bw)
 
 
 def attention_pool_batch(states: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:

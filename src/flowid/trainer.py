@@ -110,6 +110,36 @@ def build_parameter_store(cfg: TrainConfig, n_classes: int,
     return store
 
 
+class _ShapeRecorder(dict):
+    """Takes the init functions' store.add calls: name -> shape."""
+
+    def add(self, name: str, value) -> None:
+        self[name] = np.shape(value)
+
+
+class _ZeroRng:
+    """Takes the init functions' Rng calls: each draw is a broadcast zero,
+    which allocates nothing."""
+
+    def child(self, *keys) -> "_ZeroRng":
+        return self
+
+    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
+        return np.broadcast_to(0.0, size)
+
+
+def parameter_shapes(cfg: TrainConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter build_parameter_store makes.
+
+    Nothing is allocated or drawn, so checking a checkpoint against its model
+    costs no second copy of the model's parameters and gradients.
+    """
+    shapes = _ShapeRecorder()
+    init_extractor_params(shapes, cfg, _ZeroRng())
+    init_encoder_params(shapes, cfg, n_classes, _ZeroRng())
+    return dict(shapes)
+
+
 def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
                      cfg: TrainConfig) -> Snapshot:
     """Derive views, run the extractor once (inference mode, no gradients),
@@ -396,11 +426,20 @@ def load_checkpoint(path, into: Optional[ParameterStore] = None) -> ParameterSto
         for name, arr in values.items():
             into.add(name, arr)
         return into
-    for name in into.names():
+    check_parameters(values, {name: t.shape for name, t in into.items()})
+    into.load_values(values)
+    return into
+
+
+def check_parameters(values: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """CheckpointError unless `values` holds exactly the tensors `shapes`
+    names, each of its shape."""
+    for name in shapes:
         if name not in values:
             raise CheckpointError(f"tensor {name}: missing from checkpoint")
-    try:
-        into.load_values(values)
-    except Exception as exc:
-        raise CheckpointError(str(exc)) from exc
-    return into
+    for name, arr in values.items():
+        if name not in shapes:
+            raise CheckpointError(f"tensor {name}: not a parameter of the model")
+        if arr.shape != shapes[name]:
+            raise CheckpointError(f"tensor {name}: expected shape {shapes[name]}, "
+                                  f"got {arr.shape}")

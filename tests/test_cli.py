@@ -9,6 +9,7 @@ from flowid import cli
 from flowid.cli import main
 from flowid.config import TrainConfig
 from flowid.ingest import generate_synthetic_flows, two_class_spec
+from flowid.tensor_core import ParameterStore
 from flowid.trainer import (
     build_parameter_store,
     fit,
@@ -234,6 +235,37 @@ def test_sidecar_n_classes_must_match_prediction_head(workspace, tmp_path, capsy
     assert main([command, "--flows", str(workspace / "test.jsonl"),
                  "--model", str(model), *args[command]]) == 2
     assert "format error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+@pytest.mark.parametrize("defect", ["missing_tensor", "missing_head_and_n_classes",
+                                    "extra_tensor", "sidecar_hidden"])
+def test_checkpoint_must_hold_the_sidecar_model(workspace, tmp_path, capsys, command, defect):
+    # the tensors must be exactly the model's, by name and shape
+    store = load_checkpoint(workspace / "model.ckpt")
+    meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
+    kept = ParameterStore()
+    for name, t in store.items():
+        if not (defect.startswith("missing") and name == "predict.w2"):
+            kept.add(name, t.data)
+    if defect == "missing_head_and_n_classes":
+        del meta["n_classes"]
+    if defect == "extra_tensor":
+        kept.add("predict.w3", np.ones((2, 2)))
+    if defect == "sidecar_hidden":
+        meta["config"]["hidden"] += 4  # the encoder's width
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(kept, model)
+    (tmp_path / "model.ckpt.meta.json").write_text(json.dumps(meta))
+    out = tmp_path / "out.json"
+    args = {"eval": ["--report", str(out)], "detect": ["--window", "60", "--out", str(out)]}
+    assert main([command, "--flows", str(workspace / "test.jsonl"),
+                 "--model", str(model), *args[command]]) == 2
+    err = capsys.readouterr().err
+    assert "format error:" in err
+    assert {"missing_tensor": "predict.w2", "missing_head_and_n_classes": "predict.w2",
+            "extra_tensor": "predict.w3", "sidecar_hidden": "expected shape"}[defect] in err
     assert not out.exists()
 
 

@@ -415,6 +415,140 @@ def test_lstm_gradients_match_finite_differences():
     assert report.passed, report.worst()
 
 
+def _sigmoid(a):
+    """The engine's former sigmoid node."""
+    data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def bw(g):
+        return (g * data * (1.0 - data),)
+
+    return tc.engine._node(data, (a,), bw)
+
+
+def _slice_last(a, start, stop):
+    """The engine's former slice_last node."""
+    data = a.data[..., start:stop]
+
+    def bw(g):
+        z = np.zeros_like(a.data)
+        z[..., start:stop] = g
+        return (z,)
+
+    return tc.engine._node(data, (a,), bw)
+
+
+def graph_lstm_reference(inputs, wx, wh, b):
+    """lstm_batch as it was built from per-step graph nodes before it was one op."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3:
+        raise ShapeError(f"lstm_batch expects (N, T, d_in), got {inputs.shape}")
+    n, t_steps, d_in = inputs.shape
+    hidden = wh.shape[0]
+    if wx.shape != (d_in, 4 * hidden) or wh.shape != (hidden, 4 * hidden) or b.shape != (4 * hidden,):
+        raise ShapeError(
+            f"lstm params inconsistent: wx {wx.shape}, wh {wh.shape}, b {b.shape}, d_in {d_in}"
+        )
+    h = tc.constant(np.zeros((n, hidden)))
+    c = tc.constant(np.zeros((n, hidden)))
+    states = []
+    for t in range(t_steps):
+        x_t = tc.constant(inputs[:, t, :])
+        gates = tc.matmul(x_t, wx) + tc.matmul(h, wh) + b
+        i = _sigmoid(_slice_last(gates, 0, hidden))
+        f = _sigmoid(_slice_last(gates, hidden, 2 * hidden))
+        g = tc.tanh(_slice_last(gates, 2 * hidden, 3 * hidden))
+        o = _sigmoid(_slice_last(gates, 3 * hidden, 4 * hidden))
+        c = f * c + i * g
+        h = o * tc.tanh(c)
+        states.append(tc.reshape(h, (n, 1, hidden)))
+    return tc.concat(states, axis=1)
+
+
+def _lstm_case(n, d_in, hidden=64, t_steps=40, seed=0):
+    """Inputs like scaled signed packet lengths, every third flow zero-padded
+    after a random length, and parameters at the extractor's scale."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], size=(n, t_steps, d_in)) * rng.integers(40, 1500, (n, t_steps, d_in))
+    for row in range(0, n, 3):
+        x[row, rng.integers(1, t_steps):] = 0.0
+    params = (rng.normal(size=(d_in, 4 * hidden)) * 0.3, rng.normal(size=(hidden, 4 * hidden)) * 0.2,
+              rng.normal(size=4 * hidden) * 0.1)
+    return x / 1500.0, params, rng.normal(size=(n, t_steps, hidden))
+
+
+def _lstm_run(fn, x, params, upstream):
+    """(states, [wx, wh, b gradients]) of sum(states * upstream)."""
+    leaves = [tc.Tensor(p.copy(), requires_grad=True) for p in params]
+    out = fn(x, *leaves)
+    tc.backward(tc.tsum(out * tc.constant(upstream)))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("n", [1, 30, 300])
+def test_lstm_forward_bitwise_matches_graph_reference(n):
+    x, params, _ = _lstm_case(n, d_in=1)
+    leaves = [tc.Tensor(p) for p in params]
+    np.testing.assert_array_equal(tc.lstm_batch(x, *leaves).data,
+                                  graph_lstm_reference(x, *leaves).data)
+
+
+@pytest.mark.parametrize("d_in", [1, 2])
+def test_lstm_gradients_match_graph_reference(d_in):
+    x, params, upstream = _lstm_case(30, d_in, hidden=8, t_steps=12, seed=d_in)
+    states, grads = _lstm_run(tc.lstm_batch, x, params, upstream)
+    ref_states, ref_grads = _lstm_run(graph_lstm_reference, x, params, upstream)
+    np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-15)
+    for name, got, want in zip(("wx", "wh", "b"), grads, ref_grads):
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= 1e-12, (name, rel)
+
+
+def test_lstm_batch_split_invariance():
+    x, params, _ = _lstm_case(31, d_in=1, hidden=8, t_steps=12, seed=5)
+    leaves = [tc.Tensor(p) for p in params]
+    whole = tc.lstm_batch(x, *leaves).data
+    halves = np.concatenate([tc.lstm_batch(x[:15], *leaves).data,
+                             tc.lstm_batch(x[15:], *leaves).data])
+    np.testing.assert_allclose(whole, halves, rtol=0, atol=1e-12)
+
+
+def _retained_bytes(fn):
+    """(result, bytes still allocated since the call began, result included)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, retained
+
+
+@pytest.mark.parametrize("mode", ["no_grad", "frozen"])
+def test_lstm_inference_keeps_no_graph_or_buffers(mode):
+    x, params, _ = _lstm_case(100, d_in=1, seed=6)
+    leaves = [tc.Tensor(p, requires_grad=mode == "no_grad") for p in params]
+    if mode == "no_grad":
+        with tc.no_grad():
+            out, retained = _retained_bytes(lambda: tc.lstm_batch(x, *leaves))
+    else:
+        out, retained = _retained_bytes(lambda: tc.lstm_batch(x, *leaves))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert retained < out.data.nbytes + 2**16, (retained, out.data.nbytes)
+
+
+def test_lstm_retained_memory_bound_at_reference_size():
+    # N = 300 flows of 40 steps, H = 64: the gates (4 state-sized arrays),
+    # the cells (with the zero initial one), tanh(c), the returned states and
+    # the time-major inputs; the per-step graph held about 26 state-sized arrays
+    x, params, _ = _lstm_case(300, d_in=1, seed=7)
+    leaves = [tc.Tensor(p, requires_grad=True) for p in params]
+    out, retained = _retained_bytes(lambda: tc.lstm_batch(x, *leaves))
+    assert out.requires_grad
+    states = out.data.nbytes
+    bound = 7 * states + states // 40 + x.nbytes + 2**16
+    assert retained < bound, (retained, bound)
+
+
 # ---------------------------------------------------------------------------
 # attention pooling
 # ---------------------------------------------------------------------------
@@ -498,7 +632,6 @@ def test_activation_closed_forms(x):
     t = tc.constant([x])
     assert abs(tc.relu(t).data[0] - max(x, 0.0)) <= 1e-12
     assert abs(tc.tanh(t).data[0] - math.tanh(x)) <= 1e-12
-    assert abs(tc.sigmoid(t).data[0] - 1.0 / (1.0 + math.exp(-x))) <= 1e-12
     expected_elu = x if x > 0 else math.exp(x) - 1.0
     assert abs(tc.elu(t).data[0] - expected_elu) <= 1e-12
 
@@ -634,8 +767,7 @@ def _op_cases():
         ),
         "activations": (
             {"a": x55.copy() + 0.05},
-            lambda s: tc.tsum(tc.relu(s.get("a")) + tc.elu(s.get("a")) + tc.tanh(s.get("a"))
-                              + tc.sigmoid(s.get("a"))),
+            lambda s: tc.tsum(tc.relu(s.get("a")) + tc.elu(s.get("a")) + tc.tanh(s.get("a"))),
         ),
         "log_sqrt": (
             {"a": np.abs(x55) + 0.5},
@@ -650,10 +782,11 @@ def _op_cases():
             {"a": x55.copy()},
             lambda s: tc.tsum(tc.logsumexp_last(s.get("a"))),
         ),
-        "concat_slice_pad": (  # padded by concatenating zero constants
+        "concat_slice_pad": (  # columns 1:5 sliced as rows of the transpose, zero-padded
             {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 2))},
-            lambda s: _sum_squares(tc.concat([tc.constant(np.zeros((3, 1))), tc.slice_last(
-                tc.concat([s.get("a"), s.get("b")], axis=1), 1, 5),
+            lambda s: _sum_squares(tc.concat([tc.constant(np.zeros((3, 1))), tc.transpose2d(
+                tc.gather_rows(tc.transpose2d(tc.concat([s.get("a"), s.get("b")], axis=1)),
+                               np.arange(1, 5))),
                 tc.constant(np.zeros((3, 2)))], axis=1)),
         ),
         "reductions": (

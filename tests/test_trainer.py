@@ -26,6 +26,7 @@ from flowid.trainer import (
     evaluate_probs,
     fit,
     load_checkpoint,
+    parameter_shapes,
     prepare_snapshot,
     save_checkpoint,
     step_losses,
@@ -372,6 +373,13 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     other = build_parameter_store(tiny_cfg(hidden=6), 2)
     with pytest.raises(CheckpointError, match="encoder"):
         load_checkpoint(path, into=other)
+
+
+@pytest.mark.parametrize("n_classes", [2, 5])
+def test_parameter_shapes_match_built_store(n_classes):
+    cfg = tiny_cfg()
+    store = build_parameter_store(cfg, n_classes)
+    assert parameter_shapes(cfg, n_classes) == {name: t.shape for name, t in store.items()}
 
 
 def test_crc64_known_vector():
