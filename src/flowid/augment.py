@@ -2,18 +2,17 @@
 
 Three operators, each an independent Bernoulli draw per element with the
 stated perturbation probability:
-  NF p_n: zero out whole node-feature rows,
+  NF p_n: mask whole node-feature rows,
   EW p_w: replace selected hyperedge weights with clamped Gaussian noise,
   ED p_m: drop individual node-hyperedge memberships.
-Degrees are recomputed wherever (H, M) changed. Operators never mutate their
-input graph. A pipeline is an ordered list of steps; an empty pipeline is the
-identity view.
+Each returns a new graph with exactly one field replaced (the feature mask,
+M or H) and leaves its input untouched; degrees follow from (H, M). A
+pipeline is an ordered list of steps; an empty pipeline is the identity view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .errors import ConfigError
 from .hypergraph import FlowHypergraph
 from .rng import Rng
 
-DEFAULT_NOISE_MEAN = 1.0  # centered on the unit initialization of M
-DEFAULT_NOISE_STD = 0.5
+NOISE_MEAN = 1.0  # centered on the unit initialization of M
+NOISE_STD = 0.5
 
 
 def _check_prob(p: float, what: str) -> None:
@@ -31,84 +30,44 @@ def _check_prob(p: float, what: str) -> None:
 
 
 def node_feature_mask(graph: FlowHypergraph, p_n: float, rng: Rng) -> FlowHypergraph:
-    """Zero each node's feature row independently with probability p_n."""
+    """Mask each node's feature row independently with probability p_n."""
     _check_prob(p_n, "node mask probability p_n")
-    out = graph.copy()
     if p_n == 0.0:
-        return out
-    dropped = rng.bernoulli(p_n, graph.num_nodes)
-    out.node_features[dropped] = 0.0
-    keep = (~dropped).astype(np.float64)
-    out.feature_mask = keep if out.feature_mask is None else out.feature_mask * keep
-    return out
+        return graph
+    keep = (~rng.bernoulli(p_n, graph.num_nodes)).astype(np.float64)
+    if graph.feature_mask is not None:
+        keep *= graph.feature_mask
+    return replace(graph, feature_mask=keep)
 
 
-def hyperedge_weight_perturb(graph: FlowHypergraph, p_w: float,
-                             noise_mean: float = DEFAULT_NOISE_MEAN,
-                             noise_std: float = DEFAULT_NOISE_STD,
-                             rng: Rng = None) -> FlowHypergraph:
+def hyperedge_weight_perturb(graph: FlowHypergraph, p_w: float, rng: Rng) -> FlowHypergraph:
     """Replace each hyperedge weight, independently with probability p_w, by
-    max(0, Normal(noise_mean, noise_std^2)); node degrees follow M."""
+    max(0, Normal(NOISE_MEAN, NOISE_STD^2))."""
     _check_prob(p_w, "weight perturbation probability p_w")
-    if noise_std <= 0:
-        raise ConfigError(f"noise_std must be positive, got {noise_std}")
-    out = graph.copy()
     if p_w == 0.0:
-        return out
+        return graph
     selected = rng.bernoulli(p_w, graph.num_edges)
-    noise = np.maximum(rng.normal(noise_mean, noise_std, graph.num_edges), 0.0)
-    out.edge_weights = np.where(selected, noise, out.edge_weights)
-    out.node_degrees = out.incidence @ out.edge_weights
-    return out
+    noise = np.maximum(rng.normal(NOISE_MEAN, NOISE_STD, graph.num_edges), 0.0)
+    return replace(graph, edge_weights=np.where(selected, noise, graph.edge_weights))
 
 
 def membership_mask(graph: FlowHypergraph, p_m: float, rng: Rng) -> FlowHypergraph:
     """Drop each 1-entry of the incidence matrix independently with
     probability p_m; zero degrees are allowed (the encoder handles them)."""
     _check_prob(p_m, "membership mask probability p_m")
-    out = graph.copy()
     if p_m == 0.0:
-        return out
+        return graph
     dropped = rng.bernoulli(p_m, graph.incidence.shape)
-    out.incidence = np.where(dropped, 0.0, out.incidence)
-    out.recompute_degrees()
-    return out
+    return replace(graph, incidence=np.where(dropped, 0.0, graph.incidence))
+
+
+OPS = {"nf": node_feature_mask, "ew": hyperedge_weight_perturb, "ed": membership_mask}
 
 
 @dataclass(frozen=True)
-class NodeFeatureMaskStep:
+class Step:
+    op: str  # a key of OPS
     p: float
-
-    def apply(self, graph: FlowHypergraph, rng: Rng) -> FlowHypergraph:
-        return node_feature_mask(graph, self.p, rng)
-
-
-@dataclass(frozen=True)
-class EdgeWeightPerturbStep:
-    p: float
-    noise_mean: float = DEFAULT_NOISE_MEAN
-    noise_std: float = DEFAULT_NOISE_STD
-
-    def apply(self, graph: FlowHypergraph, rng: Rng) -> FlowHypergraph:
-        return hyperedge_weight_perturb(graph, self.p, self.noise_mean,
-                                        self.noise_std, rng)
-
-
-@dataclass(frozen=True)
-class MembershipMaskStep:
-    p: float
-
-    def apply(self, graph: FlowHypergraph, rng: Rng) -> FlowHypergraph:
-        return membership_mask(graph, self.p, rng)
-
-
-Step = Union[NodeFeatureMaskStep, EdgeWeightPerturbStep, MembershipMaskStep]
-
-_STEP_NAMES = {
-    NodeFeatureMaskStep: "nf",
-    EdgeWeightPerturbStep: "ew",
-    MembershipMaskStep: "ed",
-}
 
 
 @dataclass(frozen=True)
@@ -118,19 +77,17 @@ class AugmentationPipeline:
     steps: tuple[Step, ...] = ()
 
     def apply(self, graph: FlowHypergraph, rng: Rng) -> FlowHypergraph:
-        out = graph.copy()
         for i, step in enumerate(self.steps):
-            out = step.apply(out, rng.child("step", i))
-        return out
+            graph = OPS[step.op](graph, step.p, rng.child("step", i))
+        return graph
 
     def spec_string(self) -> str:
         if not self.steps:
             return "iden"
-        return ",".join(f"{_STEP_NAMES[type(s)]}:{s.p:g}" for s in self.steps)
+        return ",".join(f"{s.op}:{s.p:g}" for s in self.steps)
 
 
-def parse_pipeline(spec: str, noise_mean: float = DEFAULT_NOISE_MEAN,
-                   noise_std: float = DEFAULT_NOISE_STD) -> AugmentationPipeline:
+def parse_pipeline(spec: str) -> AugmentationPipeline:
     """Parse CLI specs like "nf:0.4,ed:0.4"; "" or "iden" is the identity."""
     spec = (spec or "").strip().lower()
     if spec in ("", "iden", "none"):
@@ -144,18 +101,13 @@ def parse_pipeline(spec: str, noise_mean: float = DEFAULT_NOISE_MEAN,
         except ValueError:
             raise ConfigError(f"bad augmentation step {part!r}; expected op:prob") from None
         _check_prob(p, f"probability in {part!r}")
-        if op == "nf":
-            steps.append(NodeFeatureMaskStep(p))
-        elif op == "ew":
-            steps.append(EdgeWeightPerturbStep(p, noise_mean, noise_std))
-        elif op == "ed":
-            steps.append(MembershipMaskStep(p))
-        else:
+        if op not in OPS:
             raise ConfigError(f"unknown augmentation op {op!r} (use nf/ew/ed)")
+        steps.append(Step(op, p))
     return AugmentationPipeline(tuple(steps))
 
 
 def make_views(graph: FlowHypergraph, t1: AugmentationPipeline,
                t2: AugmentationPipeline, rng: Rng) -> tuple[FlowHypergraph, FlowHypergraph]:
-    """Apply t1/t2 to independent copies with independent substreams."""
+    """Apply t1/t2 to the graph with independent substreams."""
     return t1.apply(graph, rng.child("view", 1)), t2.apply(graph, rng.child("view", 2))

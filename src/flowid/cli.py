@@ -214,6 +214,24 @@ def _load_model(model_path: str, overrides: dict) -> tuple:
     return loaded, cfg, n_classes
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    values = []
+    for raw in text.split(","):
+        try:
+            values.append(int(raw))
+        except ValueError:
+            raise ConfigError(f"{flag} expects integers, got {raw!r}") from None
+    return values
+
+
+def _class_count(train_flows, val_flows) -> int:
+    """Largest label of the training data plus one."""
+    labels = [f.label for f in train_flows + val_flows if f.label is not None]
+    if not labels:
+        raise ConfigError("training data carries no labels")
+    return max(labels) + 1
+
+
 def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):
     if getattr(args, "pcap", None):
         result = parse_capture(args.pcap, n=cfg_n, m=cfg_m, idle_timeout=timeout)
@@ -244,10 +262,7 @@ def cmd_train(args) -> int:
     print("config " + json.dumps(cfg.echo()))
     train_flows = read_flows_jsonl(args.flows)
     val_flows = read_flows_jsonl(args.val)
-    labels = [f.label for f in train_flows + val_flows if f.label is not None]
-    if not labels:
-        raise ConfigError("training data carries no labels")
-    n_classes = max(labels) + 1
+    n_classes = _class_count(train_flows, val_flows)
     store = build_parameter_store(cfg, n_classes)
     train_snap = prepare_snapshot(train_flows, store, cfg)
     val_snap = prepare_snapshot(val_flows, store, cfg)
@@ -331,15 +346,8 @@ def cmd_detect(args) -> int:
 
 def cmd_sweep(args) -> int:
     base = _config_from_args(args)
-    values = []
-    for raw in args.values.split(","):
-        try:
-            values.append(int(raw))
-        except ValueError:
-            raise ConfigError(f"--values expects integers, got {raw!r}")
-    if not values:
-        raise ConfigError("--values is empty")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [base.seed]
+    values = _int_list("--values", args.values)
+    seeds = _int_list("--seeds", args.seeds) if args.seeds else [base.seed]
 
     if args.flows:  # read once: nothing below modifies the flows
         given = tuple(read_flows_jsonl(path) for path in (args.flows, args.val, args.test))
@@ -354,8 +362,7 @@ def cmd_sweep(args) -> int:
                     default_spec(args.synth_classes, args.per_class), seed=seed)
                 train_flows, val_flows, test_flows = split_flows(
                     flows, (0.6, 0.2, 0.2), seed=seed)
-            labels = [f.label for f in train_flows + val_flows if f.label is not None]
-            n_classes = max(labels) + 1
+            n_classes = _class_count(train_flows, val_flows)
             store = build_parameter_store(cfg, n_classes)
             train_snap = prepare_snapshot(train_flows, store, cfg)
             val_snap = prepare_snapshot(val_flows, store, cfg)
@@ -496,6 +503,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except FlowidError as exc:
         print(f"error: {exc}", file=sys.stderr)

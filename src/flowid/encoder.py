@@ -93,21 +93,16 @@ def hyperconv_layer(v_prev: Tensor, graph: FlowHypergraph, store: ParameterStore
     return e_l, v_l
 
 
-def encode(graph: FlowHypergraph, store: ParameterStore, cfg: TrainConfig,
-           mode: str = "infer", rng: Rng | None = None,
-           features: Tensor | None = None) -> EncodedHypergraph:
-    """Input projection then cfg.depth stacked layers; dropout between layers
-    in train mode. `features` overrides the graph's stored node features (the
-    trainer passes the live extractor output); any augmentation feature mask
-    recorded on the graph is applied to it."""
+def encode(graph: FlowHypergraph, features: Tensor | np.ndarray, store: ParameterStore,
+           cfg: TrainConfig, mode: str = "infer", rng: Rng | None = None) -> EncodedHypergraph:
+    """Input projection of the (N, d) node `features` then cfg.depth stacked
+    layers; dropout between layers in train mode. Any augmentation feature
+    mask recorded on the graph is applied to the features first."""
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be train or infer, got {mode!r}")
-    if features is None:
-        z = tc.constant(graph.node_features)
-    else:
-        z = features
-        if graph.feature_mask is not None:
-            z = z * tc.constant(graph.feature_mask[:, None])
+    z = tc.as_tensor(features)
+    if graph.feature_mask is not None:
+        z = z * tc.constant(graph.feature_mask[:, None])
     v = tc.matmul(z, store.get("encoder.in.w")) + store.get("encoder.in.b")
     out = EncodedHypergraph(node_layers=[v])
     for layer in range(cfg.depth):

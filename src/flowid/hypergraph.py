@@ -18,7 +18,7 @@ squared distance overflows; anything else is a ConfigError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,14 +31,12 @@ from .errors import ConfigError, ShapeError
 _KNN_BLOCK_BYTES = 4 * 1024 * 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowHypergraph:
-    node_features: np.ndarray          # (N, d) float64
+    """The structure the encoder reads; node features travel separately."""
+
     incidence: np.ndarray              # (N, E) binary float64
     edge_weights: np.ndarray           # (E,) diagonal of M
-    node_degrees: np.ndarray           # (N,) diagonal of D_v
-    edge_degrees: np.ndarray           # (E,) diagonal of D_e
-    labels: Optional[np.ndarray] = None
     feature_mask: Optional[np.ndarray] = None  # (N,) kept-row mask set by augmentation
 
     @property
@@ -49,20 +47,15 @@ class FlowHypergraph:
     def num_edges(self) -> int:
         return self.incidence.shape[1]
 
-    def copy(self) -> "FlowHypergraph":
-        return FlowHypergraph(
-            node_features=self.node_features.copy(),
-            incidence=self.incidence.copy(),
-            edge_weights=self.edge_weights.copy(),
-            node_degrees=self.node_degrees.copy(),
-            edge_degrees=self.edge_degrees.copy(),
-            labels=None if self.labels is None else self.labels.copy(),
-            feature_mask=None if self.feature_mask is None else self.feature_mask.copy(),
-        )
+    @property
+    def node_degrees(self) -> np.ndarray:
+        """(N,) diagonal of D_v: weighted membership sums."""
+        return self.incidence @ self.edge_weights
 
-    def recompute_degrees(self) -> None:
-        self.node_degrees, self.edge_degrees = degree_matrices(
-            self.incidence, self.edge_weights)
+    @property
+    def edge_degrees(self) -> np.ndarray:
+        """(E,) diagonal of D_e: member counts."""
+        return self.incidence.sum(axis=0)
 
 
 def knn_hyperedges(features: np.ndarray, k: int, include_self: bool = True) -> np.ndarray:
@@ -161,42 +154,19 @@ def _block_nearest(features, z, sq, slack, start, stop, k) -> np.ndarray:
     return col[order[first[:, None] + np.arange(k)]]
 
 
-def degree_matrices(incidence: np.ndarray, edge_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D_v, D_e): weighted membership sums per node, member counts per edge."""
-    incidence = np.asarray(incidence, dtype=np.float64)
-    edge_weights = np.asarray(edge_weights, dtype=np.float64)
-    if incidence.ndim != 2 or edge_weights.shape != (incidence.shape[1],):
-        raise ShapeError(
-            f"inconsistent shapes: H {incidence.shape}, weights {edge_weights.shape}")
-    node_degrees = incidence @ edge_weights
-    edge_degrees = incidence.sum(axis=0)
-    return node_degrees, edge_degrees
-
-
 def build_flow_hypergraph(features: np.ndarray, k: int,
-                          labels: Optional[np.ndarray] = None,
                           include_self: bool = True) -> FlowHypergraph:
-    """KNN hyperedges + unit weights (M = I) + degrees; Z = features."""
-    features = np.asarray(features, dtype=np.float64)
+    """KNN hyperedges over `features` with unit weights (M = I)."""
     incidence = knn_hyperedges(features, k, include_self=include_self)
-    edge_weights = np.ones(incidence.shape[1], dtype=np.float64)
-    node_degrees, edge_degrees = degree_matrices(incidence, edge_weights)
-    return FlowHypergraph(
-        node_features=features.copy(),
-        incidence=incidence,
-        edge_weights=edge_weights,
-        node_degrees=node_degrees,
-        edge_degrees=edge_degrees,
-        labels=None if labels is None else np.asarray(labels).copy(),
-    )
+    return FlowHypergraph(incidence, np.ones(incidence.shape[1], dtype=np.float64))
 
 
-def export_text(graph: FlowHypergraph) -> str:
+def export_text(graph: FlowHypergraph, features: np.ndarray) -> str:
     """Inspection/golden format: node section then one line per hyperedge
     (weight followed by member indices)."""
-    n, d = graph.node_features.shape
+    n, d = features.shape
     lines = [f"#nodes {n} {d}"]
-    for row in graph.node_features:
+    for row in features:
         lines.append(" ".join(repr(float(x)) for x in row))
     lines.append(f"#edges {graph.num_edges}")
     for j in range(graph.num_edges):

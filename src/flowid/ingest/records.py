@@ -11,6 +11,7 @@ byte-stable and load(dump(flow)) is the identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -91,6 +92,32 @@ def flow_to_json(flow: FlowRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true/false load as bools: not ints here
+
+
+# field -> (test, what the test demands); JSON may give any type anywhere
+_FIELD_TYPES = {
+    "id": (lambda v: type(v) is str, "a string"),
+    "src": (lambda v: type(v) is str, "a string"),
+    "dst": (lambda v: type(v) is str, "a string"),
+    "sport": (_is_int, "an int"),
+    "dport": (_is_int, "an int"),
+    "label": (lambda v: v is None or _is_int(v) and v >= 0, "null or an int >= 0"),
+    "ts": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
+    "dir": (lambda v: _is_int(v) and v in (-1, 1), "-1 or 1"),
+    "len": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
+}
+
+
+def _field(obj: dict, key: str):
+    value = obj[key]
+    test, demand = _FIELD_TYPES[key]
+    if not test(value):
+        raise FlowFormatError(f"{key} must be {demand}, got {value!r}")
+    return value
+
+
 def flow_from_json(line: str) -> FlowRecord:
     try:
         obj = json.loads(line)
@@ -101,19 +128,17 @@ def flow_from_json(line: str) -> FlowRecord:
         proto = ft["proto"]
         if proto not in PROTOCOLS:
             raise FlowFormatError(f"unknown protocol {proto!r}")
-        key = FiveTuple(ft["src"], ft["dst"], int(ft["sport"]), int(ft["dport"]), proto)
+        key = FiveTuple(_field(ft, "src"), _field(ft, "dst"), _field(ft, "sport"),
+                        _field(ft, "dport"), proto)
         packets = [
-            PacketView(float(p["ts"]), int(p["dir"]), int(p["len"]),
+            PacketView(float(_field(p, "ts")), _field(p, "dir"), _field(p, "len"),
                        bytes.fromhex(p["payload_hex"]))
             for p in obj["packets"]
         ]
         if not packets:
             raise FlowFormatError("flow has no packets")
-        if any(p.direction not in (-1, 1) for p in packets):
-            raise FlowFormatError("packet dir must be -1 or 1")
-        label = obj["label"]
-        return FlowRecord(obj["id"], key, packets, None if label is None else int(label))
-    except (KeyError, TypeError, ValueError) as exc:
+        return FlowRecord(_field(obj, "id"), key, packets, _field(obj, "label"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FlowFormatError(f"malformed flow record: {exc}") from exc
 
 

@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def _key_to_int(key: int | str) -> int:
     if isinstance(key, str):
@@ -24,6 +26,8 @@ class Rng:
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.path = tuple(_path)
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed,) + self.path))

@@ -29,7 +29,6 @@ from .engine import (
     transpose2d,
     tsum,
 )
-from .gradcheck import GradCheckFailure, GradCheckReport, grad_check
 from .layers import attention_pool_batch, lstm_batch
 from .optim import Adam, AdamState, adam_step
 from .params import ParameterStore, glorot_uniform

@@ -45,13 +45,12 @@ def no_grad():
 class Tensor:
     """Dense float64 array with optional gradient bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "trainable", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self.trainable = True
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], tuple] | None = None
 

@@ -27,7 +27,7 @@ def adam_step(store: ParameterStore, state: AdamState, *, lr: float,
     state.t = state.t + 1 if t is None else int(t)
     step = state.t
     for name, p in store.items():
-        if not p.trainable:
+        if not p.requires_grad:
             continue
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)

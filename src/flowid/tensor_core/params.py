@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError
 from ..rng import Rng
 from .engine import Tensor
 
@@ -25,15 +25,18 @@ def glorot_uniform(shape: tuple[int, ...], rng: Rng, fan_in: int | None = None,
 
 
 class ParameterStore:
-    """name -> trainable Tensor; every tensor carries a same-shape gradient."""
+    """name -> Tensor. Arrays added become trainable tensors, each with a
+    same-shape gradient; a Tensor added is kept as it is, so a store of plain
+    tensors (a loaded checkpoint) holds no gradient buffers."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, value: np.ndarray) -> Tensor:
+    def add(self, name: str, value) -> Tensor:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name: {name}")
-        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
+        t = value if isinstance(value, Tensor) else \
+            Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -61,7 +64,6 @@ class ParameterStore:
         hit = 0
         for name, t in self._params.items():
             if name.startswith(prefix):
-                t.trainable = False
                 t.requires_grad = False
                 hit += 1
         return hit
@@ -69,22 +71,10 @@ class ParameterStore:
     def copy(self) -> "ParameterStore":
         out = ParameterStore()
         for name, t in self._params.items():
-            c = out.add(name, t.data.copy())
-            c.grad[...] = t.grad
-            c.trainable = t.trainable
+            c = out.add(name, Tensor(t.data.copy()))
             c.requires_grad = t.requires_grad
+            c.grad = None if t.grad is None else t.grad.copy()
         return out
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite tensor data in place; shapes must match exactly."""
-        for name, arr in values.items():
-            t = self.get(name)
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter {name}: expected shape {t.data.shape}, got {arr.shape}"
-                )
-            t.data[...] = arr
 
     def value_norms(self) -> dict[str, float]:
         return {n: float(np.linalg.norm(t.data)) for n, t in self._params.items()}

@@ -92,13 +92,14 @@ def total_loss(l_pred, l_n, l_g, omega_n: float, omega_g: float):
 class Snapshot:
     """Everything the trainer needs about one hypergraph snapshot.
 
-    `graph.node_features` holds the inference features of the store the
-    snapshot was prepared with; classify it with that same store."""
+    `features` are the inference features of the store the snapshot was
+    prepared with; classify it with that same store."""
 
     flow_ids: list[str]
     views: ViewBatch
     graph: FlowHypergraph
     labels: LabelSet
+    features: np.ndarray  # (N, d) extractor output the graph was built from
 
 
 def build_parameter_store(cfg: TrainConfig, n_classes: int,
@@ -144,17 +145,14 @@ def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
                      cfg: TrainConfig) -> Snapshot:
     """Derive views, run the extractor once (inference mode, no gradients),
     and build the KNN hypergraph from those features. The incidence structure
-    is fixed for the snapshot's lifetime. The features stay on the graph for
-    evaluate_probs with the same store; training steps and fit's validation
-    extract features again from the live parameters."""
+    is fixed for the snapshot's lifetime. The features stay on the snapshot
+    for evaluate_probs with the same store; training steps and fit's
+    validation extract features again from the live parameters."""
     views = build_view_batch(flows, cfg.n, cfg.m)
     with tc.no_grad():
-        emb = extract(store, views, cfg, mode="infer")
-    labels = LabelSet.from_flows(flows)
-    graph = build_flow_hypergraph(emb.z_mv.data, cfg.k,
-                                  labels=np.where(labels.mask, labels.y, -1),
-                                  include_self=cfg.include_self)
-    return Snapshot([f.id for f in flows], views, graph, labels)
+        features = extract(store, views, cfg, mode="infer").z_mv.data
+    graph = build_flow_hypergraph(features, cfg.k, include_self=cfg.include_self)
+    return Snapshot([f.id for f in flows], views, graph, LabelSet.from_flows(flows), features)
 
 
 @dataclass
@@ -179,13 +177,12 @@ def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
     emb = extract(store, snapshot.views, cfg, mode=mode, rng=rng.child("extract"))
     view1, view2 = make_views(snapshot.graph, cfg.aug1, cfg.aug2, rng.child("augment"))
 
-    enc0 = encode(snapshot.graph, store, cfg, mode=mode, rng=rng.child("enc", 0),
-                  features=emb.z_mv)
+    enc0 = encode(snapshot.graph, emb.z_mv, store, cfg, mode=mode, rng=rng.child("enc", 0))
     probs = predict(enc0.node_final, store)
     l_pred = cross_entropy_loss(probs, snapshot.labels)
 
-    enc1 = encode(view1, store, cfg, mode=mode, rng=rng.child("enc", 1), features=emb.z_mv)
-    enc2 = encode(view2, store, cfg, mode=mode, rng=rng.child("enc", 2), features=emb.z_mv)
+    enc1 = encode(view1, emb.z_mv, store, cfg, mode=mode, rng=rng.child("enc", 1))
+    enc2 = encode(view2, emb.z_mv, store, cfg, mode=mode, rng=rng.child("enc", 2))
     v1, e1 = project(enc1, store)
     v2, e2 = project(enc2, store)
     l_n = node_node_loss(v1, v2, cfg.contrast.tau_n, eps=cfg.cosine_eps)
@@ -219,12 +216,12 @@ def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
                    cfg: TrainConfig) -> np.ndarray:
     """Inference-mode class distributions for every flow in the snapshot.
 
-    The encoder reads the features prepare_snapshot stored on the graph, so
-    `store` must be the store the snapshot was prepared with, unchanged
+    The encoder reads the features prepare_snapshot stored on the snapshot,
+    so `store` must be the store the snapshot was prepared with, unchanged
     since. Once the parameters move (as during fit), prepare a new snapshot
     or extract live features as evaluate_macro_f1 does."""
     with tc.no_grad():
-        enc = encode(snapshot.graph, store, cfg, mode="infer")
+        enc = encode(snapshot.graph, snapshot.features, store, cfg, mode="infer")
         return predict(enc.node_final, store).data.copy()
 
 
@@ -232,10 +229,10 @@ def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfi
                       n_classes: int) -> float:
     """Macro-F1 over the labeled flows, from features extracted with the live
     parameters: fit moves them after the snapshot was prepared, so the
-    features stored on its graph are stale."""
+    features stored on the snapshot are stale."""
     with tc.no_grad():
         features = extract(store, snapshot.views, cfg, mode="infer").z_mv
-        enc = encode(snapshot.graph, store, cfg, mode="infer", features=features)
+        enc = encode(snapshot.graph, features, store, cfg, mode="infer")
         probs = predict(enc.node_final, store).data
     idx = snapshot.labels.labeled_indices()
     if idx.size == 0:
@@ -381,7 +378,10 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         fh.write(struct.pack("<Q", crc64(body)))
 
 
-def load_checkpoint(path, into: Optional[ParameterStore] = None) -> ParameterStore:
+def load_checkpoint(path) -> ParameterStore:
+    """An inference store: plain tensors, no gradients, checked against the
+    checksum and the manifest but not against any model (check_parameters
+    against parameter_shapes does that)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8:
@@ -401,7 +401,7 @@ def load_checkpoint(path, into: Optional[ParameterStore] = None) -> ParameterSto
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
 
-    values: dict[str, np.ndarray] = {}
+    store = ParameterStore()
     payload = body[payload_start:]
     for entry in manifest:
         try:
@@ -419,16 +419,10 @@ def load_checkpoint(path, into: Optional[ParameterStore] = None) -> ParameterSto
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name}: non-finite value")
-        values[name] = arr.reshape(shape).astype(np.float64)
-
-    if into is None:
-        into = ParameterStore()
-        for name, arr in values.items():
-            into.add(name, arr)
-        return into
-    check_parameters(values, {name: t.shape for name, t in into.items()})
-    into.load_values(values)
-    return into
+        if name in store:
+            raise CheckpointError(f"tensor {name}: listed twice in the manifest")
+        store.add(name, Tensor(arr.reshape(shape).astype(np.float64)))
+    return store
 
 
 def check_parameters(values: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:

@@ -1,4 +1,4 @@
-"""Finite-difference verification of analytic gradients."""
+"""Finite-difference verification of analytic gradients (a test helper)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine as tc
-from .params import ParameterStore
+from flowid import tensor_core as tc
+from flowid.tensor_core import ParameterStore
+
+# floor of the relative error's denominator: keeps vanishing gradients from
+# amplifying finite-difference roundoff
+DENOM_FLOOR = 1e-3
 
 
 class GradCheckFailure(Exception):
@@ -42,13 +46,11 @@ def _eval(f, store: ParameterStore) -> float:
 
 
 def grad_check(f, store: ParameterStore, h: float = 1e-5, tol: float = 1e-4,
-               param_names: list[str] | None = None, denom_floor: float = 1e-3,
-               grads_fn=None) -> GradCheckReport:
+               param_names: list[str] | None = None, grads_fn=None) -> GradCheckReport:
     """Compare analytic gradients of scalar f(store) to central differences.
 
     Per coordinate: rel = |analytic - numeric| / max(|analytic|, |numeric|,
-    denom_floor); the floor keeps vanishing gradients from amplifying
-    finite-difference roundoff. `grads_fn(store) -> {name: grad}` overrides the
+    DENOM_FLOOR). `grads_fn(store) -> {name: grad}` overrides the
     analytic side (lets callers verify externally supplied gradients).
     """
     names = param_names if param_names is not None else store.names()
@@ -79,7 +81,7 @@ def grad_check(f, store: ParameterStore, h: float = 1e-5, tol: float = 1e-4,
             f_minus = _eval(f, store)
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
-            denom = max(abs(aflat[i]), abs(numeric), denom_floor)
+            denom = max(abs(aflat[i]), abs(numeric), DENOM_FLOOR)
             worst = max(worst, abs(aflat[i] - numeric) / denom)
             report.coordinates += 1
         report.per_param[name] = worst

@@ -487,6 +487,70 @@ def test_sweep_reads_each_input_once(workspace, tmp_path, capsys, monkeypatch):
     assert lines == expected
 
 
+def _unlabeled_copy(src, dst):
+    records = [json.loads(line) for line in src.read_text().splitlines()]
+    dst.write_text("".join(json.dumps({**r, "label": None}) + "\n" for r in records))
+    return str(dst)
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("case", ["unlabeled", "seeds_not_int", "seeds_negative"])
+def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, case):
+    files = [str(workspace / f"{name}.jsonl") for name in ("train", "val", "test")]
+    args = ["sweep", "--param", "k", "--values", "2", "--out", str(tmp_path / "s.csv"),
+            "--epochs", "1", *TINY_FLAGS]
+    if case == "unlabeled":
+        args += ["--flows", _unlabeled_copy(workspace / "train.jsonl", tmp_path / "t.jsonl"),
+                 "--val", _unlabeled_copy(workspace / "val.jsonl", tmp_path / "v.jsonl"),
+                 "--test", files[2]]
+        message = "training data carries no labels"
+    else:
+        args += ["--flows", *files[:1], "--val", files[1], "--test", files[2],
+                 "--seeds", "a" if case == "seeds_not_int" else "1,-1"]
+        message = "--seeds expects integers" if case == "seeds_not_int" else "seed must be >= 0"
+    assert main(args) == 3
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("label", [-1, True, 1.5])
+def test_train_bad_label_exit_2(workspace, tmp_path, capsys, label):
+    records = [json.loads(line) for line in (workspace / "train.jsonl").read_text().splitlines()]
+    records[0]["label"] = label
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", str(bad), "--val", str(workspace / "val.jsonl"),
+                 "--out", str(model), "--epochs", "1", *TINY_FLAGS]) == 2
+    assert "label must be null or an int >= 0" in _one_line_error(capsys)
+    assert not model.exists()
+
+
+# Sizes whose byte count is beyond a 47-bit address space: the allocation
+# fails at once, whatever the machine's overcommit policy.
+@pytest.mark.parametrize("case", ["hidden", "label"])
+def test_out_of_memory_exit_1(workspace, tmp_path, capsys, case):
+    train = workspace / "train.jsonl"
+    flags = list(TINY_FLAGS)
+    if case == "hidden":
+        flags[flags.index("--hidden") + 1] = str(10 ** 13)
+    else:
+        records = [json.loads(line) for line in train.read_text().splitlines()]
+        records[0]["label"] = 10 ** 14
+        train = tmp_path / "big-label.jsonl"
+        train.write_text("".join(json.dumps(r) + "\n" for r in records))
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", str(train), "--val", str(workspace / "val.jsonl"),
+                 "--out", str(model), "--epochs", "1", *flags]) == 1
+    assert _one_line_error(capsys).startswith("out of memory:")
+    assert not model.exists()
+
+
 def test_window_assignment_partition():
     from flowid.cli import assign_windows
     from flowid.errors import ConfigError

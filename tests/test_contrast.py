@@ -8,7 +8,8 @@ import pytest
 import flowid.tensor_core as tc
 from flowid.contrast import ContrastConfig, group_group_loss, node_node_loss
 from flowid.errors import ConfigError, DegenerateEmbeddingError
-from flowid.tensor_core import ParameterStore, grad_check
+from flowid.tensor_core import ParameterStore
+from gradcheck import grad_check
 
 
 def double_loop_loss(v1, v2, tau):

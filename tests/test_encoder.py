@@ -1,5 +1,7 @@
 """Hypergraph convolution against the dense-algebra oracle, heads, equivariance."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,16 @@ from flowid.encoder import (
     propagation_mats,
 )
 from flowid.errors import ConfigError
-from flowid.hypergraph import FlowHypergraph, build_flow_hypergraph, degree_matrices
+from flowid.hypergraph import FlowHypergraph, build_flow_hypergraph
 from flowid.rng import Rng
-from flowid.tensor_core import ParameterStore, grad_check
+from flowid.tensor_core import ParameterStore
+from gradcheck import grad_check
 
 
-def graph_from_incidence(h, weights=None, features=None):
+def graph_from_incidence(h, weights=None):
     h = np.asarray(h, dtype=np.float64)
     weights = np.ones(h.shape[1]) if weights is None else np.asarray(weights, float)
-    dv, de = degree_matrices(h, weights)
-    if features is None:
-        features = np.random.default_rng(0).normal(size=(h.shape[0], 3))
-    return FlowHypergraph(np.asarray(features, float), h, weights, dv, de)
+    return FlowHypergraph(h, weights)
 
 
 def enc_cfg(**overrides):
@@ -129,7 +129,7 @@ def test_encode_default_shape_contract():
     store = make_store(cfg, n_classes=3, seed=5)
     z = np.random.default_rng(6).normal(size=(5, 512))
     graph = build_flow_hypergraph(z, k=3)
-    out = encode(graph, store, cfg)
+    out = encode(graph, z, store, cfg)
     assert out.node_final.shape == (5, 128)
     assert out.edge_final.shape == (5, 128)
     assert len(out.node_layers) == 3 and len(out.edge_layers) == 2
@@ -140,7 +140,7 @@ def test_encode_depth_zero_is_projected_input():
     store = make_store(cfg, seed=7)
     z = np.random.default_rng(8).normal(size=(4, cfg.extractor_dim))
     graph = build_flow_hypergraph(z, k=1)
-    out = encode(graph, store, cfg)
+    out = encode(graph, z, store, cfg)
     expected = z @ store.get("encoder.in.w").data + store.get("encoder.in.b").data
     np.testing.assert_allclose(out.node_final.data, expected, atol=1e-12)
     assert out.edge_layers == []
@@ -156,15 +156,10 @@ def test_encode_permutation_equivariance():
     graph = build_flow_hypergraph(z, k=2)
     node_perm = rng.permutation(7)
     edge_perm = rng.permutation(7)
-    permuted = FlowHypergraph(
-        node_features=graph.node_features[node_perm],
-        incidence=graph.incidence[node_perm][:, edge_perm],
-        edge_weights=graph.edge_weights[edge_perm],
-        node_degrees=graph.node_degrees[node_perm],
-        edge_degrees=graph.edge_degrees[edge_perm],
-    )
-    base = encode(graph, store, cfg)
-    moved = encode(permuted, store, cfg)
+    permuted = FlowHypergraph(incidence=graph.incidence[node_perm][:, edge_perm],
+                              edge_weights=graph.edge_weights[edge_perm])
+    base = encode(graph, z, store, cfg)
+    moved = encode(permuted, z[node_perm], store, cfg)
     np.testing.assert_allclose(moved.node_final.data, base.node_final.data[node_perm],
                                atol=1e-12)
     np.testing.assert_allclose(moved.edge_final.data, base.edge_final.data[edge_perm],
@@ -176,12 +171,10 @@ def test_encode_feature_mask_applied_to_override_features():
     store = make_store(cfg, seed=13)
     z = np.random.default_rng(14).normal(size=(4, cfg.extractor_dim))
     graph = build_flow_hypergraph(z, k=1)
-    graph.feature_mask = np.array([1.0, 0.0, 1.0, 0.0])
-    masked = z * graph.feature_mask[:, None]
-    direct = encode(graph, store, cfg, features=tc.constant(z)).node_final.data
-    graph_masked = build_flow_hypergraph(z, k=1)
-    graph_masked.node_features = masked
-    expected = encode(graph_masked, store, cfg).node_final.data
+    masked_graph = replace(graph, feature_mask=np.array([1.0, 0.0, 1.0, 0.0]))
+    direct = encode(masked_graph, tc.constant(z), store, cfg).node_final.data
+    masked = z * masked_graph.feature_mask[:, None]
+    expected = encode(graph, masked, store, cfg).node_final.data
     np.testing.assert_allclose(direct, expected, atol=1e-12)
 
 
@@ -198,7 +191,7 @@ def test_project_zero_weights_is_bias_broadcast():
         store.get(f"project.{head}.b2").data[...] = [1.0, -2.0, 3.0]
     z = np.random.default_rng(16).normal(size=(5, cfg.extractor_dim))
     graph = build_flow_hypergraph(z, k=2)
-    out = encode(graph, store, cfg)
+    out = encode(graph, z, store, cfg)
     v_hat, e_hat = project(out, store)
     np.testing.assert_allclose(v_hat.data, np.tile([1.0, -2.0, 3.0], (5, 1)), atol=1e-15)
     np.testing.assert_allclose(e_hat.data, np.tile([1.0, -2.0, 3.0], (5, 1)), atol=1e-15)
@@ -207,9 +200,8 @@ def test_project_zero_weights_is_bias_broadcast():
 def test_project_row_purity():
     cfg = enc_cfg()
     store = make_store(cfg, seed=17)
-    enc = encode(build_flow_hypergraph(
-        np.random.default_rng(18).normal(size=(4, cfg.extractor_dim)), k=1),
-        store, cfg)
+    z = np.random.default_rng(18).normal(size=(4, cfg.extractor_dim))
+    enc = encode(build_flow_hypergraph(z, k=1), z, store, cfg)
     enc.node_layers[-1] = tc.constant(np.tile([[0.5, 1.0, -1.0]], (4, 1)))
     v_hat, _ = project(enc, store)
     for row in v_hat.data[1:]:
@@ -228,7 +220,7 @@ def test_project_encode_gradient_check():
     names = [n for n in store.names() if n.startswith(("encoder.", "project."))]
 
     def loss(s):
-        enc = encode(graph, s, cfg)
+        enc = encode(graph, z, s, cfg)
         v_hat, e_hat = project(enc, s)
         return tc.tsum(v_hat * v_hat) + tc.tsum(e_hat * e_hat)
 

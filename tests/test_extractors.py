@@ -19,7 +19,8 @@ from flowid.extractors import (
 )
 from flowid.ingest import FiveTuple, FlowRecord, PacketView, Tig, flow_to_tig
 from flowid.rng import Rng
-from flowid.tensor_core import ParameterStore, grad_check
+from flowid.tensor_core import ParameterStore
+from gradcheck import grad_check
 
 
 def tiny_cfg(**overrides) -> TrainConfig:

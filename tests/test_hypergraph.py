@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from flowid import hypergraph
 from flowid.errors import ConfigError, ShapeError
 from flowid.hypergraph import (
+    FlowHypergraph,
     build_flow_hypergraph,
-    degree_matrices,
     export_text,
     knn_hyperedges,
 )
@@ -142,34 +142,33 @@ def test_degree_hand_example():
         [1.0, 1.0, 1.0],
         [0.0, 0.0, 1.0],
     ])
-    dv, de = degree_matrices(h, np.ones(3))
-    np.testing.assert_array_equal(dv, [2.0, 3.0, 1.0])
-    np.testing.assert_array_equal(de, [2.0, 2.0, 2.0])
+    g = FlowHypergraph(h, np.ones(3))
+    np.testing.assert_array_equal(g.node_degrees, [2.0, 3.0, 1.0])
+    np.testing.assert_array_equal(g.edge_degrees, [2.0, 2.0, 2.0])
 
 
 def test_degree_linear_in_weights():
     h = np.array([[1.0, 0.0], [1.0, 1.0]])
-    dv1, de1 = degree_matrices(h, np.array([1.0, 2.0]))
-    dv2, de2 = degree_matrices(h, np.array([2.0, 4.0]))
-    np.testing.assert_array_equal(dv2, 2 * dv1)
-    np.testing.assert_array_equal(de1, de2)
+    g1 = FlowHypergraph(h, np.array([1.0, 2.0]))
+    g2 = FlowHypergraph(h, np.array([2.0, 4.0]))
+    np.testing.assert_array_equal(g2.node_degrees, 2 * g1.node_degrees)
+    np.testing.assert_array_equal(g1.edge_degrees, g2.edge_degrees)
 
 
 def test_degree_identity_incidence():
-    dv, de = degree_matrices(np.eye(4), np.ones(4))
-    np.testing.assert_array_equal(dv, np.ones(4))
-    np.testing.assert_array_equal(de, np.ones(4))
+    g = FlowHypergraph(np.eye(4), np.ones(4))
+    np.testing.assert_array_equal(g.node_degrees, np.ones(4))
+    np.testing.assert_array_equal(g.edge_degrees, np.ones(4))
 
 
 def test_build_composes_and_matches_examples():
     z = np.array([[0.0], [1.0], [10.0]])
-    g = build_flow_hypergraph(z, k=1, labels=np.array([0, 0, 1]))
+    g = build_flow_hypergraph(z, k=1)
     np.testing.assert_array_equal(g.incidence, knn_hyperedges(z, 1))
     np.testing.assert_array_equal(g.edge_weights, np.ones(3))
     np.testing.assert_array_equal(g.node_degrees, [2.0, 3.0, 1.0])
     np.testing.assert_array_equal(g.edge_degrees, [2.0, 2.0, 2.0])
-    np.testing.assert_array_equal(g.node_features, z)
-    np.testing.assert_array_equal(g.labels, [0, 0, 1])
+    assert g.feature_mask is None
 
 
 def test_default_k3_membership_count():
@@ -221,7 +220,7 @@ def test_export_text_golden():
         "1.0 0 1\n"
         "1.0 1 2\n"
     )
-    assert export_text(g) == expected
+    assert export_text(g, z) == expected
 
 
 def _adversarial(name):

@@ -329,6 +329,14 @@ def test_jsonl_field_order_and_hex():
     ([{"ts": 1.0, "dir": 0, "len": 60, "payload_hex": ""}], "dir"),
     ([{"ts": 1.0, "dir": -1, "len": 60, "payload_hex": ""},
       {"ts": 1.5, "dir": 2, "len": 60, "payload_hex": ""}], "dir"),
+    ([{"ts": 1.0, "dir": True, "len": 60, "payload_hex": ""}], "dir"),
+    ([{"ts": 1.0, "dir": 1.0, "len": 60, "payload_hex": ""}], "dir"),
+    ([{"ts": float("nan"), "dir": 1, "len": 60, "payload_hex": ""}], "ts"),
+    ([{"ts": float("inf"), "dir": 1, "len": 60, "payload_hex": ""}], "ts"),
+    ([{"ts": "1.0", "dir": 1, "len": 60, "payload_hex": ""}], "ts"),
+    ([{"ts": 1.0, "dir": 1, "len": -5, "payload_hex": ""}], "len"),
+    ([{"ts": 1.0, "dir": 1, "len": 1.9, "payload_hex": ""}], "len"),
+    ([{"ts": 1.0, "dir": 1, "len": 60, "payload_hex": 7}], "malformed"),
 ])
 def test_jsonl_rejects_empty_flow_and_bad_direction(packets, message):
     line = json.dumps({"id": "f1", "five_tuple": {"src": "1.2.3.4", "sport": 10,
@@ -337,6 +345,22 @@ def test_jsonl_rejects_empty_flow_and_bad_direction(packets, message):
                        "label": None, "packets": packets})
     with pytest.raises(FlowFormatError, match=message):
         flow_from_json(line)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label", -1), ("label", True), ("label", 1.7), ("label", "1"),
+    ("id", 7), ("src", None), ("dst", 5), ("sport", "10"), ("dport", 20.0),
+    ("sport", False),
+])
+def test_jsonl_rejects_wrongly_typed_record_fields(field, value):
+    rec = {"id": "f1", "five_tuple": {"src": "1.2.3.4", "sport": 10, "dst": "5.6.7.8",
+                                      "dport": 20, "proto": "udp"},
+           "label": 1, "packets": [{"ts": 1, "dir": 1, "len": 0, "payload_hex": ""}]}
+    flow = flow_from_json(json.dumps(rec))  # the unmodified record is valid
+    assert (flow.label, flow.packets[0].timestamp) == (1, 1.0)
+    (rec["five_tuple"] if field in rec["five_tuple"] else rec)[field] = value
+    with pytest.raises(FlowFormatError, match=f"^{field} must be"):
+        flow_from_json(json.dumps(rec))
 
 
 def test_parsed_pcap_round_trips_through_jsonl(tmp_path):

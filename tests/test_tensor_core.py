@@ -10,7 +10,8 @@ import pytest
 import flowid.tensor_core as tc
 from flowid.errors import ConfigError, ShapeError
 from flowid.rng import Rng
-from flowid.tensor_core import GradCheckFailure, ParameterStore, grad_check
+from flowid.tensor_core import ParameterStore
+from gradcheck import GradCheckFailure, grad_check
 
 
 def make_store(**arrays) -> ParameterStore:
@@ -887,5 +888,3 @@ def test_parameter_store_contracts():
     clone = store.copy()
     clone.get("w").data[...] = 0.0
     assert store.get("w").data[0, 0] == 1.0
-    with pytest.raises(ShapeError):
-        store.load_values({"w": np.ones(3)})

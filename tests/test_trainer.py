@@ -14,12 +14,13 @@ from flowid.errors import CheckpointError, ConfigError
 from flowid.ingest import generate_synthetic_flows, two_class_spec, write_flows_jsonl
 from flowid.metrics import macro_f1_score
 from flowid.rng import Rng
-from flowid.tensor_core import Adam, grad_check
+from flowid.tensor_core import Adam, ParameterStore
 from flowid.trainer import (
     _CRC64_LANES,
     LabelSet,
     Snapshot,
     build_parameter_store,
+    check_parameters,
     crc64,
     cross_entropy_loss,
     evaluate_macro_f1,
@@ -33,6 +34,7 @@ from flowid.trainer import (
     total_loss,
     train_step,
 )
+from gradcheck import grad_check
 
 
 def tiny_cfg(**overrides) -> TrainConfig:
@@ -254,20 +256,20 @@ def test_validation_sees_live_extractor_parameters(monkeypatch):
     store.get("fuse.lin2.b").data += 0.5  # moves every flow's features after prepare
     with tc.no_grad():
         live = trainer.extract(store, snap.views, cfg, mode="infer").z_mv.data
-    assert not np.array_equal(live, snap.graph.node_features)
+    assert not np.array_equal(live, snap.features)
     seen = []
     real = trainer.encode
 
-    def spy(graph, *args, features=None, **kwargs):
-        seen.append(graph.node_features if features is None else features.data)
-        return real(graph, *args, features=features, **kwargs)
+    def spy(graph, features, *args, **kwargs):
+        seen.append(tc.as_tensor(features).data)
+        return real(graph, features, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "encode", spy)
     f1 = evaluate_macro_f1(snap, store, cfg, 2)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], live)
     with tc.no_grad():
-        enc = real(snap.graph, store, cfg, mode="infer", features=tc.constant(live))
+        enc = real(snap.graph, tc.constant(live), store, cfg, mode="infer")
         probs = trainer.predict(enc.node_final, store).data
     idx = snap.labels.labeled_indices()
     assert f1 == macro_f1_score(probs[idx].argmax(axis=1), snap.labels.y[idx], 2)
@@ -316,6 +318,37 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_loaded_checkpoint_is_an_inference_store(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_parameter_store(cfg, 2), path)
+    loaded = load_checkpoint(path)
+    assert loaded.names()
+    for name, t in loaded.items():
+        assert not t.requires_grad and t.grad is None, name
+    loaded.zero_grad()  # a no-op, not an error
+    clone = loaded.copy()
+    assert all(t.grad is None and not t.requires_grad for _, t in clone.items())
+
+
+def test_checkpoint_duplicate_manifest_name_rejected(tmp_path):
+    import json as _json
+    import struct as _struct
+
+    store = ParameterStore()
+    store.add("w", np.ones(2))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(store, path)
+    blob = path.read_bytes()[:-8]
+    (length,) = _struct.unpack_from("<I", blob, 8)
+    manifest = _json.loads(blob[12:12 + length])
+    text = _json.dumps(manifest * 2, separators=(",", ":")).encode()
+    body = blob[:8] + _struct.pack("<I", len(text)) + text + blob[12 + length:]
+    path.write_bytes(body + _struct.pack("<Q", crc64(body)))
+    with pytest.raises(CheckpointError, match="listed twice"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_corruption_detected(tmp_path):
     cfg = tiny_cfg()
     store = build_parameter_store(cfg, 2)
@@ -341,7 +374,9 @@ def test_checkpoint_predictions_exact_across_round_trip(tmp_path):
     store = generic_store(cfg)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)  # canonicalizes the live store to f32 grid
-    restored = load_checkpoint(path, into=build_parameter_store(cfg, 2))
+    restored = load_checkpoint(path)
+    check_parameters({name: t.data for name, t in restored.items()},
+                     parameter_shapes(cfg, 2))
     # each side extracts its own features, so the extractor weights are compared too
     before = evaluate_probs(prepare_snapshot(flows, store, cfg), store, cfg)
     after = evaluate_probs(prepare_snapshot(flows, restored, cfg), restored, cfg)
@@ -370,9 +405,10 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     store = build_parameter_store(cfg, 2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
-    other = build_parameter_store(tiny_cfg(hidden=6), 2)
+    loaded = load_checkpoint(path)
     with pytest.raises(CheckpointError, match="encoder"):
-        load_checkpoint(path, into=other)
+        check_parameters({name: t.data for name, t in loaded.items()},
+                         parameter_shapes(tiny_cfg(hidden=6), 2))
 
 
 @pytest.mark.parametrize("n_classes", [2, 5])
