@@ -55,6 +55,9 @@ EXIT_IO = 1
 EXIT_FORMAT = 2
 EXIT_CONFIG = 3
 
+# how numpy reports an array whose shape or byte count overflows
+_SHAPE_OVERFLOW = ("Maximum allowed dimension exceeded", "array is too big")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 3."""
@@ -232,6 +235,11 @@ def _class_count(train_flows, val_flows) -> int:
     return max(labels) + 1
 
 
+def _require_labels(flows) -> None:
+    if all(f.label is None for f in flows):
+        raise ConfigError("evaluation flows carry no labels")
+
+
 def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):
     if getattr(args, "pcap", None):
         result = parse_capture(args.pcap, n=cfg_n, m=cfg_m, idle_timeout=timeout)
@@ -283,12 +291,11 @@ def cmd_eval(args) -> int:
     overrides = {"n": args.n, "m": args.m, "k": args.k}
     store, cfg, n_classes = _load_model(args.model, overrides)
     flows = read_flows_jsonl(args.flows)
+    _require_labels(flows)
     snapshot = prepare_snapshot(flows, store, cfg)
     probs = evaluate_probs(snapshot, store, cfg)
     labels = snapshot.labels
     idx = labels.labeled_indices()
-    if idx.size == 0:
-        raise ConfigError("evaluation flows carry no labels")
     pred = probs.argmax(axis=1)
     report = macro_metrics(confusion_matrix(pred[idx], labels.y[idx], n_classes))
     Path(args.report).write_text(report.to_json())
@@ -351,6 +358,7 @@ def cmd_sweep(args) -> int:
 
     if args.flows:  # read once: nothing below modifies the flows
         given = tuple(read_flows_jsonl(path) for path in (args.flows, args.val, args.test))
+        _require_labels(given[2])
     rows = []
     for value in values:
         for seed in seeds:
@@ -504,7 +512,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_SHAPE_OVERFLOW):
+            raise
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except FlowidError as exc:

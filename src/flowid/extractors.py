@@ -4,14 +4,17 @@ Three views of each flow are embedded to the shared extractor dimension:
   temporal: LSTM over the signed-length sequence + attention pooling,
   payload:  two fused conv1d/ReLU/max-pool blocks over the flattened byte
             stream (bytes scaled to [0,1]) + attention pooling,
-  interaction: two GCN layers over the TIG with symmetric-normalized
-            self-looped adjacency + mean pooling.
+  interaction: two GCN layers over the flow's traffic interaction graph,
+            the path 0-1-...-(c-1) over its first c = min(packets, n)
+            packets with node features (signed length / 1500, direction),
+            through the symmetric-normalized self-looped adjacency + mean
+            pooling.
 The two sequence views are concatenated through a linear/dropout/linear
 stack, then blended with the interaction view by a learnable scalar alpha
 clamped to [0,1].
 
-Lengths feed the temporal and TIG paths scaled by 1/1500 (an MTU) so the
-gates and products start in a well-conditioned range.
+Lengths feed the temporal and interaction paths scaled by 1/1500 (an MTU)
+so the gates and products start in a well-conditioned range.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from . import tensor_core as tc
 from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .ingest.records import FlowRecord
-from .ingest.views import Tig, flow_to_length_sequence, flow_to_payload_matrix, flow_to_tig
 from .rng import Rng
 from .tensor_core import ParameterStore, Tensor, glorot_uniform
 
@@ -33,11 +35,13 @@ LENGTH_SCALE = 1500.0
 
 @dataclass
 class ViewBatch:
-    """The three per-flow views, row-aligned across the same N flows."""
+    """The per-flow view arrays, row-aligned across the same N flows; each
+    flow keeps its first count = min(packets, n) packets, zero-padded."""
 
-    lengths: np.ndarray    # (N, n) signed lengths
-    payloads: np.ndarray   # (N, n, m) raw byte values 0..255
-    tigs: list[Tig]
+    lengths: np.ndarray     # (N, n) signed lengths
+    directions: np.ndarray  # (N, n) -1 or 1, 0 on padding
+    payloads: np.ndarray    # (N, n, m) raw byte values 0..255
+    counts: np.ndarray      # (N,) int64 packets kept, 1..n
 
 
 @dataclass
@@ -52,10 +56,26 @@ class ViewEmbeddings:
 def build_view_batch(flows: list[FlowRecord], n: int, m: int) -> ViewBatch:
     if not flows:
         raise ConfigError("cannot build a view batch from zero flows")
-    lengths = np.stack([flow_to_length_sequence(f, n).values for f in flows]).astype(np.float64)
-    payloads = np.stack([flow_to_payload_matrix(f, n, m).values for f in flows]).astype(np.float64)
-    tigs = [flow_to_tig(f, n) for f in flows]
-    return ViewBatch(lengths, payloads, tigs)
+    if n < 1 or m < 1:
+        raise ConfigError(f"n and m must be >= 1, got n={n}, m={m}")
+    lengths = np.zeros((len(flows), n))
+    directions = np.zeros((len(flows), n))
+    payloads = np.zeros((len(flows), n, m))
+    counts = np.zeros(len(flows), dtype=np.int64)
+    signed, dirs, raw = [], [], []
+    for i, flow in enumerate(flows):
+        if not flow.packets:
+            raise ConfigError(f"flow {flow.id!r} has no packets")
+        counts[i] = min(len(flow.packets), n)
+        for pkt in flow.packets[:n]:
+            signed.append(pkt.direction * pkt.length)
+            dirs.append(pkt.direction)
+            raw.append(pkt.payload_prefix[:m].ljust(m, b"\0"))
+    kept = np.arange(n) < counts[:, None]  # row-major, the order packets were read
+    lengths[kept] = signed
+    directions[kept] = dirs
+    payloads[kept] = np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(-1, m)
+    return ViewBatch(lengths, directions, payloads, counts)
 
 
 def init_extractor_params(store: ParameterStore, cfg: TrainConfig, rng: Rng) -> None:
@@ -134,34 +154,28 @@ def payload_encode(store: ParameterStore, payloads: np.ndarray, cfg: TrainConfig
     return tc.matmul(pooled, store.get("payload.out.w")) + store.get("payload.out.b")
 
 
-def pack_tigs(tigs: list[Tig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad TIGs to a common node count: normalized adjacencies, scaled
-    features, and per-flow inverse node counts for masked mean pooling."""
-    if any(t.node_count < 1 for t in tigs):
-        raise ConfigError("every TIG needs at least one node")
-    t_max = max(t.node_count for t in tigs)
-    n = len(tigs)
-    a_norm = np.zeros((n, t_max, t_max))
-    feats = np.zeros((n, t_max, 2))
-    inv_counts = np.zeros((n, 1))
-    for i, tig in enumerate(tigs):
-        nc = tig.node_count
-        a_tilde = tig.adjacency + np.eye(nc)
-        d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-        a_norm[i, :nc, :nc] = d_inv_sqrt[:, None] * a_tilde * d_inv_sqrt[None, :]
-        feats[i, :nc, 0] = tig.features[:, 0] / LENGTH_SCALE
-        feats[i, :nc, 1] = tig.features[:, 1]
-        inv_counts[i, 0] = 1.0 / nc
-    return a_norm, feats, inv_counts
+def path_adjacency(counts: np.ndarray) -> np.ndarray:
+    """(N, t, t), t the largest count: each flow's path graph over its
+    `count` packets with self-loops, symmetric-normalized D^-1/2 (A+I) D^-1/2
+    and zero-padded."""
+    t = int(counts.max())
+    i = np.arange(t)
+    kept = (i < counts[:, None]).astype(np.float64)
+    a = np.zeros((len(counts), t, t))
+    a[:, i, i] = kept
+    a[:, i[:-1], i[1:]] = a[:, i[1:], i[:-1]] = kept[:, 1:]
+    d_inv_sqrt = 1.0 / np.sqrt(np.maximum(a.sum(axis=2), 1.0))  # padding rows are zero
+    return d_inv_sqrt[:, :, None] * a * d_inv_sqrt[:, None, :]
 
 
-def interaction_encode(store: ParameterStore, tigs: list[Tig], cfg: TrainConfig) -> Tensor:
-    a_norm, feats, inv_counts = pack_tigs(tigs)
-    a = tc.constant(a_norm)
-    x = tc.constant(feats)
+def interaction_encode(store: ParameterStore, lengths: np.ndarray, directions: np.ndarray,
+                       counts: np.ndarray, cfg: TrainConfig) -> Tensor:
+    a = tc.constant(path_adjacency(counts))
+    t = a.shape[1]
+    x = tc.constant(np.stack([lengths[:, :t] / LENGTH_SCALE, directions[:, :t]], axis=2))
     h = tc.relu(tc.matmul(a, tc.matmul(x, store.get("interaction.gcn1.w"))))
     h = tc.relu(tc.matmul(a, tc.matmul(h, store.get("interaction.gcn2.w"))))
-    pooled = tc.tsum(h, axis=1) * tc.constant(inv_counts)  # padding rows are zero
+    pooled = tc.tsum(h, axis=1) * tc.constant(1.0 / counts[:, None])  # padding rows are zero
     return tc.matmul(pooled, store.get("interaction.out.w")) + store.get("interaction.out.b")
 
 
@@ -187,6 +201,6 @@ def extract(store: ParameterStore, views: ViewBatch, cfg: TrainConfig,
         raise ConfigError(f"mode must be train or infer, got {mode!r}")
     z_lstm = temporal_encode(store, views.lengths, cfg)
     z_cnn = payload_encode(store, views.payloads, cfg)
-    z_gcn = interaction_encode(store, views.tigs, cfg)
+    z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
     z_seq, z_mv = fuse(store, z_lstm, z_cnn, z_gcn, cfg, mode=mode, rng=rng)
     return ViewEmbeddings(z_lstm, z_cnn, z_gcn, z_seq, z_mv)

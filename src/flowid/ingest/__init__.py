@@ -1,4 +1,8 @@
-"""Capture parsing, flow records, per-flow views, and synthetic data."""
+"""Capture parsing, flow records, and synthetic data.
+
+`flowid.extractors.build_view_batch` turns flow records into the three view
+arrays; the interaction view is the path over each flow's packets, with node
+features (signed length / 1500, direction)."""
 
 from .pcap import ParseResult, parse_capture
 from .records import (
@@ -18,5 +22,3 @@ from .synth import (
     three_class_spec,
     two_class_spec,
 )
-from .views import LengthSequence, PayloadMatrix, Tig, flow_to_length_sequence, \
-    flow_to_payload_matrix, flow_to_tig

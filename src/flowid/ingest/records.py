@@ -36,10 +36,6 @@ class FiveTuple:
         lo, hi = (a, b) if a <= b else (b, a)
         return (lo, hi, self.protocol)
 
-    def reversed(self) -> "FiveTuple":
-        return FiveTuple(self.dst_addr, self.src_addr, self.dst_port, self.src_port,
-                         self.protocol)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiveTuple) and self.canonical() == other.canonical()
 
@@ -103,10 +99,11 @@ _FIELD_TYPES = {
     "dst": (lambda v: type(v) is str, "a string"),
     "sport": (_is_int, "an int"),
     "dport": (_is_int, "an int"),
-    "label": (lambda v: v is None or _is_int(v) and v >= 0, "null or an int >= 0"),
+    "label": (lambda v: v is None or _is_int(v) and 0 <= v < 2**63,
+              "null or an int >= 0 and < 2**63"),  # stored as int64
     "ts": (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number"),
     "dir": (lambda v: _is_int(v) and v in (-1, 1), "-1 or 1"),
-    "len": (lambda v: _is_int(v) and v >= 0, "an int >= 0"),
+    "len": (lambda v: _is_int(v) and 0 <= v < 2**32, "an int >= 0 and < 2**32"),  # 32-bit in pcap
 }
 
 

@@ -37,10 +37,6 @@ class Rng:
         """Derive an independent substream; same keys always give the same stream."""
         return Rng(self.seed, self.path + tuple(_key_to_int(k) for k in keys))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 

@@ -30,5 +30,5 @@ from .engine import (
     tsum,
 )
 from .layers import attention_pool_batch, lstm_batch
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .params import ParameterStore, glorot_uniform

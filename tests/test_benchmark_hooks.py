@@ -1,0 +1,34 @@
+"""The functions perfbench/workloads.py traces must exist under the names it
+patches, and its tracer must put them back. A rename would otherwise break
+only `python3 perfbench/run.py`."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+TARGETS = workloads.TRACE_TARGETS + workloads.SETUP_TARGETS
+
+
+def test_every_traced_function_exists():
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in TARGETS
+               if not callable(getattr(owner, attr, None))]
+    assert not missing
+
+
+def test_tracer_install_then_uninstall_restores_every_function():
+    for targets in (workloads.TRACE_TARGETS, workloads.SETUP_TARGETS):
+        before = [getattr(owner, attr) for owner, attr, _, _ in targets]
+        tracer = Tracer()
+        tracer.install(targets)
+        try:
+            assert all(getattr(owner, attr) is not original
+                       for (owner, attr, _, _), original in zip(targets, before))
+        finally:
+            tracer.uninstall()
+        assert all(getattr(owner, attr) is original
+                   for (owner, attr, _, _), original in zip(targets, before))

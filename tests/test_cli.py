@@ -499,8 +499,9 @@ def _one_line_error(capsys) -> str:
     return err
 
 
-@pytest.mark.parametrize("case", ["unlabeled", "seeds_not_int", "seeds_negative"])
-def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["unlabeled", "seeds_not_int", "seeds_negative",
+                                  "unlabeled_test"])
+def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, monkeypatch, case):
     files = [str(workspace / f"{name}.jsonl") for name in ("train", "val", "test")]
     args = ["sweep", "--param", "k", "--values", "2", "--out", str(tmp_path / "s.csv"),
             "--epochs", "1", *TINY_FLAGS]
@@ -509,6 +510,12 @@ def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, case):
                  "--val", _unlabeled_copy(workspace / "val.jsonl", tmp_path / "v.jsonl"),
                  "--test", files[2]]
         message = "training data carries no labels"
+    elif case == "unlabeled_test":
+        # rejected before any model is fitted
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("sweep fitted a model"))
+        args += ["--flows", files[0], "--val", files[1],
+                 "--test", _unlabeled_copy(workspace / "test.jsonl", tmp_path / "s.jsonl")]
+        message = "evaluation flows carry no labels"
     else:
         args += ["--flows", *files[:1], "--val", files[1], "--test", files[2],
                  "--seeds", "a" if case == "seeds_not_int" else "1,-1"]
@@ -531,24 +538,63 @@ def test_train_bad_label_exit_2(workspace, tmp_path, capsys, label):
     assert not model.exists()
 
 
+def _with_first_record(src, dst, edit):
+    records = [json.loads(line) for line in src.read_text().splitlines()]
+    edit(records[0])
+    dst.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return dst
+
+
 # Sizes whose byte count is beyond a 47-bit address space: the allocation
-# fails at once, whatever the machine's overcommit policy.
-@pytest.mark.parametrize("case", ["hidden", "label"])
+# fails at once, whatever the machine's overcommit policy. Beyond int64,
+# numpy refuses the shape itself ("Maximum allowed dimension exceeded"), and
+# a byte count beyond int64 is "array is too big".
+@pytest.mark.parametrize("case", ["hidden", "label", "hidden_1e22", "hidden_2e62", "n_1e22",
+                                  "eval_n_1e22", "detect_n_1e22"])
 def test_out_of_memory_exit_1(workspace, tmp_path, capsys, case):
     train = workspace / "train.jsonl"
     flags = list(TINY_FLAGS)
-    if case == "hidden":
-        flags[flags.index("--hidden") + 1] = str(10 ** 13)
+    out = tmp_path / "m.ckpt"
+    if case.startswith(("eval", "detect")):
+        args = [case.split("_")[0], "--flows", str(workspace / "test.jsonl"),
+                "--model", str(workspace / "model.ckpt"), "--n", str(10 ** 22)]
+        args += ["--report", str(out)] if case.startswith("eval") else \
+            ["--window", "inf", "--out", str(out)]  # one window: none skipped
     else:
-        records = [json.loads(line) for line in train.read_text().splitlines()]
-        records[0]["label"] = 10 ** 14
-        train = tmp_path / "big-label.jsonl"
-        train.write_text("".join(json.dumps(r) + "\n" for r in records))
-    model = tmp_path / "m.ckpt"
-    assert main(["train", "--flows", str(train), "--val", str(workspace / "val.jsonl"),
-                 "--out", str(model), "--epochs", "1", *flags]) == 1
+        if case == "label":
+            train = _with_first_record(train, tmp_path / "big-label.jsonl",
+                                       lambda r: r.update(label=10 ** 14))
+        else:
+            flag, size = {"hidden": ("--hidden", 10 ** 13), "hidden_1e22": ("--hidden", 10 ** 22),
+                          "hidden_2e62": ("--hidden", 2 ** 62), "n_1e22": ("--n", 10 ** 22)}[case]
+            flags[flags.index(flag) + 1] = str(size)
+        args = ["train", "--flows", str(train), "--val", str(workspace / "val.jsonl"),
+                "--out", str(out), "--epochs", "1", *flags]
+    assert main(args) == 1
     assert _one_line_error(capsys).startswith("out of memory:")
-    assert not model.exists()
+    assert not out.exists()
+
+
+# a pcap length field is 32 bits and labels are stored as int64
+@pytest.mark.parametrize("command", ["train", "eval", "detect"])
+@pytest.mark.parametrize("field, value", [("len", 2 ** 32), ("len", 10 ** 30),
+                                          ("label", 2 ** 63), ("label", 10 ** 30)])
+def test_oversized_jsonl_integer_exit_2(workspace, tmp_path, capsys, command, field, value):
+    def edit(record):
+        (record["packets"][0] if field == "len" else record)[field] = value
+
+    source = workspace / ("train.jsonl" if command == "train" else "test.jsonl")
+    flows = str(_with_first_record(source, tmp_path / "big.jsonl", edit))
+    out = tmp_path / "out"
+    model = str(workspace / "model.ckpt")
+    args = {"train": ["train", "--flows", flows, "--val", str(workspace / "val.jsonl"),
+                      "--out", str(out), "--epochs", "1", *TINY_FLAGS],
+            "eval": ["eval", "--flows", flows, "--model", model, "--report", str(out)],
+            "detect": ["detect", "--flows", flows, "--model", model, "--window", "60",
+                       "--out", str(out)]}[command]
+    assert main(args) == 2
+    assert f"{field} must be" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_window_assignment_partition():

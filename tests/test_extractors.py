@@ -1,11 +1,15 @@
 """View encoders: purity, zero propagation, hand oracles, fusion, gradients."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowid.tensor_core as tc
 from flowid.config import TrainConfig
-from flowid.errors import ShapeError
+from flowid.errors import ConfigError, ShapeError
 from flowid.extractors import (
     LENGTH_SCALE,
     ViewBatch,
@@ -14,10 +18,11 @@ from flowid.extractors import (
     fuse,
     init_extractor_params,
     interaction_encode,
+    path_adjacency,
     payload_encode,
     temporal_encode,
 )
-from flowid.ingest import FiveTuple, FlowRecord, PacketView, Tig, flow_to_tig
+from flowid.ingest import FiveTuple, FlowRecord, PacketView
 from flowid.rng import Rng
 from flowid.tensor_core import ParameterStore
 from gradcheck import grad_check
@@ -56,6 +61,11 @@ def random_views(cfg, n_flows, seed=0) -> ViewBatch:
                     for _ in range(count)]
         flows.append(make_flow(dirs_lengths, payloads, fid=f"f{i}"))
     return build_view_batch(flows, cfg.n, cfg.m)
+
+
+def interaction(store, flows, cfg):
+    views = build_view_batch(flows, cfg.n, cfg.m)
+    return interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +157,7 @@ def test_interaction_single_node_closed_form():
     cfg = tiny_cfg()
     store = make_store(cfg, seed=4)
     store.get("interaction.out.b").data[...] = 0.0
-    flow = make_flow([(-1, 600)])
-    tig = flow_to_tig(flow, cfg.n)
-    out = interaction_encode(store, [tig], cfg).data[0]
+    out = interaction(store, [make_flow([(-1, 600)])], cfg).data[0]
 
     x = np.array([-600.0 / LENGTH_SCALE, -1.0])  # normalized adjacency is [[1]]
     h = np.maximum(x @ store.get("interaction.gcn1.w").data, 0.0)
@@ -162,9 +170,7 @@ def test_interaction_isomorphic_tigs_equal_rows():
     cfg = tiny_cfg()
     store = make_store(cfg, seed=5)
     flow = make_flow([(-1, 100), (1, 900), (-1, 60)])
-    tig_a = flow_to_tig(flow, cfg.n)
-    tig_b = flow_to_tig(flow, cfg.n)
-    out = interaction_encode(store, [tig_a, tig_b], cfg)
+    out = interaction(store, [flow, flow], cfg)
     np.testing.assert_array_equal(out.data[0], out.data[1])
 
 
@@ -172,13 +178,12 @@ def test_interaction_path_tig_dense_oracle():
     cfg = tiny_cfg()
     store = make_store(cfg, seed=6)
     flow = make_flow([(-1, 60), (1, 1500), (1, 40)])
-    tig = flow_to_tig(flow, cfg.n)
-    out = interaction_encode(store, [tig], cfg).data[0]
+    out = interaction(store, [flow], cfg).data[0]
 
-    a_tilde = tig.adjacency + np.eye(3)
+    a_tilde = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])  # path + I
     d = np.diag(1.0 / np.sqrt(a_tilde.sum(axis=1)))
     a_norm = d @ a_tilde @ d
-    x = tig.features / np.array([LENGTH_SCALE, 1.0])
+    x = np.array([[-60.0, -1.0], [1500.0, 1.0], [40.0, 1.0]]) / np.array([LENGTH_SCALE, 1.0])
     w1 = store.get("interaction.gcn1.w").data
     w2 = store.get("interaction.gcn2.w").data
     h = np.maximum(a_norm @ np.maximum(a_norm @ x @ w1, 0.0) @ w2, 0.0)
@@ -191,11 +196,10 @@ def test_interaction_gradients():
     cfg = tiny_cfg()
     store = make_store(cfg, seed=7)
     flows = [make_flow([(-1, 100), (1, 400)]), make_flow([(1, 900), (1, 50), (-1, 200)])]
-    tigs = [flow_to_tig(f, cfg.n) for f in flows]
     names = [n for n in store.names() if n.startswith("interaction.")]
 
     def loss(s):
-        out = interaction_encode(s, tigs, cfg)
+        out = interaction(s, flows, cfg)
         return tc.tsum(out * out)
 
     assert grad_check(loss, store, h=1e-5, tol=1e-4, param_names=names).passed
@@ -281,8 +285,8 @@ def test_extract_row_permutation_equivariance():
     store = make_store(cfg, seed=18)
     views = random_views(cfg, 5, seed=19)
     perm = np.array([3, 0, 4, 1, 2])
-    permuted = ViewBatch(views.lengths[perm], views.payloads[perm],
-                         [views.tigs[i] for i in perm])
+    permuted = ViewBatch(views.lengths[perm], views.directions[perm], views.payloads[perm],
+                         views.counts[perm])
     base = extract(store, views, cfg, mode="infer")
     moved = extract(store, permuted, cfg, mode="infer")
     for attr in ("z_lstm", "z_cnn", "z_gcn", "z_seq", "z_mv"):
@@ -299,3 +303,126 @@ def test_extract_train_mode_dropout_draws_differ():
     assert not np.array_equal(a, b)
     c = extract(store, views, cfg, mode="train", rng=Rng(1)).z_seq.data
     np.testing.assert_array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# the per-flow view objects these arrays replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Tig:
+    """Traffic interaction graph: packets as nodes, features (signed length,
+    direction), layers = maximal runs of equal direction. Edges chain packets
+    within a layer, and connect the last packet of each layer to the first
+    packet of the next."""
+
+    node_count: int
+    adjacency: np.ndarray        # (nc, nc) binary symmetric, no self-loops
+    features: np.ndarray         # (nc, 2) columns: signed length, direction
+    layers: list[range]
+
+
+def flow_to_tig(flow: FlowRecord, n: int) -> Tig:
+    if not flow.packets:
+        raise ConfigError("flow_to_tig requires at least one packet")
+    packets = flow.packets[: max(n, 1)]
+    count = len(packets)
+    features = np.zeros((count, 2), dtype=np.float64)
+    for i, pkt in enumerate(packets):
+        features[i, 0] = pkt.direction * pkt.length
+        features[i, 1] = pkt.direction
+
+    layers: list[range] = []
+    start = 0
+    for i in range(1, count + 1):
+        if i == count or packets[i].direction != packets[start].direction:
+            layers.append(range(start, i))
+            start = i
+
+    adjacency = np.zeros((count, count), dtype=np.float64)
+    for layer in layers:
+        for i in range(layer.start, layer.stop - 1):
+            adjacency[i, i + 1] = adjacency[i + 1, i] = 1.0
+    for prev, nxt in zip(layers, layers[1:]):
+        i, j = prev.stop - 1, nxt.start
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    return Tig(count, adjacency, features, layers)
+
+
+def pack_tigs(tigs: list[Tig]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pad TIGs to a common node count: normalized adjacencies, scaled
+    features, and per-flow inverse node counts for masked mean pooling."""
+    if any(t.node_count < 1 for t in tigs):
+        raise ConfigError("every TIG needs at least one node")
+    t_max = max(t.node_count for t in tigs)
+    n = len(tigs)
+    a_norm = np.zeros((n, t_max, t_max))
+    feats = np.zeros((n, t_max, 2))
+    inv_counts = np.zeros((n, 1))
+    for i, tig in enumerate(tigs):
+        nc = tig.node_count
+        a_tilde = tig.adjacency + np.eye(nc)
+        d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+        a_norm[i, :nc, :nc] = d_inv_sqrt[:, None] * a_tilde * d_inv_sqrt[None, :]
+        feats[i, :nc, 0] = tig.features[:, 0] / LENGTH_SCALE
+        feats[i, :nc, 1] = tig.features[:, 1]
+        inv_counts[i, 0] = 1.0 / nc
+    return a_norm, feats, inv_counts
+
+
+def reference_interaction_encode(store, tigs, cfg):
+    a_norm, feats, inv_counts = pack_tigs(tigs)
+    a = tc.constant(a_norm)
+    x = tc.constant(feats)
+    h = tc.relu(tc.matmul(a, tc.matmul(x, store.get("interaction.gcn1.w"))))
+    h = tc.relu(tc.matmul(a, tc.matmul(h, store.get("interaction.gcn2.w"))))
+    pooled = tc.tsum(h, axis=1) * tc.constant(inv_counts)  # padding rows are zero
+    return tc.matmul(pooled, store.get("interaction.out.w")) + store.get("interaction.out.b")
+
+
+def reference_sequences(flows, n, m):
+    """Signed lengths (N, n) and payload bytes (N, n, m), filled flow by flow."""
+    lengths = np.zeros((len(flows), n), dtype=np.int64)
+    payloads = np.zeros((len(flows), n, m), dtype=np.int64)
+    for f, flow in enumerate(flows):
+        for i, pkt in enumerate(flow.packets[:n]):
+            lengths[f, i] = pkt.direction * pkt.length
+            prefix = pkt.payload_prefix[:m]
+            if prefix:
+                payloads[f, i, : len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    return lengths.astype(np.float64), payloads.astype(np.float64)
+
+
+REFERENCE_CFG = tiny_cfg()
+REFERENCE_STORE = make_store(REFERENCE_CFG, seed=22)
+# direction runs of any length, zero-length packets, one-packet flows and
+# flows longer than n = 6
+packet_draws = st.tuples(st.sampled_from([-1, 1]), st.sampled_from([0, 1, 40, 1500]) |
+                         st.integers(0, 1500), st.binary(max_size=6))
+
+
+@given(st.lists(st.lists(packet_draws, min_size=1, max_size=10), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_view_arrays_match_the_per_flow_tig_reference(packet_lists):
+    cfg, store = REFERENCE_CFG, REFERENCE_STORE
+    flows = [make_flow([(d, ln) for d, ln, _ in pkts], [p for _, _, p in pkts], fid=f"f{i}")
+             for i, pkts in enumerate(packet_lists)]
+    views = build_view_batch(flows, cfg.n, cfg.m)
+    tigs = [flow_to_tig(f, cfg.n) for f in flows]
+    a_norm, feats, inv_counts = pack_tigs(tigs)
+    np.testing.assert_array_equal(path_adjacency(views.counts), a_norm)
+    np.testing.assert_array_equal(1.0 / views.counts[:, None], inv_counts)
+    t = a_norm.shape[1]
+    np.testing.assert_array_equal(views.lengths[:, :t] / LENGTH_SCALE, feats[:, :, 0])
+    np.testing.assert_array_equal(views.directions[:, :t], feats[:, :, 1])
+
+    z_gcn = reference_interaction_encode(store, tigs, cfg)
+    np.testing.assert_array_equal(
+        interaction_encode(store, views.lengths, views.directions, views.counts, cfg).data,
+        z_gcn.data)
+    lengths, payloads = reference_sequences(flows, cfg.n, cfg.m)
+    np.testing.assert_array_equal(views.lengths, lengths)
+    np.testing.assert_array_equal(views.payloads, payloads)
+    _, z_mv = fuse(store, temporal_encode(store, lengths, cfg),
+                   payload_encode(store, payloads, cfg), z_gcn, cfg)
+    np.testing.assert_array_equal(extract(store, views, cfg).z_mv.data, z_mv.data)

@@ -1,4 +1,4 @@
-"""Parser, view derivation, synthetic generator, and JSONL format tests."""
+"""Parser, view arrays, synthetic generator, and JSONL format tests."""
 
 import json
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowid.errors import ConfigError, FlowFormatError, PcapFormatError
+from flowid.extractors import build_view_batch, path_adjacency
 from flowid.ingest import (
     FiveTuple,
     FlowRecord,
@@ -15,9 +16,6 @@ from flowid.ingest import (
     default_spec,
     flow_from_json,
     flow_to_json,
-    flow_to_length_sequence,
-    flow_to_payload_matrix,
-    flow_to_tig,
     generate_synthetic_flows,
     parse_capture,
     split_flows,
@@ -175,81 +173,107 @@ def make_flow(dirs_lengths, payloads=None):
     return FlowRecord("f", key, packets)
 
 
+def views(flow, n, m=1):
+    return build_view_batch([flow], n, m)
+
+
+def hand_path_adjacency(count):
+    """D^-1/2 (A+I) D^-1/2 of the path 0-1-...-(count-1), written out."""
+    a = np.eye(count)
+    for i in range(count - 1):
+        a[i, i + 1] = a[i + 1, i] = 1.0
+    d = 1.0 / np.sqrt(a.sum(axis=1))
+    return d[:, None] * a * d[None, :]
+
+
 def test_length_sequence_hand_example():
     flow = make_flow([(-1, 60), (1, 1500), (-1, 40)])
-    seq = flow_to_length_sequence(flow, 5)
-    np.testing.assert_array_equal(seq.values, [-60, 1500, -40, 0, 0])
+    np.testing.assert_array_equal(views(flow, 5).lengths, [[-60, 1500, -40, 0, 0]])
 
 
 def test_length_sequence_single_packet_padded():
     flow = make_flow([(1, 64)])
-    np.testing.assert_array_equal(flow_to_length_sequence(flow, 2).values, [64, 0])
+    np.testing.assert_array_equal(views(flow, 2).lengths, [[64, 0]])
 
 
 def test_length_sequence_truncates_to_n():
     flow = make_flow([(-1, 10), (1, 20), (-1, 30)])
-    np.testing.assert_array_equal(flow_to_length_sequence(flow, 2).values, [-10, 20])
+    np.testing.assert_array_equal(views(flow, 2).lengths, [[-10, 20]])
 
 
 def test_payload_matrix_hex_to_decimal():
     flow = make_flow([(-1, 60)], payloads=[b"\x41\x42"])
-    mat = flow_to_payload_matrix(flow, 1, 4)
-    np.testing.assert_array_equal(mat.values, [[65, 66, 0, 0]])
+    np.testing.assert_array_equal(views(flow, 1, 4).payloads, [[[65, 66, 0, 0]]])
 
 
 def test_payload_matrix_empty_payload_row():
     flow = make_flow([(-1, 60)], payloads=[b""])
-    np.testing.assert_array_equal(flow_to_payload_matrix(flow, 1, 4).values, [[0, 0, 0, 0]])
+    np.testing.assert_array_equal(views(flow, 1, 4).payloads, [[[0, 0, 0, 0]]])
 
 
 def test_payload_matrix_pads_missing_packets():
     flow = make_flow([(-1, 60)], payloads=[b"\xff"])
-    mat = flow_to_payload_matrix(flow, 3, 2)
-    np.testing.assert_array_equal(mat.values, [[255, 0], [0, 0], [0, 0]])
+    np.testing.assert_array_equal(views(flow, 3, 2).payloads, [[[255, 0], [0, 0], [0, 0]]])
 
 
 def test_tig_layers_and_edges():
-    flow = make_flow([(-1, 10), (-1, 20), (1, 30), (-1, 40)])
-    tig = flow_to_tig(flow, 10)
-    assert [list(r) for r in tig.layers] == [[0, 1], [2], [3]]
+    # direction runs [0, 1], [2], [3]: the graph is still the path 0-1-2-3
+    batch = views(make_flow([(-1, 10), (-1, 20), (1, 30), (-1, 40)]), 10)
+    np.testing.assert_array_equal(batch.counts, [4])
+    np.testing.assert_array_equal(batch.directions[0, :5], [-1, -1, 1, -1, 0])
     expected = np.zeros((4, 4))
     for i, j in [(0, 1), (1, 2), (2, 3)]:
         expected[i, j] = expected[j, i] = 1.0
-    np.testing.assert_array_equal(tig.adjacency, expected)
+    np.testing.assert_array_equal(path_adjacency(batch.counts)[0] > 0, expected + np.eye(4) > 0)
+    np.testing.assert_array_equal(path_adjacency(batch.counts)[0], hand_path_adjacency(4))
 
 
 def test_tig_single_packet():
-    tig = flow_to_tig(make_flow([(1, 100)]), 5)
-    assert tig.node_count == 1
-    assert tig.adjacency.shape == (1, 1) and tig.adjacency[0, 0] == 0
-    assert len(tig.layers) == 1
+    batch = views(make_flow([(1, 100)]), 5)
+    np.testing.assert_array_equal(batch.counts, [1])
+    np.testing.assert_array_equal(path_adjacency(batch.counts), [[[1.0]]])
 
 
 def test_tig_features_hand_case():
-    tig = flow_to_tig(make_flow([(-1, 60), (1, 1500)]), 4)
-    np.testing.assert_array_equal(tig.features, [[-60, -1], [1500, 1]])
-    assert tig.adjacency[0, 1] == 1.0 and tig.adjacency[1, 0] == 1.0
+    batch = views(make_flow([(-1, 60), (1, 1500)]), 4)
+    np.testing.assert_array_equal(batch.lengths, [[-60, 1500, 0, 0]])
+    np.testing.assert_array_equal(batch.directions, [[-1, 1, 0, 0]])
+    a = path_adjacency(batch.counts)[0]  # one edge: every entry is 1/sqrt(2)^2
+    np.testing.assert_allclose(a, np.full((2, 2), 0.5), rtol=1e-15)
 
 
-@given(st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(40, 1500)),
-                min_size=1, max_size=30),
+def test_view_batch_rejects_empty_input():
+    for flows, n, m in [([], 4, 2), ([make_flow([])], 4, 2),
+                        ([make_flow([(1, 60)])], 0, 2), ([make_flow([(1, 60)])], 4, 0)]:
+        with pytest.raises(ConfigError):
+            build_view_batch(flows, n, m)
+
+
+@given(st.lists(st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(0, 1500),
+                                   st.binary(max_size=10)),
+                         min_size=1, max_size=30), min_size=1, max_size=4),
        st.integers(1, 12), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
-def test_view_shapes_and_layer_partition(dirs_lengths, n, m):
-    flow = make_flow(dirs_lengths)
-    assert flow_to_length_sequence(flow, n).values.shape == (n,)
-    assert flow_to_payload_matrix(flow, n, m).values.shape == (n, m)
-    tig = flow_to_tig(flow, n)
-    assert tig.node_count <= n
-    flat = [i for layer in tig.layers for i in layer]
-    assert flat == list(range(tig.node_count))
-    dirs = tig.features[:, 1]
-    for layer in tig.layers:
-        assert len(set(dirs[list(layer)])) == 1
-    for prev, nxt in zip(tig.layers, tig.layers[1:]):
-        assert dirs[prev.start] != dirs[nxt.start]
-    assert np.array_equal(tig.adjacency, tig.adjacency.T)
-    assert np.all(np.diag(tig.adjacency) == 0)
+def test_view_shapes_and_path_adjacency(packet_lists, n, m):
+    flows = [make_flow([(d, ln) for d, ln, _ in pkts], payloads=[p for _, _, p in pkts])
+             for pkts in packet_lists]
+    batch = build_view_batch(flows, n, m)
+    assert batch.lengths.shape == batch.directions.shape == (len(flows), n)
+    assert batch.payloads.shape == (len(flows), n, m)
+    counts = [min(len(pkts), n) for pkts in packet_lists]
+    np.testing.assert_array_equal(batch.counts, counts)
+    a = path_adjacency(batch.counts)
+    assert a.shape == (len(flows), max(counts), max(counts))
+    for i, (pkts, c) in enumerate(zip(packet_lists, counts)):
+        np.testing.assert_array_equal(batch.lengths[i, :c], [d * ln for d, ln, _ in pkts[:c]])
+        np.testing.assert_array_equal(batch.directions[i, :c], [d for d, _, _ in pkts[:c]])
+        for j, (_, _, payload) in enumerate(pkts[:c]):
+            row = list(payload[:m]) + [0] * (m - len(payload[:m]))
+            np.testing.assert_array_equal(batch.payloads[i, j], row)
+        assert not batch.lengths[i, c:].any() and not batch.directions[i, c:].any()
+        assert not batch.payloads[i, c:].any()
+        np.testing.assert_array_equal(a[i, :c, :c], hand_path_adjacency(c))
+        assert not a[i, c:].any() and not a[i, :, c:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +296,7 @@ def test_synthetic_fixed_length_all_negative():
         SyntheticClassSpec(count=5),
     ]
     flows = generate_synthetic_flows(spec, seed=3)
-    for flow in flows[:5]:
-        values = flow_to_length_sequence(flow, 8).values
-        assert set(values.tolist()) <= {-100, 0}
+    assert set(build_view_batch(flows[:5], 8, 1).lengths.ravel().tolist()) <= {-100, 0}
 
 
 def test_synthetic_requires_two_classes():
@@ -337,6 +359,8 @@ def test_jsonl_field_order_and_hex():
     ([{"ts": 1.0, "dir": 1, "len": -5, "payload_hex": ""}], "len"),
     ([{"ts": 1.0, "dir": 1, "len": 1.9, "payload_hex": ""}], "len"),
     ([{"ts": 1.0, "dir": 1, "len": 60, "payload_hex": 7}], "malformed"),
+    ([{"ts": 1.0, "dir": 1, "len": 2 ** 32, "payload_hex": ""}], "len"),
+    ([{"ts": 1.0, "dir": 1, "len": 10 ** 30, "payload_hex": ""}], "len"),
 ])
 def test_jsonl_rejects_empty_flow_and_bad_direction(packets, message):
     line = json.dumps({"id": "f1", "five_tuple": {"src": "1.2.3.4", "sport": 10,
@@ -350,7 +374,7 @@ def test_jsonl_rejects_empty_flow_and_bad_direction(packets, message):
 @pytest.mark.parametrize("field, value", [
     ("label", -1), ("label", True), ("label", 1.7), ("label", "1"),
     ("id", 7), ("src", None), ("dst", 5), ("sport", "10"), ("dport", 20.0),
-    ("sport", False),
+    ("sport", False), ("label", 2 ** 63), ("label", 10 ** 30),
 ])
 def test_jsonl_rejects_wrongly_typed_record_fields(field, value):
     rec = {"id": "f1", "five_tuple": {"src": "1.2.3.4", "sport": 10, "dst": "5.6.7.8",
@@ -361,6 +385,15 @@ def test_jsonl_rejects_wrongly_typed_record_fields(field, value):
     (rec["five_tuple"] if field in rec["five_tuple"] else rec)[field] = value
     with pytest.raises(FlowFormatError, match=f"^{field} must be"):
         flow_from_json(json.dumps(rec))
+
+
+def test_jsonl_largest_length_and_label_accepted():
+    rec = {"id": "f1", "five_tuple": {"src": "1.2.3.4", "sport": 10, "dst": "5.6.7.8",
+                                      "dport": 20, "proto": "udp"},
+           "label": 2 ** 63 - 1, "packets": [{"ts": 1, "dir": 1, "len": 2 ** 32 - 1,
+                                               "payload_hex": ""}]}
+    flow = flow_from_json(json.dumps(rec))
+    assert (flow.label, flow.packets[0].length) == (2 ** 63 - 1, 2 ** 32 - 1)
 
 
 def test_parsed_pcap_round_trips_through_jsonl(tmp_path):

@@ -669,16 +669,14 @@ def test_dropout_invalid_rate():
 def test_adam_first_step_hand_value():
     store = make_store(w=np.array([0.0]))
     store.get("w").grad[...] = 1.0
-    state = tc.AdamState()
-    tc.adam_step(store, state, lr=0.002, weight_decay=0.0)
+    tc.Adam(lr=0.002, weight_decay=0.0).step(store)
     # m_hat = v_hat = 1 after bias correction, so the step is -lr/(1+eps)
     assert abs(store.get("w").data[0] + 0.002) <= 1e-9
 
 
 def test_adam_zero_grad_fixed_point():
     store = make_store(w=np.array([1.5, -2.0]))
-    state = tc.AdamState()
-    tc.adam_step(store, state, lr=0.002, weight_decay=0.0)
+    tc.Adam(lr=0.002, weight_decay=0.0).step(store)
     np.testing.assert_array_equal(store.get("w").data, [1.5, -2.0])
 
 
