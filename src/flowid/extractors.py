@@ -165,7 +165,9 @@ def path_adjacency(counts: np.ndarray) -> np.ndarray:
     a[:, i, i] = kept
     a[:, i[:-1], i[1:]] = a[:, i[1:], i[:-1]] = kept[:, 1:]
     d_inv_sqrt = 1.0 / np.sqrt(np.maximum(a.sum(axis=2), 1.0))  # padding rows are zero
-    return d_inv_sqrt[:, :, None] * a * d_inv_sqrt[:, None, :]
+    a *= d_inv_sqrt[:, :, None]  # in place: (t, t) temporaries raised detect's peak RSS
+    a *= d_inv_sqrt[:, None, :]
+    return a
 
 
 def interaction_encode(store: ParameterStore, lengths: np.ndarray, directions: np.ndarray,

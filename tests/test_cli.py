@@ -549,27 +549,32 @@ def _with_first_record(src, dst, edit):
 # fails at once, whatever the machine's overcommit policy. Beyond int64,
 # numpy refuses the shape itself ("Maximum allowed dimension exceeded"), and
 # a byte count beyond int64 is "array is too big".
-@pytest.mark.parametrize("case", ["hidden", "label", "hidden_1e22", "hidden_2e62", "n_1e22",
-                                  "eval_n_1e22", "detect_n_1e22"])
-def test_out_of_memory_exit_1(workspace, tmp_path, capsys, case):
+@pytest.mark.parametrize("command, flag, size", [
+    pytest.param("train", "--hidden", 10 ** 13, id="hidden"),
+    pytest.param("train", "label", 10 ** 14, id="label"),
+    pytest.param("train", "--hidden", 10 ** 22, id="hidden_1e22"),
+    pytest.param("train", "--hidden", 2 ** 62, id="hidden_2e62"),
+    pytest.param("train", "--n", 10 ** 22, id="n_1e22"),
+    pytest.param("eval", "--n", 10 ** 22, id="eval_n_1e22"),
+    pytest.param("detect", "--n", 10 ** 22, id="detect_n_1e22"),
+])
+def test_out_of_memory_exit_1(workspace, tmp_path, capsys, command, flag, size):
     train = workspace / "train.jsonl"
     flags = list(TINY_FLAGS)
-    out = tmp_path / "m.ckpt"
-    if case.startswith(("eval", "detect")):
-        args = [case.split("_")[0], "--flows", str(workspace / "test.jsonl"),
-                "--model", str(workspace / "model.ckpt"), "--n", str(10 ** 22)]
-        args += ["--report", str(out)] if case.startswith("eval") else \
-            ["--window", "inf", "--out", str(out)]  # one window: none skipped
+    if flag == "label":
+        train = _with_first_record(train, tmp_path / "big-label.jsonl",
+                                   lambda r: r.update(label=size))
     else:
-        if case == "label":
-            train = _with_first_record(train, tmp_path / "big-label.jsonl",
-                                       lambda r: r.update(label=10 ** 14))
-        else:
-            flag, size = {"hidden": ("--hidden", 10 ** 13), "hidden_1e22": ("--hidden", 10 ** 22),
-                          "hidden_2e62": ("--hidden", 2 ** 62), "n_1e22": ("--n", 10 ** 22)}[case]
-            flags[flags.index(flag) + 1] = str(size)
-        args = ["train", "--flows", str(train), "--val", str(workspace / "val.jsonl"),
-                "--out", str(out), "--epochs", "1", *flags]
+        flags[flags.index(flag) + 1] = str(size)
+    out = tmp_path / "m.ckpt"
+    test, model = str(workspace / "test.jsonl"), str(workspace / "model.ckpt")
+    args = {"train": ["train", "--flows", str(train), "--val", str(workspace / "val.jsonl"),
+                      "--out", str(out), "--epochs", "1", *flags],
+            "eval": ["eval", "--flows", test, "--model", model, "--report", str(out),
+                     flag, str(size)],
+            # one window, so that no skipped window is reported
+            "detect": ["detect", "--flows", test, "--model", model, "--window", "inf",
+                       "--out", str(out), flag, str(size)]}[command]
     assert main(args) == 1
     assert _one_line_error(capsys).startswith("out of memory:")
     assert not out.exists()
