@@ -106,65 +106,63 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
         raise ConfigError(f"packet cap n and byte cap m must be >= 1, got n={n}, m={m}")
     if not idle_timeout > 0:  # NaN fails; inf means flows never split on idle
         raise ConfigError(f"idle_timeout must be positive, got {idle_timeout}")
-    with open(path, "rb") as fh:
-        data = fh.read()
-
-    if len(data) < 24:
-        raise PcapFormatError("file shorter than the 24-byte pcap global header", 0)
-    magic = data[:4]
-    if magic == _MAGIC_LE:
-        end = "<"
-    elif magic == _MAGIC_BE:
-        end = ">"
-    else:
-        raise PcapFormatError(f"unknown pcap magic {magic.hex()}", 0)
-    linktype = struct.unpack_from(end + "I", data, 20)[0]
-    if linktype != _LINKTYPE_ETHERNET:
-        raise PcapFormatError(f"unsupported link type {linktype} (need Ethernet)", 20)
-
     result = ParseResult()
     open_flows: dict[tuple, _OpenFlow] = {}
     order: list[_OpenFlow] = []
-    rec_hdr = struct.Struct(end + "IIII")
-    offset = 24
-    while offset < len(data):
-        if offset + 16 > len(data):
-            result.truncated_records += 1
-            break
-        ts_sec, ts_usec, incl_len, orig_len = rec_hdr.unpack_from(data, offset)
-        frame_start = offset + 16
-        if frame_start + incl_len > len(data):
-            result.truncated_records += 1
-            break
-        offset = frame_start + incl_len
-        frame = data[frame_start : frame_start + incl_len]
-        decoded = _decode_frame(frame)
-        if decoded is None:
-            result.skipped_frames += 1
-            continue
-        ts = ts_sec + ts_usec * 1e-6
-        wire_len = incl_len if 0 < incl_len < orig_len else orig_len
+    # record by record: a capture-sized buffer made the heap grow by its size
+    # whenever a fragmented heap had no hole that large
+    with open(path, "rb") as fh:
+        header = fh.read(24)
+        if len(header) < 24:
+            raise PcapFormatError("file shorter than the 24-byte pcap global header", 0)
+        magic = header[:4]
+        if magic == _MAGIC_LE:
+            end = "<"
+        elif magic == _MAGIC_BE:
+            end = ">"
+        else:
+            raise PcapFormatError(f"unknown pcap magic {magic.hex()}", 0)
+        linktype = struct.unpack_from(end + "I", header, 20)[0]
+        if linktype != _LINKTYPE_ETHERNET:
+            raise PcapFormatError(f"unsupported link type {linktype} (need Ethernet)", 20)
 
-        key = FiveTuple(decoded.src, decoded.dst, decoded.sport, decoded.dport,
-                        decoded.proto)
-        ckey = key.canonical()
-        state = open_flows.get(ckey)
-        if state is not None and ts - state.last_ts > idle_timeout:
-            state = None  # idle gap: the old record stays finished in `order`
-        if state is None:
-            record = FlowRecord(id=f"flow-{len(order) + 1:06d}", key=key)
-            state = _OpenFlow(record, ts)
-            open_flows[ckey] = state
-            order.append(state)
-        direction = -1 if (decoded.src, decoded.sport) == (
-            state.record.key.src_addr, state.record.key.src_port) else 1
-        state.last_ts = ts
-        state.seen += 1
-        if state.seen <= n:
-            state.record.packets.append(
-                PacketView(ts, direction, int(wire_len), decoded.payload[:m])
-            )
-        result.packets_kept += 1
+        rec_hdr = struct.Struct(end + "IIII")
+        while record_header := fh.read(16):
+            if len(record_header) < 16:
+                result.truncated_records += 1
+                break
+            ts_sec, ts_usec, incl_len, orig_len = rec_hdr.unpack(record_header)
+            frame = fh.read(incl_len)
+            if len(frame) < incl_len:
+                result.truncated_records += 1
+                break
+            decoded = _decode_frame(frame)
+            if decoded is None:
+                result.skipped_frames += 1
+                continue
+            ts = ts_sec + ts_usec * 1e-6
+            wire_len = incl_len if 0 < incl_len < orig_len else orig_len
+
+            key = FiveTuple(decoded.src, decoded.dst, decoded.sport, decoded.dport,
+                            decoded.proto)
+            ckey = key.canonical()
+            state = open_flows.get(ckey)
+            if state is not None and ts - state.last_ts > idle_timeout:
+                state = None  # idle gap: the old record stays finished in `order`
+            if state is None:
+                record = FlowRecord(id=f"flow-{len(order) + 1:06d}", key=key)
+                state = _OpenFlow(record, ts)
+                open_flows[ckey] = state
+                order.append(state)
+            direction = -1 if (decoded.src, decoded.sport) == (
+                state.record.key.src_addr, state.record.key.src_port) else 1
+            state.last_ts = ts
+            state.seen += 1
+            if state.seen <= n:
+                state.record.packets.append(
+                    PacketView(ts, direction, int(wire_len), decoded.payload[:m])
+                )
+            result.packets_kept += 1
 
     for state in order:
         if state.record.packets:
