@@ -165,7 +165,7 @@ def path_adjacency(counts: np.ndarray) -> np.ndarray:
     a[:, i, i] = kept
     a[:, i[:-1], i[1:]] = a[:, i[1:], i[:-1]] = kept[:, 1:]
     d_inv_sqrt = 1.0 / np.sqrt(np.maximum(a.sum(axis=2), 1.0))  # padding rows are zero
-    a *= d_inv_sqrt[:, :, None]  # in place: (t, t) temporaries raised detect's peak RSS
+    a *= d_inv_sqrt[:, :, None]  # in place: no (N, t, t) temporaries
     a *= d_inv_sqrt[:, None, :]
     return a
 
