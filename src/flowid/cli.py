@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,95 +68,64 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+# TrainConfig fields whose flag is not --field-name
+_FLAG_NAMES = {"learning_rate": "lr"}
+
+
+def _scalar_flags() -> list:
+    """(field, flag) for each int, float and bool TrainConfig field; a bool's
+    flag switches away from its default (--no-include-self, --freeze-extractor)."""
+    return [(f, "--" + ("no-" if f.default is True else "")
+             + _FLAG_NAMES.get(f.name, f.name).replace("_", "-"))
+            for f in fields(TrainConfig) if type(f.default) in (int, float, bool)]
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    for f, flag in _scalar_flags():
+        if type(f.default) is bool:
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=type(f.default), default=f.default)
     defaults = TrainConfig()
-    p.add_argument("--epochs", type=int, default=defaults.epochs)
-    p.add_argument("--lr", type=float, default=defaults.learning_rate)
-    p.add_argument("--weight-decay", type=float, default=defaults.weight_decay)
-    p.add_argument("--omega-n", type=float, default=defaults.omega_n)
-    p.add_argument("--omega-g", type=float, default=defaults.omega_g)
-    p.add_argument("--tau-n", type=float, default=0.5)
-    p.add_argument("--tau-g", type=float, default=0.5)
+    p.add_argument("--tau-n", type=float, default=defaults.contrast.tau_n)
+    p.add_argument("--tau-g", type=float, default=defaults.contrast.tau_g)
     p.add_argument("--aug1", type=str, default=defaults.aug1.spec_string())
     p.add_argument("--aug2", type=str, default=defaults.aug2.spec_string())
-    p.add_argument("--depth", type=int, default=defaults.depth)
-    p.add_argument("--hidden", type=int, default=defaults.hidden)
-    p.add_argument("--projection-dim", type=int, default=defaults.projection_dim)
-    p.add_argument("--extractor-dim", type=int, default=defaults.extractor_dim)
-    p.add_argument("--n", type=int, default=defaults.n)
-    p.add_argument("--m", type=int, default=defaults.m)
-    p.add_argument("--k", type=int, default=defaults.k)
-    p.add_argument("--dropout", type=float, default=defaults.dropout)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--patience", type=int, default=defaults.patience)
+    p.add_argument("--cnn-channels", type=str,
+                   default=",".join(map(str, defaults.cnn_channels)))
     p.add_argument("--no-early-stop", action="store_true")
-    p.add_argument("--freeze-extractor", action="store_true")
-    p.add_argument("--cosine-eps", type=float, default=defaults.cosine_eps)
-    p.add_argument("--no-include-self", action="store_true")
-    p.add_argument("--lstm-hidden", type=int, default=defaults.lstm_hidden)
-    p.add_argument("--gcn-hidden", type=int, default=defaults.gcn_hidden)
-    p.add_argument("--fuse-hidden", type=int, default=defaults.fuse_hidden)
-    p.add_argument("--predict-hidden", type=int, default=defaults.predict_hidden)
-    p.add_argument("--cnn-channels", type=str, default="16,32")
-    p.add_argument("--conv-kernel", type=int, default=defaults.conv_kernel)
-    p.add_argument("--conv-stride", type=int, default=defaults.conv_stride)
-    p.add_argument("--conv-padding", type=int, default=defaults.conv_padding)
 
 
 def _config_from_args(args) -> TrainConfig:
-    try:
-        c1, c2 = (int(x) for x in args.cnn_channels.split(","))
-    except ValueError:
-        raise ConfigError(f"--cnn-channels expects two ints, got {args.cnn_channels!r}")
-    return TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        omega_n=args.omega_n,
-        omega_g=args.omega_g,
-        contrast=ContrastConfig(tau_n=args.tau_n, tau_g=args.tau_g),
-        aug1=parse_pipeline(args.aug1),
-        aug2=parse_pipeline(args.aug2),
-        depth=args.depth,
-        hidden=args.hidden,
-        projection_dim=args.projection_dim,
-        extractor_dim=args.extractor_dim,
-        n=args.n,
-        m=args.m,
-        k=args.k,
-        dropout=args.dropout,
-        seed=args.seed,
-        patience=None if args.no_early_stop else args.patience,
-        freeze_extractor=args.freeze_extractor,
-        cosine_eps=args.cosine_eps,
-        include_self=not args.no_include_self,
-        lstm_hidden=args.lstm_hidden,
-        gcn_hidden=args.gcn_hidden,
-        fuse_hidden=args.fuse_hidden,
-        predict_hidden=args.predict_hidden,
-        cnn_channels=(c1, c2),
-        conv_kernel=args.conv_kernel,
-        conv_stride=args.conv_stride,
-        conv_padding=args.conv_padding,
-    ).validate()
+    values = {}
+    for f, flag in _scalar_flags():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        values[f.name] = value ^ f.default if type(f.default) is bool else value
+    if args.no_early_stop:
+        values["patience"] = None
+    return TrainConfig(**values,
+                       contrast=ContrastConfig(tau_n=args.tau_n, tau_g=args.tau_g),
+                       aug1=parse_pipeline(args.aug1), aug2=parse_pipeline(args.aug2),
+                       cnn_channels=tuple(_int_list("--cnn-channels", args.cnn_channels)),
+                       ).validate()
 
 
 def _meta_path(model_path: str) -> Path:
     return Path(str(model_path) + ".meta.json")
 
 
-def _write_meta(model_path: str, cfg: TrainConfig, n_classes: int) -> None:
-    meta = {"config": cfg.echo(), "n_classes": n_classes,
-            "cnn_channels": list(cfg.cnn_channels),
-            "lstm_hidden": cfg.lstm_hidden, "gcn_hidden": cfg.gcn_hidden,
-            "fuse_hidden": cfg.fuse_hidden, "predict_hidden": cfg.predict_hidden}
-    _meta_path(model_path).write_text(json.dumps(meta, indent=2))
-
-
 # sidecar keys: required in "config", then optional at the top level
 _META_CONFIG_KEYS = ("n", "m", "k", "depth", "hidden", "projection_dim", "extractor_dim",
                      "dropout", "conv_kernel", "conv_stride", "conv_padding")
 _META_TOP_KEYS = ("cnn_channels", "lstm_hidden", "gcn_hidden", "fuse_hidden", "predict_hidden")
+# config fields that eval/detect flags may override over the sidecar
+_OVERRIDE_KEYS = ("n", "m", "k")
+
+
+def _write_meta(model_path: str, cfg: TrainConfig, n_classes: int) -> None:
+    meta = {"config": cfg.echo(), "n_classes": n_classes,
+            **{key: getattr(cfg, key) for key in _META_TOP_KEYS}}
+    _meta_path(model_path).write_text(json.dumps(meta, indent=2))
 
 
 def _meta_value(meta_file: Path, key: str, value, default):
@@ -177,15 +146,15 @@ def _meta_value(meta_file: Path, key: str, value, default):
     return value
 
 
-def _load_model(model_path: str, overrides: dict) -> tuple:
-    """(store, cfg, n_classes) from checkpoint + sidecar metadata.
+def _load_model(args) -> tuple:
+    """(store, cfg, n_classes) from --model, its sidecar and the --n/--m/--k overrides.
 
     The checkpoint must hold exactly the tensors, by name and shape, of the
     model that the sidecar describes (the config defaults without one), with
     the sidecar's n_classes or else the prediction head's width.
     """
-    loaded = load_checkpoint(model_path)
-    meta_file = _meta_path(model_path)
+    loaded = load_checkpoint(args.model)
+    meta_file = _meta_path(args.model)
     cfg = TrainConfig()
     n_classes = None
     if meta_file.exists():
@@ -202,17 +171,15 @@ def _load_model(model_path: str, overrides: dict) -> tuple:
                               for key, value in given.items()})
         if n_classes is not None:
             _meta_value(meta_file, "n_classes", n_classes, 0)
-    applied = {k: v for k, v in overrides.items() if v is not None}
-    if applied:
-        cfg = replace(cfg, **applied)
-    cfg = cfg.validate()
+    cfg = replace(cfg, **{key: getattr(args, key) for key in _OVERRIDE_KEYS
+                          if getattr(args, key) is not None}).validate()
     if n_classes is None:  # the prediction head's width; check_parameters names a bad head
         head = loaded.get("predict.w2").shape if "predict.w2" in loaded else ()
         n_classes = head[1] if len(head) == 2 else 2
     try:
         shapes = parameter_shapes(cfg, n_classes)
     except ConfigError as exc:  # fewer than two classes
-        raise CheckpointError(f"{model_path}: {exc}") from exc
+        raise CheckpointError(f"{args.model}: {exc}") from exc
     check_parameters({name: t.data for name, t in loaded.items()}, shapes)
     return loaded, cfg, n_classes
 
@@ -288,8 +255,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    overrides = {"n": args.n, "m": args.m, "k": args.k}
-    store, cfg, n_classes = _load_model(args.model, overrides)
+    store, cfg, n_classes = _load_model(args)
     flows = read_flows_jsonl(args.flows)
     _require_labels(flows)
     snapshot = prepare_snapshot(flows, store, cfg)
@@ -325,8 +291,7 @@ def assign_windows(flows, duration: float) -> dict[int, list]:
 
 
 def cmd_detect(args) -> int:
-    overrides = {"n": args.n, "m": args.m, "k": args.k}
-    store, cfg, n_classes = _load_model(args.model, overrides)
+    store, cfg, n_classes = _load_model(args)
     flows, _ = _read_input_flows(args, cfg.n, cfg.m, args.timeout)
     windows = assign_windows(flows, args.window)
 
@@ -431,8 +396,8 @@ def build_parser() -> _Parser:
     group.add_argument("--pcap")
     group.add_argument("--flows")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=40)
-    p.add_argument("--m", type=int, default=16)
+    p.add_argument("--n", type=int, default=TrainConfig.n)
+    p.add_argument("--m", type=int, default=TrainConfig.m)
     p.add_argument("--timeout", type=float, default=64.0)
     p.set_defaults(func=cmd_extract)
 
@@ -449,9 +414,8 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--pred-out")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    for key in _OVERRIDE_KEYS:
+        p.add_argument(f"--{key}", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("detect", help="windowed snapshot inference over a capture")
@@ -462,9 +426,8 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--timeout", type=float, default=64.0)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
+    for key in _OVERRIDE_KEYS:
+        p.add_argument(f"--{key}", type=int, default=None)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("sweep", help="train+eval over a parameter grid")

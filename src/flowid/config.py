@@ -78,6 +78,14 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.conv_padding < 0:
             raise ConfigError("conv_padding must be >= 0")
+        if len(self.cnn_channels) != 2 or min(self.cnn_channels) < 1:
+            raise ConfigError(f"cnn_channels must be two ints >= 1, got {self.cnn_channels}")
+        # a longer stride leaves each conv stage one output position over the
+        # same padded inputs, so it builds the same model
+        longest = self.n * self.m + 2 * self.conv_padding
+        if self.conv_stride > longest:
+            raise ConfigError(f"conv_stride must be <= n*m + 2*conv_padding = {longest}, "
+                              f"got {self.conv_stride}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 or None")
         return self

@@ -69,11 +69,12 @@ class ParameterStore:
         return hit
 
     def copy(self) -> "ParameterStore":
+        """The values only, as plain tensors like a loaded checkpoint's: a
+        copy is saved or scored, not trained, so it holds no gradient buffers
+        (at the default dimensions, 1.1 M parameters or about 8.8 MB less)."""
         out = ParameterStore()
         for name, t in self._params.items():
-            c = out.add(name, Tensor(t.data.copy()))
-            c.requires_grad = t.requires_grad
-            c.grad = None if t.grad is None else t.grad.copy()
+            out.add(name, Tensor(t.data.copy()))
         return out
 
     def value_norms(self) -> dict[str, float]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -102,9 +101,8 @@ class Snapshot:
     features: np.ndarray  # (N, d) extractor output the graph was built from
 
 
-def build_parameter_store(cfg: TrainConfig, n_classes: int,
-                          rng: Optional[Rng] = None) -> ParameterStore:
-    rng = rng or Rng(cfg.seed).child("init")
+def build_parameter_store(cfg: TrainConfig, n_classes: int) -> ParameterStore:
+    rng = Rng(cfg.seed).child("init")
     store = ParameterStore()
     init_extractor_params(store, cfg, rng)
     init_encoder_params(store, cfg, n_classes, rng)
@@ -163,11 +161,8 @@ class StepLosses:
     l_g: Tensor
 
     def stats(self) -> dict[str, float]:
-        def val(t):
-            return float(t.data) if isinstance(t, Tensor) else float(t)
-
-        return {"l_pred": val(self.l_pred), "l_n": val(self.l_n),
-                "l_g": val(self.l_g), "total": val(self.total)}
+        return {"l_pred": float(self.l_pred.data), "l_n": float(self.l_n.data),
+                "l_g": float(self.l_g.data), "total": float(self.total.data)}
 
 
 def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
@@ -249,13 +244,11 @@ class FitResult:
 
 
 def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
-        store: Optional[ParameterStore] = None) -> FitResult:
-    """Full-snapshot training with per-epoch validation; returns the
-    parameters from the best-validation-macro-F1 epoch."""
+        store: ParameterStore) -> FitResult:
+    """Train `store` in place on the full snapshot with per-epoch validation;
+    returns a copy of the parameters from the best-validation-macro-F1 epoch."""
     cfg.validate()
     n_classes = max(train_snapshot.labels.n_classes(), val_snapshot.labels.n_classes())
-    if store is None:
-        store = build_parameter_store(cfg, n_classes)
     if cfg.freeze_extractor:
         for prefix in EXTRACTOR_PREFIXES:
             store.freeze(prefix)

@@ -1,13 +1,16 @@
 """End-to-end command-line behavior: formats, exit codes, golden files."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from flowid import cli
+from flowid.augment import parse_pipeline
 from flowid.cli import main
 from flowid.config import TrainConfig
+from flowid.contrast import ContrastConfig
 from flowid.ingest import generate_synthetic_flows, two_class_spec
 from flowid.tensor_core import ParameterStore
 from flowid.trainer import (
@@ -150,6 +153,62 @@ def test_train_no_contrast_flags(workspace, tmp_path):
     assert len(history) == 2
     for entry in history:
         assert entry["total"] == pytest.approx(entry["l_pred"])
+
+
+# one non-default value for every TrainConfig field, and the flags that set it
+CONFIG_FLAG_CASES = [
+    ("epochs", ["--epochs", "7"], 7),
+    ("learning_rate", ["--lr", "0.25"], 0.25),
+    ("weight_decay", ["--weight-decay", "0.5"], 0.5),
+    ("omega_n", ["--omega-n", "0.75"], 0.75),
+    ("omega_g", ["--omega-g", "1.5"], 1.5),
+    ("contrast", ["--tau-n", "0.3", "--tau-g", "0.7"], ContrastConfig(tau_n=0.3, tau_g=0.7)),
+    ("aug1", ["--aug1", "nf:0.4"], parse_pipeline("nf:0.4")),
+    ("aug2", ["--aug2", "ed:0.3,ew:0.2"], parse_pipeline("ed:0.3,ew:0.2")),
+    ("depth", ["--depth", "3"], 3),
+    ("hidden", ["--hidden", "64"], 64),
+    ("projection_dim", ["--projection-dim", "32"], 32),
+    ("extractor_dim", ["--extractor-dim", "256"], 256),
+    ("n", ["--n", "20"], 20),
+    ("m", ["--m", "8"], 8),
+    ("k", ["--k", "5"], 5),
+    ("dropout", ["--dropout", "0.1"], 0.1),
+    ("seed", ["--seed", "9"], 9),
+    ("lstm_hidden", ["--lstm-hidden", "16"], 16),
+    ("cnn_channels", ["--cnn-channels", "3,5"], (3, 5)),
+    ("conv_kernel", ["--conv-kernel", "7"], 7),
+    ("conv_stride", ["--conv-stride", "2"], 2),
+    ("conv_padding", ["--conv-padding", "3"], 3),
+    ("gcn_hidden", ["--gcn-hidden", "12"], 12),
+    ("fuse_hidden", ["--fuse-hidden", "100"], 100),
+    ("predict_hidden", ["--predict-hidden", "48"], 48),
+    ("patience", ["--patience", "4"], 4),
+    ("patience", ["--no-early-stop"], None),
+    ("include_self", ["--no-include-self"], False),
+    ("cosine_eps", ["--cosine-eps", "1e-8"], 1e-8),
+    ("freeze_extractor", ["--freeze-extractor"], True),
+]
+PARSER_ARGS = {"train": ["train", "--flows", "t", "--val", "v", "--out", "o"],
+               "sweep": ["sweep", "--param", "k", "--values", "2", "--out", "o"]}
+
+
+def test_every_config_field_has_a_flag():
+    assert {name for name, _, _ in CONFIG_FLAG_CASES} == {f.name for f in fields(TrainConfig)}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_ARGS))
+def test_no_config_flags_give_the_default_config(command):
+    args = cli.build_parser().parse_args(PARSER_ARGS[command])
+    assert cli._config_from_args(args) == TrainConfig()
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_ARGS))
+@pytest.mark.parametrize("name, flags, value", CONFIG_FLAG_CASES,
+                         ids=[" ".join(flags) for _, flags, _ in CONFIG_FLAG_CASES])
+def test_config_flag_sets_its_field(command, name, flags, value):
+    cfg = cli._config_from_args(cli.build_parser().parse_args(PARSER_ARGS[command] + flags))
+    assert getattr(cfg, name) == value != getattr(TrainConfig(), name)
+    assert replace(cfg, **{name: getattr(TrainConfig(), name)}) == TrainConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +616,7 @@ def _with_first_record(src, dst, edit):
     pytest.param("train", "--n", 10 ** 22, id="n_1e22"),
     pytest.param("eval", "--n", 10 ** 22, id="eval_n_1e22"),
     pytest.param("detect", "--n", 10 ** 22, id="detect_n_1e22"),
+    pytest.param("train", "--conv-padding", 10 ** 22, id="conv_padding_1e22"),
 ])
 def test_out_of_memory_exit_1(workspace, tmp_path, capsys, command, flag, size):
     train = workspace / "train.jsonl"
@@ -644,6 +704,70 @@ def test_train_rejects_non_finite_values_exit_3(workspace, tmp_path, capsys, fla
                  "--epochs", "1", "--seed", "3", flag, value, *TINY_FLAGS]) == 3
     assert "config error:" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command, channels", [
+    ("train", "0,4"), ("train", "3,0"), ("train", "-1,4"), ("sweep", "3,0"), ("sweep", "-1,4"),
+    ("eval", "3,0"), ("detect", "0,4"),
+])
+def test_cnn_channels_below_one_exit_3(workspace, tmp_path, capsys, command, channels):
+    out = tmp_path / "out"
+    test, train, val = (str(workspace / f"{name}.jsonl") for name in ("test", "train", "val"))
+    if command in ("eval", "detect"):  # the sidecar's channels
+        model = tmp_path / "model.ckpt"
+        model.write_bytes((workspace / "model.ckpt").read_bytes())
+        meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
+        meta["cnn_channels"] = [int(c) for c in channels.split(",")]
+        (tmp_path / "model.ckpt.meta.json").write_text(json.dumps(meta))
+    args = {"train": ["train", "--flows", train, "--val", val, "--out", str(out),
+                      "--epochs", "1", *TINY_FLAGS, f"--cnn-channels={channels}"],
+            "sweep": ["sweep", "--param", "k", "--values", "2", "--out", str(out),
+                      "--flows", train, "--val", val, "--test", test, "--epochs", "1",
+                      *TINY_FLAGS, f"--cnn-channels={channels}"],
+            "eval": ["eval", "--flows", test, "--model", str(tmp_path / "model.ckpt"),
+                     "--report", str(out)],
+            "detect": ["detect", "--flows", test, "--model", str(tmp_path / "model.ckpt"),
+                       "--window", "60", "--out", str(out)]}[command]
+    assert main(args) == 3
+    assert _one_line_error(capsys).startswith("config error: cnn_channels must be")
+    assert not out.exists()
+
+
+# n*m + 2*conv_padding = 52 for TINY_FLAGS: a longer stride would build the same model
+@pytest.mark.parametrize("stride, code", [(52, 0), (53, 3), (10 ** 22, 3)])
+def test_conv_stride_beyond_the_padded_input_exit_3(workspace, tmp_path, capsys, stride, code):
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", str(workspace / "train.jsonl"),
+                 "--val", str(workspace / "val.jsonl"), "--out", str(out), "--epochs", "1",
+                 *TINY_FLAGS, "--conv-stride", str(stride)]) == code
+    if code:
+        assert _one_line_error(capsys).startswith("config error: conv_stride must be <=")
+    assert out.exists() == (code == 0)
+
+
+def _numeric_config_flag_cases():
+    """0 and -1 for every numeric config flag, and NaN for a float one."""
+    kinds = {"--" + f.name.replace("_", "-"): type(f.default)
+             for f in fields(TrainConfig) if type(f.default) in (int, float)}
+    kinds["--lr"] = kinds.pop("--learning-rate")
+    kinds.update({"--tau-n": float, "--tau-g": float})
+    cases = [(flag, value) for flag, kind in kinds.items()
+             for value in ("0", "-1") + (("nan",) if kind is float else ())]
+    return cases + [("--cnn-channels", channels) for channels in ("0,4", "4,0", "-1,4", "4,-1")]
+
+
+# huge sizes are test_out_of_memory_exit_1's; a huge --depth would allocate layer after layer
+@pytest.mark.parametrize("flag, value", _numeric_config_flag_cases())
+def test_numeric_config_flag_fuzz(workspace, tmp_path, capsys, flag, value):
+    out = tmp_path / "m.ckpt"
+    code = main(["train", "--flows", str(workspace / "train.jsonl"),
+                 "--val", str(workspace / "val.jsonl"), "--out", str(out),
+                 *TINY_FLAGS, "--epochs", "1", f"{flag}={value}"])
+    assert code in (0, 3)
+    if code:
+        assert _one_line_error(capsys).startswith("config error:")
+    else:
+        assert "Traceback" not in capsys.readouterr().err and out.exists()
 
 
 @pytest.mark.parametrize("case", ["detect_window", "detect_tiny_window", "detect_timeout",

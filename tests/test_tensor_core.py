@@ -886,3 +886,5 @@ def test_parameter_store_contracts():
     clone = store.copy()
     clone.get("w").data[...] = 0.0
     assert store.get("w").data[0, 0] == 1.0
+    # a copy holds the values only, like a loaded checkpoint
+    assert clone.get("w").grad is None and not clone.get("w").requires_grad
