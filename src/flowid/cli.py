@@ -462,7 +462,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep" and args.flows and not (args.val and args.test):
             raise ConfigError("sweep with --flows also needs --val and --test")
-        return args.func(args)
+        # an overflow, NaN or division by zero stops the command with one line
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except FloatingPointError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (PcapFormatError, FlowFormatError, CheckpointError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -32,6 +32,11 @@ from .tensor_core import ParameterStore, Tensor, glorot_uniform
 
 LENGTH_SCALE = 1500.0
 
+# Arithmetic dtype of the LSTM and the payload CNN, the two costly ops. Their
+# parameters, gradients and outputs stay float64 (see lstm_batch and
+# conv1d_relu_pool); float32 halves the bytes their GEMMs and buffers move.
+COMPUTE_DTYPE = np.float32
+
 
 @dataclass
 class ViewBatch:
@@ -129,7 +134,8 @@ def temporal_encode(store: ParameterStore, lengths: np.ndarray, cfg: TrainConfig
         raise ShapeError(f"lengths must be (N, {cfg.n}), got {lengths.shape}")
     inputs = (lengths / LENGTH_SCALE)[:, :, None]
     states = tc.lstm_batch(inputs, store.get("temporal.lstm.wx"),
-                           store.get("temporal.lstm.wh"), store.get("temporal.lstm.b"))
+                           store.get("temporal.lstm.wh"), store.get("temporal.lstm.b"),
+                           dtype=COMPUTE_DTYPE)
     pooled = tc.attention_pool_batch(states, store.get("temporal.attn.w"),
                                      store.get("temporal.attn.b"),
                                      store.get("temporal.attn.v"))
@@ -145,9 +151,9 @@ def payload_encode(store: ParameterStore, payloads: np.ndarray, cfg: TrainConfig
 
     # channels-last (N, positions, channels) throughout
     h = tc.conv1d_relu_pool(stream, store.get("payload.conv1.w"), store.get("payload.conv1.b"),
-                            cfg.conv_stride, cfg.conv_padding)
+                            cfg.conv_stride, cfg.conv_padding, dtype=COMPUTE_DTYPE)
     states = tc.conv1d_relu_pool(h, store.get("payload.conv2.w"), store.get("payload.conv2.b"),
-                                 cfg.conv_stride, cfg.conv_padding)
+                                 cfg.conv_stride, cfg.conv_padding, dtype=COMPUTE_DTYPE)
     pooled = tc.attention_pool_batch(states, store.get("payload.attn.w"),
                                      store.get("payload.attn.b"),
                                      store.get("payload.attn.v"))

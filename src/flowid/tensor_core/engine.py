@@ -1,4 +1,8 @@
-"""Reverse-mode automatic differentiation over dense float64 numpy arrays.
+"""Reverse-mode automatic differentiation over dense numpy arrays.
+
+Every tensor holds float64. Two costly ops, conv1d_relu_pool here and
+layers.lstm_batch, take a `dtype` for their internal arithmetic; their
+outputs and gradients are float64 whatever it is.
 
 The engine is deliberately small: a Tensor wraps an ndarray plus the closure
 needed to push gradients to its parents, and `backward` walks the graph once
@@ -43,7 +47,8 @@ def no_grad():
 
 
 class Tensor:
-    """Dense float64 array with optional gradient bookkeeping."""
+    """Dense float64 array with optional gradient bookkeeping; an op may
+    compute in float32 inside (see the module docstring)."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -460,7 +465,9 @@ _CONV_CHUNK_BYTES = 4 * 1024 * 1024
 # Consecutive output positions per GEMM row of conv1d_relu_pool. Both payload
 # stages of the paper's geometry (1->16->32 channels, k=25, L=640) at N=300 on
 # a 2-core Xeon VM, forward + backward, median of three best-of-7 runs:
-# 0.56/0.34/0.32/0.33 s at 1/4/8/16 positions per row.
+# 0.56/0.34/0.32/0.33 s at 1/4/8/16 positions per row in float64; in float32
+# (with the attention pool and output layer), median of nine best-of-7 runs
+# over chunk caps of 2, 4 and 8 MB: 0.243/0.223/0.231 s at 4/8/16.
 _CONV_BLOCK = 8
 
 
@@ -477,7 +484,8 @@ def _max_pool_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep_first, first, second), keep_first
 
 
-def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0) -> Tensor:
+def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
+                     dtype=np.float64) -> Tensor:
     """One payload-CNN stage: relu(conv1d(x, kernel) + bias), then a width-2 max pool.
 
     x: channels-last (N, L, C_in); kernel: (C_out, C_in, k); bias: (C_out,).
@@ -507,6 +515,13 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0) -> Tens
     The kernel and bias gradients are summed one chunk at a time, so their
     last bits depend on _CONV_CHUNK_BYTES and _CONV_BLOCK; the output and the
     input gradient of each flow do not depend on the chunking.
+
+    `dtype` is the arithmetic's: the padded input, the Toeplitz kernel, each
+    chunk's GEMM output and, in the backward, its gy and patch gradient. The
+    output, the kernel gradient (summed over chunks), the bias gradient and the
+    input gradient are float64, so only the products round at `dtype`. The
+    chunk sizes are counted in its bytes. The bitwise claims above are pinned
+    at dtype=float64.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.ndim != 3 or kernel.ndim != 3 or bias.shape != kernel.shape[:1]:
@@ -530,10 +545,10 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0) -> Tens
     segs = -(-span // step)             # step-sized slabs of one block's span
     # whole step-sized slabs that hold the padded input and every block's span
     slabs = max(blocks + segs - 1, -(-(length + padding) // step))
-    xp = np.zeros((n, slabs * step, c_in))
+    xp = np.zeros((n, slabs * step, c_in), dtype=dtype)
     xp[:, padding : padding + length] = x.data
 
-    toeplitz = np.zeros((span, c_in, block, c_out))
+    toeplitz = np.zeros((span, c_in, block, c_out), dtype=dtype)
     taps = kernel.data.transpose(2, 1, 0)  # (k, C_in, C_out)
     for j in range(block):
         toeplitz[j * stride : j * stride + k, :, j] = taps
@@ -542,7 +557,7 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0) -> Tens
     # chunks of flows; at least two GEMM rows each when the batch has two,
     # since numpy runs a one-row product as a matrix-vector product, whose
     # rounding differs from the same row's in a matrix product
-    flow_bytes = 8 * blocks * max(span * c_in, block * c_out)
+    flow_bytes = xp.itemsize * blocks * max(span * c_in, block * c_out)
     chunk = max(1 if blocks > 1 else 2, _CONV_CHUNK_BYTES // flow_bytes)
     bounds = list(range(0, n, chunk)) + [n]
     if blocks == 1 and len(bounds) > 2 and n - bounds[-2] == 1:
@@ -561,7 +576,7 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0) -> Tens
     keep_first = np.empty(out.shape, dtype=bool) if pool else None
     for lo, hi in chunks:
         y = (patches(lo, hi) @ toeplitz).reshape(hi - lo, blocks * block, c_out)[:, :l_out]
-        y += bias.data
+        y += bias.data.astype(dtype, copy=False)
         np.maximum(y, 0.0, out=y)
         if pool:
             out[lo:hi], keep_first[lo:hi] = _max_pool_pairs(y)
@@ -569,14 +584,14 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0) -> Tens
             out[lo:hi] = y
 
     def bw(g):
-        g_toeplitz = np.zeros_like(toeplitz)
+        g_toeplitz = np.zeros(toeplitz.shape)
         g_bias = np.zeros(c_out)
         # a constant input (the raw byte stream) needs no gradient
-        gxp = np.zeros_like(xp) if x.requires_grad else None
+        gxp = np.zeros(xp.shape) if x.requires_grad else None
         for lo, hi in chunks:
             g_out = g[lo:hi] * (out[lo:hi] > 0.0)  # ReLU passes where the kept value is > 0
             g_bias += g_out.sum(axis=(0, 1))
-            gy = np.empty((hi - lo, blocks * block, c_out))
+            gy = np.empty((hi - lo, blocks * block, c_out), dtype=dtype)
             if pool:
                 gy[:, stop:] = 0.0  # an odd length's last position, and the last block's tail
                 pairs = gy[:, :stop].reshape(hi - lo, stop // 2, 2, c_out)

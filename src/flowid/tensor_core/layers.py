@@ -12,7 +12,8 @@ from . import engine as tc
 from .engine import Tensor
 
 
-def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor,
+               dtype=np.float64) -> Tensor:
     """Run a single-layer LSTM over (N, T, d_in) inputs; returns (N, T, H) states.
 
     Gate layout along the last axis of wx/wh/b is [input, forget, cell, output];
@@ -34,8 +35,15 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     or sum each over all steps. Those sums run over steps and flows in one
     pass rather than step by step, so the gradients differ from the per-step
     graph's in the last bits. The inputs get no gradient.
+
+    `dtype` is the arithmetic's: the projection, gates, cells, tanh(c), states
+    and BPTT buffers are held in it, and the parameters are cast to it once.
+    The returned states and the parameter gradients are float64 (b's summed in
+    float64). The bitwise claim above holds at dtype=float64. A gate whose
+    pre-activation is below about -88.7 in float32 (-709 in float64)
+    overflows exp; that overflow is expected, and the gate's limit 0 is kept.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = np.asarray(inputs, dtype=dtype)
     if inputs.ndim != 3:
         raise ShapeError(f"lstm_batch expects (N, T, d_in), got {inputs.shape}")
     n, t_steps, d_in = inputs.shape
@@ -48,30 +56,33 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     gif = slice(0, 2 * hidden)
 
+    w_x, w_h, bias = (p.data.astype(dtype, copy=False) for p in (wx, wh, b))
     x_steps = inputs.transpose(1, 0, 2).reshape(t_steps * n, d_in)
-    acts = (x_steps @ wx.data).reshape(t_steps, n, 4 * hidden)  # projection, then gates
+    acts = (x_steps @ w_x).reshape(t_steps, n, 4 * hidden)  # projection, then gates
     # cells[t] is the cell state before step t; without a backward two slots do
-    cells = np.zeros((t_steps + 1 if keep else 2, n, hidden))
-    tanh_c = np.empty((t_steps if keep else 1, n, hidden))
-    out = np.empty((n, t_steps, hidden))
-    h = np.zeros((n, hidden))
+    cells = np.zeros((t_steps + 1 if keep else 2, n, hidden), dtype=dtype)
+    tanh_c = np.empty((t_steps if keep else 1, n, hidden), dtype=dtype)
+    out = np.empty((n, t_steps, hidden), dtype=dtype)
+    h = np.zeros((n, hidden), dtype=dtype)
     for t in range(t_steps):
         a = acts[t]
-        a += h @ wh.data
-        a += b.data
-        a[:, gif] = 1.0 / (1.0 + np.exp(-a[:, gif]))
-        a[:, go] = 1.0 / (1.0 + np.exp(-a[:, go]))
+        a += h @ w_h
+        a += bias
+        with np.errstate(over="ignore"):  # a saturated gate: exp overflows, the gate is 0
+            a[:, gif] = 1.0 / (1.0 + np.exp(-a[:, gif]))
+            a[:, go] = 1.0 / (1.0 + np.exp(-a[:, go]))
         a[:, gg] = np.tanh(a[:, gg])
         c = cells[(t + 1) % len(cells)]
         c[...] = a[:, gf] * cells[t % len(cells)] + a[:, gi] * a[:, gg]
         tanh_c[t % len(tanh_c)] = np.tanh(c)
         h = a[:, go] * tanh_c[t % len(tanh_c)]
         out[:, t] = h
+    out = out.astype(np.float64, copy=False)  # the node's states; bw reads these
 
     def bw(g):
         d_gates = np.empty_like(acts)
-        dh = np.zeros((n, hidden))
-        dc = np.zeros((n, hidden))
+        dh = np.zeros((n, hidden), dtype=dtype)
+        dc = np.zeros((n, hidden), dtype=dtype)
         for t in reversed(range(t_steps)):
             a, d, tc_t = acts[t], d_gates[t], tanh_c[t]
             dh += g[:, t]
@@ -85,10 +96,12 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             deriv = a * (1.0 - a)
             deriv[:, gg] = 1.0 - a[:, gg] * a[:, gg]
             d *= deriv
-            dh = d @ wh.data.T
+            dh = d @ w_h.T
         d_flat = d_gates.reshape(t_steps * n, 4 * hidden)
-        h_prev = out[:, :-1].transpose(1, 0, 2).reshape(-1, hidden)
-        return (x_steps.T @ d_flat, h_prev.T @ d_flat[n:], d_flat.sum(axis=0))
+        h_prev = out[:, :-1].transpose(1, 0, 2).astype(dtype, order="C").reshape(-1, hidden)
+        return ((x_steps.T @ d_flat).astype(np.float64, copy=False),
+                (h_prev.T @ d_flat[n:]).astype(np.float64, copy=False),
+                d_flat.sum(axis=0, dtype=np.float64))
 
     return tc._node(out, (wx, wh, b), bw)
 

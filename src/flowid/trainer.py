@@ -58,19 +58,6 @@ class LabelSet:
             raise ConfigError("label set has no labeled rows")
         return int(self.y[self.mask].max()) + 1
 
-    def subsample(self, fraction: float, rng: Rng) -> "LabelSet":
-        """Keep a stratified fraction of the labeled rows (label-scarcity runs):
-        per class, ceil(fraction * count) labels survive, so no class vanishes."""
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigError(f"label fraction must be in (0, 1], got {fraction}")
-        keep = np.zeros_like(self.mask)
-        for cls in np.unique(self.y[self.mask]):
-            rows = np.flatnonzero(self.mask & (self.y == cls))
-            take = max(1, int(np.ceil(fraction * rows.size)))
-            order = rng.child("labels", int(cls)).permutation(rows.size)
-            keep[rows[order[:take]]] = True
-        return LabelSet(self.y.copy(), keep)
-
 
 def cross_entropy_loss(pred: Tensor, labels: LabelSet) -> Tensor:
     """Mean over labeled rows of -log(p_true + 1e-12)."""

@@ -1,8 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
-from flowid import trainer
+from flowid import extractors, trainer
 
 
 @pytest.fixture
@@ -13,3 +14,10 @@ def extract_calls(monkeypatch) -> list:
     monkeypatch.setattr(trainer, "extract",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     return calls
+
+
+@pytest.fixture
+def float64_arithmetic(monkeypatch) -> None:
+    """The extractors' LSTM and payload CNN compute in float64: for finite-
+    difference checks, whose step is below float32 resolution."""
+    monkeypatch.setattr(extractors, "COMPUTE_DTYPE", np.float64)

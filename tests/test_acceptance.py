@@ -47,6 +47,7 @@ from pcap_util import build_pcap
 from test_contrast import double_loop_loss
 from test_hypergraph import brute_force_hyperedges
 from test_tensor_core import _op_cases
+from test_trainer import subsample_labels
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -76,6 +77,7 @@ def _nudged(store: ParameterStore, seed: int) -> ParameterStore:
 # 1. gradient suite
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("float64_arithmetic")
 def test_criterion_1_gradient_suite():
     start = time.perf_counter()
     failures = []
@@ -319,7 +321,7 @@ def _scarce_label_run(seed: int, omega: float) -> float:
     train_f, val_f, test_f = split_flows(flows, (0.6, 0.2, 0.2), seed=seed)
     store = build_parameter_store(cfg, 3)
     train_snap = prepare_snapshot(train_f, store, cfg)
-    train_snap.labels = train_snap.labels.subsample(0.10, Rng(seed))
+    train_snap.labels = subsample_labels(train_snap.labels, 0.10, Rng(seed))
     val_snap = prepare_snapshot(val_f, store, cfg)
     result = fit(train_snap, val_snap, cfg, store=store)
     test_snap = prepare_snapshot(test_f, result.store, cfg)

@@ -706,6 +706,33 @@ def test_train_rejects_non_finite_values_exit_3(workspace, tmp_path, capsys, fla
     assert not model.exists()
 
 
+# finite settings whose arithmetic overflows: the contrast logits at a tiny
+# temperature, a parameter update at a huge step or loss weight
+@pytest.mark.parametrize("flag, value", [("--tau-n", "1e-300"), ("--lr", "1e308"),
+                                         ("--omega-n", "1e308")])
+def test_numeric_error_exit_1(workspace, tmp_path, capsys, flag, value):
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", str(workspace / "train.jsonl"),
+                 "--val", str(workspace / "val.jsonl"), "--out", str(model),
+                 "--epochs", "2", "--seed", "3", flag, value, *TINY_FLAGS]) == 1
+    assert _one_line_error(capsys).startswith("numeric error:")
+    assert not model.exists()
+
+
+def test_saturated_lstm_gates_are_not_a_numeric_error(workspace, tmp_path, capsys):
+    # every gate pre-activation is about -100: float32 exp(100) overflows,
+    # and each sigmoid gate takes its limit 0
+    store = load_checkpoint(workspace / "model.ckpt")
+    store.get("temporal.lstm.b").data[...] = -100.0
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(store, model)
+    (tmp_path / "model.ckpt.meta.json").write_text(
+        (workspace / "model.ckpt.meta.json").read_text())
+    assert main(["eval", "--flows", str(workspace / "test.jsonl"), "--model", str(model),
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command, channels", [
     ("train", "0,4"), ("train", "3,0"), ("train", "-1,4"), ("sweep", "3,0"), ("sweep", "-1,4"),
     ("eval", "3,0"), ("detect", "0,4"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowid.tensor_core as tc
+from flowid import extractors
 from flowid.config import TrainConfig
 from flowid.errors import ConfigError, ShapeError
 from flowid.extractors import (
@@ -26,6 +27,7 @@ from flowid.ingest import FiveTuple, FlowRecord, PacketView
 from flowid.rng import Rng
 from flowid.tensor_core import ParameterStore
 from gradcheck import grad_check
+from test_tensor_core import _max_rel_error
 
 
 def tiny_cfg(**overrides) -> TrainConfig:
@@ -90,6 +92,7 @@ def test_temporal_zero_params_zero_row():
     np.testing.assert_array_equal(out.data, np.zeros((2, cfg.extractor_dim)))
 
 
+@pytest.mark.usefixtures("float64_arithmetic")
 def test_temporal_gradient_check_2x4_batch():
     cfg = tiny_cfg(n=4)
     store = make_store(cfg, seed=3)
@@ -135,6 +138,7 @@ def test_payload_default_output_dim_512():
     assert out.shape == (3, 512)
 
 
+@pytest.mark.usefixtures("float64_arithmetic")
 def test_payload_gradients():
     cfg = tiny_cfg(n=4, m=3)
     store = make_store(cfg, seed=2)
@@ -252,6 +256,7 @@ def test_fuse_alpha_clamped_outside_unit_interval():
 # full extractor
 # ---------------------------------------------------------------------------
 
+@pytest.mark.usefixtures("float64_arithmetic")
 def test_extract_full_path_gradient_check():
     cfg = tiny_cfg()
     store = make_store(cfg, seed=14)
@@ -269,6 +274,30 @@ def test_extract_full_path_gradient_check():
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
+
+
+def test_extract_float32_agrees_with_float64(monkeypatch):
+    # reference dimensions, at a generic point (random bytes, nudged
+    # parameters): no exact ties for the payload pool to break either way
+    cfg = TrainConfig().validate()
+    store = make_store(cfg, seed=22)
+    nudge = np.random.default_rng(220)
+    for name in store.names():
+        t = store.get(name)
+        t.data += nudge.uniform(-0.05, 0.05, t.data.shape)
+    views = random_views(cfg, 6, seed=23)
+    runs = {}
+    for dtype in (np.float64, np.float32):
+        monkeypatch.setattr(extractors, "COMPUTE_DTYPE", dtype)
+        store.zero_grad()
+        emb = extract(store, views, cfg, mode="infer")
+        tc.backward(tc.tsum(emb.z_mv * emb.z_mv))
+        runs[dtype] = emb, {name: store.get(name).grad.copy() for name in store.names()}
+    (emb, grads), (exact_emb, exact_grads) = runs[np.float32], runs[np.float64]
+    for attr in ("z_lstm", "z_cnn", "z_gcn", "z_seq", "z_mv"):
+        assert _max_rel_error(getattr(emb, attr).data, getattr(exact_emb, attr).data) < 1e-6, attr
+    for name, exact in exact_grads.items():
+        assert _max_rel_error(grads[name], exact) < 1e-5, name
 
 
 def test_extract_inference_deterministic():

@@ -177,12 +177,12 @@ def _channel_major_stage(x, w, b, stride, pad, g):
     return out, gx, (gflat.T @ cols).reshape(w.shape), gflat.sum(axis=0)
 
 
-def _stage_run(x, w, b, stride, pad, g):
+def _stage_run(x, w, b, stride, pad, g, dtype=np.float64):
     """conv1d_relu_pool output plus input, kernel and bias gradients for
     output gradient g."""
     xt = tc.Tensor(x, requires_grad=True)
     wt, bt = tc.Tensor(w, requires_grad=True), tc.Tensor(b, requires_grad=True)
-    out = tc.conv1d_relu_pool(xt, wt, bt, stride, pad)
+    out = tc.conv1d_relu_pool(xt, wt, bt, stride, pad, dtype=dtype)
     tc.backward(tc.tsum(out * tc.constant(g)))
     return out.data, xt.grad, wt.grad, bt.grad
 
@@ -248,6 +248,27 @@ def test_conv1d_chunking_does_not_change_results(name, flows_per_chunk, monkeypa
     np.testing.assert_allclose(gb, whole[3], rtol=1e-12, atol=1e-12)
     for got, want in zip((out, gx, gw, gb), _naive_stage(x, w, b, stride, pad, g)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _max_rel_error(approx, exact) -> float:
+    """Largest absolute error relative to the exact array's largest magnitude."""
+    return float(np.abs(approx - exact).max() / np.abs(exact).max())
+
+
+@pytest.mark.parametrize("c_in, c_out, length", [(1, 16, 640), (16, 32, 320)])
+def test_conv1d_float32_agrees_with_float64(c_in, c_out, length):
+    # both payload stages of the reference geometry (k = 25, padding 12), at
+    # a generic point: no exact ties for the pool to break either way
+    rng = np.random.default_rng(c_in)
+    x = rng.uniform(0.0, 1.0, (5, length, c_in))
+    w = rng.normal(size=(c_out, c_in, 25)) / np.sqrt(c_in * 25)
+    b = rng.normal(size=c_out) * 0.1
+    g = rng.normal(size=(5, length // 2, c_out))
+    exact = _stage_run(x, w, b, 1, 12, g)
+    single = _stage_run(x, w, b, 1, 12, g, dtype=np.float32)
+    for name, a, e in zip(("output", "input grad", "kernel grad", "bias grad"), single, exact):
+        assert a.dtype == np.float64
+        assert _max_rel_error(a, e) < (1e-6 if name == "output" else 1e-5), name
 
 
 def test_conv1d_constant_input_gets_no_gradient():
@@ -504,6 +525,16 @@ def test_lstm_gradients_match_graph_reference(d_in):
         assert rel <= 1e-12, (name, rel)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lstm_float32_agrees_with_float64(seed):
+    x, params, upstream = _lstm_case(60, d_in=1, seed=seed)
+    exact_states, exact_grads = _lstm_run(tc.lstm_batch, x, params, upstream)
+    states, grads = _lstm_run(lambda *a: tc.lstm_batch(*a, dtype=np.float32), x, params, upstream)
+    assert states.dtype == np.float64 and _max_rel_error(states, exact_states) < 1e-6
+    for grad, exact in zip(grads, exact_grads):
+        assert grad.dtype == np.float64 and _max_rel_error(grad, exact) < 1e-5
+
+
 def test_lstm_batch_split_invariance():
     x, params, _ = _lstm_case(31, d_in=1, hidden=8, t_steps=12, seed=5)
     leaves = [tc.Tensor(p) for p in params]
@@ -511,6 +542,17 @@ def test_lstm_batch_split_invariance():
     halves = np.concatenate([tc.lstm_batch(x[:15], *leaves).data,
                              tc.lstm_batch(x[15:], *leaves).data])
     np.testing.assert_allclose(whole, halves, rtol=0, atol=1e-12)
+
+
+def test_lstm_float32_saturated_gate_is_zero_under_raising_errstate():
+    # pre-activation -100: exp(100) overflows float32, the sigmoid's limit is 0
+    x = np.zeros((2, 3, 1))
+    wx, wh = tc.Tensor(np.zeros((1, 8))), tc.Tensor(np.zeros((2, 8)))
+    b = tc.Tensor(np.full(8, -100.0))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = tc.lstm_batch(x, wx, wh, b, dtype=np.float32)
+    np.testing.assert_array_equal(out.data, np.zeros((2, 3, 2)))
+    assert out.data.dtype == np.float64
 
 
 def _retained_bytes(fn):
