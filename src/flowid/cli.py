@@ -22,7 +22,6 @@ from .contrast import ContrastConfig
 from .errors import (
     CheckpointError,
     ConfigError,
-    DegenerateEmbeddingError,
     FlowFormatError,
     FlowidError,
     PcapFormatError,
@@ -471,7 +470,7 @@ def main(argv=None) -> int:
     except (PcapFormatError, FlowFormatError, CheckpointError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (ConfigError, ShapeError, DegenerateEmbeddingError) as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TrainingDivergedError as exc:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .augment import AugmentationPipeline, parse_pipeline
 from .contrast import ContrastConfig
@@ -23,10 +23,6 @@ class TrainConfig:
     omega_n: float = 1.0
     omega_g: float = 1.0
     contrast: ContrastConfig = field(default_factory=ContrastConfig)
-    # identity views by default: under the strict (eps=0) cosine contract and
-    # zero-bias initialization, any operator that can strip a node's incoming
-    # messages (EW/ED) yields exactly-zero projected rows; stochastic pipelines
-    # are opt-in and pair with --cosine-eps
     aug1: AugmentationPipeline = field(default_factory=AugmentationPipeline)
     aug2: AugmentationPipeline = field(default_factory=AugmentationPipeline)
     depth: int = 2
@@ -52,7 +48,7 @@ class TrainConfig:
     # training behavior
     patience: int | None = 30
     include_self: bool = True
-    cosine_eps: float = 0.0
+    cosine_eps: float = 1e-8
     freeze_extractor: bool = False
 
     def validate(self) -> "TrainConfig":
@@ -66,6 +62,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.learning_rate == 0:
             raise ConfigError("learning_rate must be positive")
+        if self.cosine_eps <= 0:
+            raise ConfigError(f"cosine_eps must be positive, got {self.cosine_eps}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("depth",):
@@ -119,20 +117,3 @@ class TrainConfig:
             "include_self": self.include_self,
             "seed": self.seed,
         }
-
-    def scaled_down(self, **overrides) -> "TrainConfig":
-        """Small-dimension variant for fast desk-scale runs and tests."""
-        small = replace(
-            self,
-            extractor_dim=32,
-            hidden=16,
-            projection_dim=16,
-            lstm_hidden=8,
-            cnn_channels=(4, 8),
-            conv_kernel=5,
-            conv_padding=2,
-            gcn_hidden=8,
-            fuse_hidden=32,
-            predict_hidden=16,
-        )
-        return replace(small, **overrides)

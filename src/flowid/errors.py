@@ -29,9 +29,5 @@ class CheckpointError(FlowidError):
     """Unreadable, corrupt, or inconsistent checkpoint file."""
 
 
-class DegenerateEmbeddingError(FlowidError):
-    """Cosine similarity requested on a zero-norm embedding row."""
-
-
 class TrainingDivergedError(FlowidError):
     """Non-finite loss encountered during training."""

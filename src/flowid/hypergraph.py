@@ -160,17 +160,3 @@ def build_flow_hypergraph(features: np.ndarray, k: int,
     incidence = knn_hyperedges(features, k, include_self=include_self)
     return FlowHypergraph(incidence, np.ones(incidence.shape[1], dtype=np.float64))
 
-
-def export_text(graph: FlowHypergraph, features: np.ndarray) -> str:
-    """Inspection/golden format: node section then one line per hyperedge
-    (weight followed by member indices)."""
-    n, d = features.shape
-    lines = [f"#nodes {n} {d}"]
-    for row in features:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    lines.append(f"#edges {graph.num_edges}")
-    for j in range(graph.num_edges):
-        members = np.flatnonzero(graph.incidence[:, j])
-        lines.append(" ".join([repr(float(graph.edge_weights[j]))]
-                              + [str(int(i)) for i in members]))
-    return "\n".join(lines) + "\n"

@@ -67,9 +67,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0

@@ -15,7 +15,9 @@ gives identical values, which is what the finite-difference checks rely on.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -266,72 +268,16 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"FLOWID01"
-_CRC64_POLY = 0xC96C5795D7870F42  # CRC-64/XZ, reflected
-_CRC64_ONES = 0xFFFFFFFFFFFFFFFF  # init and xorout
-_CRC64_TABLE: list[int] = []
-for _i in range(256):
-    _crc = _i
-    for _ in range(8):
-        _crc = (_crc >> 1) ^ _CRC64_POLY if _crc & 1 else _crc >> 1
-    _CRC64_TABLE.append(_crc)
-_CRC64_NP_TABLE = np.array(_CRC64_TABLE, dtype=np.uint64)
-_CRC64_LANES = 4096  # equal slices of the body stepped together in numpy
+CHECKPOINT_MAGIC = b"FLOWID02"
 
 
-def _crc64_update(crc: int, data) -> int:
-    """Feed `data` byte by byte to the raw (not inverted) register."""
-    table = _CRC64_TABLE
-    for byte in data:
-        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc
-
-
-def _crc64_zero_feed_tables(width: int) -> list[list[int]]:
-    """Byte-sliced tables of the GF(2)-linear map "feed `width` zero bytes":
-    it sends register s to the XOR over k of tables[k][(s >> 8k) & 0xFF].
-    Built from the images of the 64 basis states."""
-    basis = np.uint64(1) << np.arange(64, dtype=np.uint64)
-    for _ in range(width):
-        basis = _CRC64_NP_TABLE[basis & 0xFF] ^ (basis >> 8)
-    bit_set = (np.arange(256)[:, None] >> np.arange(8)) & 1 == 1  # (byte value, bit)
-    return [np.bitwise_xor.reduce(np.where(bit_set, basis[8 * k:8 * k + 8], 0), axis=1).tolist()
-            for k in range(8)]
-
-
-def crc64(data: bytes) -> int:
-    """CRC-64/XZ (reflected, init and xorout all-ones).
-
-    The register is affine in the bytes fed to it, so the body is cut into
-    _CRC64_LANES equal lanes stepped together in numpy, lane 0 from the
-    initial value and the others from 0. Folding the lanes in order (carry
-    the running register over one lane's width of zero bytes, XOR in the next
-    lane) gives the register after the whole body; the tail that fills no
-    lane goes through the byte loop. Under _CRC64_LANES bytes the lanes are
-    empty, the fold is the identity and the tail is the whole input.
-    """
-    width = len(data) // _CRC64_LANES
-    body = np.frombuffer(data, dtype=np.uint8, count=_CRC64_LANES * width)
-    body = body.reshape(_CRC64_LANES, width)  # a view: the input is not copied
-    lanes = np.zeros(_CRC64_LANES, dtype=np.uint64)
-    lanes[0] = _CRC64_ONES
-    index = np.empty_like(lanes)
-    for j in range(width):
-        np.bitwise_xor(lanes, body[:, j], out=index)
-        index &= 0xFF
-        lanes >>= 8
-        lanes ^= _CRC64_NP_TABLE[index]
-    t0, t1, t2, t3, t4, t5, t6, t7 = _crc64_zero_feed_tables(width)
-    crc = 0
-    for lane in lanes.tolist():
-        crc = (t0[crc & 0xFF] ^ t1[(crc >> 8) & 0xFF] ^ t2[(crc >> 16) & 0xFF]
-               ^ t3[(crc >> 24) & 0xFF] ^ t4[(crc >> 32) & 0xFF] ^ t5[(crc >> 40) & 0xFF]
-               ^ t6[(crc >> 48) & 0xFF] ^ t7[crc >> 56] ^ lane)
-    return _crc64_update(crc, data[_CRC64_LANES * width:]) ^ _CRC64_ONES
+def _seal(body) -> bytes:
+    """The 8-byte trailer: the first 64 bits of the body's SHA-256."""
+    return hashlib.sha256(body).digest()[:8]
 
 
 def save_checkpoint(store: ParameterStore, path) -> None:
-    """Write magic, manifest, float32 payloads, and a trailing CRC-64.
+    """Write magic, manifest, float32 payloads, and the SHA-256 seal.
 
     Saving canonicalizes the live store to float32 precision so that
     predictions made before saving and after reloading agree exactly;
@@ -355,21 +301,21 @@ def save_checkpoint(store: ParameterStore, path) -> None:
             + manifest_bytes + b"".join(payloads))
     with open(path, "wb") as fh:
         fh.write(body)
-        fh.write(struct.pack("<Q", crc64(body)))
+        fh.write(_seal(body))
 
 
 def load_checkpoint(path) -> ParameterStore:
     """An inference store: plain tensors, no gradients, checked against the
-    checksum and the manifest but not against any model (check_parameters
+    seal and the manifest but not against any model (check_parameters
     against parameter_shapes does that)."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())  # body and payload are slices, not copies
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8:
         raise CheckpointError("checkpoint shorter than its fixed framing")
     if blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {blob[:8]!r}")
+        raise CheckpointError(f"bad magic {bytes(blob[:8])!r}")
     body, trailer = blob[:-8], blob[-8:]
-    if crc64(body) != struct.unpack("<Q", trailer)[0]:
+    if _seal(body) != trailer:
         raise CheckpointError("checksum mismatch")
     (manifest_len,) = struct.unpack_from("<I", body, 8)
     manifest_start = 12
@@ -377,23 +323,30 @@ def load_checkpoint(path) -> ParameterStore:
     if payload_start > len(body):
         raise CheckpointError("manifest length exceeds file size")
     try:
-        manifest = json.loads(body[manifest_start:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = json.loads(str(body[manifest_start:payload_start], "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, list):
+        raise CheckpointError(f"manifest is not a list: {manifest!r}")
 
     store = ParameterStore()
     payload = body[payload_start:]
     for entry in manifest:
         try:
-            name, shape, dtype, offset = (entry["name"], tuple(entry["shape"]),
+            name, shape, dtype, offset = (entry["name"], entry["shape"],
                                           entry["dtype"], entry["offset"])
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"malformed manifest entry {entry!r}") from exc
+            # offset and dimensions are ints >= 0; JSON true/false are not
+            well_formed = (isinstance(name, str) and isinstance(shape, list)
+                           and all(type(v) is int and v >= 0 for v in [offset, *shape]))
+        except (KeyError, TypeError):
+            well_formed = False
+        if not well_formed:
+            raise CheckpointError(f"malformed manifest entry {entry!r}")
         if dtype != "f32":
             raise CheckpointError(f"tensor {name}: unsupported dtype {dtype!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         end = offset + 4 * count
-        if offset < 0 or end > len(payload):
+        if end > len(payload):
             raise CheckpointError(f"tensor {name}: payload range [{offset}, {end}) "
                                   f"outside data section of {len(payload)} bytes")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)

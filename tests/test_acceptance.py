@@ -44,7 +44,7 @@ from flowid.trainer import (
 )
 from gradcheck import grad_check
 from pcap_util import build_pcap
-from test_contrast import double_loop_loss
+from test_contrast import EPS, double_loop_loss
 from test_hypergraph import brute_force_hyperedges
 from test_tensor_core import _op_cases
 from test_trainer import subsample_labels
@@ -211,25 +211,26 @@ def test_criterion_3_encoder_oracle():
 def test_criterion_4_contrast_closed_forms():
     checks = []
     v = np.array([[0.4, -1.1, 0.3]])
-    checks.append(abs(node_node_loss(v, v, 0.7).item()) <= 1e-12)
+    checks.append(abs(float(node_node_loss(v, v, 0.7, eps=EPS).data)) <= 1e-12)
 
-    loss = node_node_loss(np.eye(2), np.eye(2), 1.0).item()
+    loss = float(node_node_loss(np.eye(2), np.eye(2), 1.0, eps=EPS).data)
     checks.append(abs(loss - math.log(1.0 + math.exp(-1.0))) <= 1e-6)
 
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
-    checks.append(abs(node_node_loss(a, b, 0.5).item()
-                      - node_node_loss(b, a, 0.5).item()) <= 1e-12)
+    checks.append(abs(float(node_node_loss(a, b, 0.5, eps=EPS).data)
+                      - float(node_node_loss(b, a, 0.5, eps=EPS).data)) <= 1e-12)
 
     scales = np.abs(rng.normal(size=6)) + 0.1
-    checks.append(abs(node_node_loss(a, b, 0.5).item()
-                      - node_node_loss(a * scales[:, None], b * 3.7, 0.5).item()) <= 1e-10)
+    scaled = node_node_loss(a * scales[:, None], b * 3.7, 0.5, eps=EPS)
+    checks.append(abs(float(node_node_loss(a, b, 0.5, eps=EPS).data)
+                      - float(scaled.data)) <= 1e-10)
 
     oracle_ok = True
     for tau in (0.5, 1.0):
-        oracle_ok &= abs(node_node_loss(a, b, tau).item()
+        oracle_ok &= abs(float(node_node_loss(a, b, tau, eps=EPS).data)
                          - double_loop_loss(a, b, tau)) <= 1e-10
-        oracle_ok &= abs(group_group_loss(a, b, tau).item()
+        oracle_ok &= abs(float(group_group_loss(a, b, tau, eps=EPS).data)
                          - double_loop_loss(a, b, tau)) <= 1e-10
     checks.append(oracle_ok)
 
@@ -311,9 +312,15 @@ def test_criterion_6_end_to_end_synthetic():
 # 7. ablation direction (non-inferiority of the dual contrast)
 # ---------------------------------------------------------------------------
 
+# small dimensions for the many-seed runs of criteria 7 and 8
+SMALL_DIMS = dict(extractor_dim=32, hidden=16, projection_dim=16, lstm_hidden=8,
+                  cnn_channels=(4, 8), conv_kernel=5, conv_padding=2, gcn_hidden=8,
+                  fuse_hidden=32, predict_hidden=16)
+
+
 def _scarce_label_run(seed: int, omega: float) -> float:
-    cfg = TrainConfig().scaled_down(
-        seed=seed, epochs=30, patience=None, k=3, n=16, m=8,
+    cfg = TrainConfig(
+        **SMALL_DIMS, seed=seed, epochs=30, patience=None, k=3, n=16, m=8,
         learning_rate=0.005, omega_n=omega, omega_g=omega,
         aug1=parse_pipeline("nf:0.4"), aug2=parse_pipeline("ed:0.4"),
         cosine_eps=1e-8).validate()
@@ -348,8 +355,8 @@ def test_criterion_7_ablation_direction():
 # ---------------------------------------------------------------------------
 
 def _k_run(seed: int, k: int) -> float:
-    cfg = TrainConfig().scaled_down(
-        seed=seed, epochs=25, patience=None, k=k, n=16, m=8,
+    cfg = TrainConfig(
+        **SMALL_DIMS, seed=seed, epochs=25, patience=None, k=k, n=16, m=8,
         learning_rate=0.005, omega_n=1.0, omega_g=1.0,
         aug1=parse_pipeline("nf:0.4"), aug2=parse_pipeline("ed:0.4"),
         cosine_eps=1e-8).validate()

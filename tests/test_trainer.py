@@ -1,6 +1,9 @@
 """Losses, training-step semantics, fit loop, and checkpoint format."""
 
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,12 +19,10 @@ from flowid.metrics import macro_f1_score
 from flowid.rng import Rng
 from flowid.tensor_core import Adam, ParameterStore
 from flowid.trainer import (
-    _CRC64_LANES,
     LabelSet,
     Snapshot,
     build_parameter_store,
     check_parameters,
-    crc64,
     cross_entropy_loss,
     evaluate_macro_f1,
     evaluate_probs,
@@ -49,8 +50,7 @@ def tiny_cfg(**overrides) -> TrainConfig:
 
 def generic_store(cfg, n_classes=2):
     """Fresh parameters nudged off the all-zero-bias point: at toy dims the
-    relu stack can otherwise collapse a whole layer for unlucky seeds, which
-    the strict zero-norm cosine contract then (correctly) rejects."""
+    relu stack can otherwise collapse a whole layer for unlucky seeds."""
     store = build_parameter_store(cfg, n_classes)
     nudge = np.random.default_rng(cfg.seed + 1000)
     for name in store.names():
@@ -72,13 +72,13 @@ def toy_snapshot(cfg, per_class=6, seed=5, store=None):
 def test_cross_entropy_perfect_prediction_near_zero():
     pred = tc.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
     labels = LabelSet(np.array([0, 1]), np.array([True, True]))
-    assert abs(cross_entropy_loss(pred, labels).item()) <= 1e-9
+    assert abs(float(cross_entropy_loss(pred, labels).data)) <= 1e-9
 
 
 def test_cross_entropy_uniform_is_log_c():
     pred = tc.constant(np.full((3, 4), 0.25))
     labels = LabelSet(np.array([0, 1, 3]), np.array([True] * 3))
-    assert abs(cross_entropy_loss(pred, labels).item() - math.log(4.0)) <= 1e-9
+    assert abs(float(cross_entropy_loss(pred, labels).data) - math.log(4.0)) <= 1e-9
 
 
 def test_cross_entropy_matches_direct_sum_oracle():
@@ -88,7 +88,7 @@ def test_cross_entropy_matches_direct_sum_oracle():
     y = rng.integers(0, 3, 6)
     mask = np.array([True, True, False, True, False, True])
     labels = LabelSet(y, mask)
-    ours = cross_entropy_loss(tc.constant(pred), labels).item()
+    ours = float(cross_entropy_loss(tc.constant(pred), labels).data)
     # direct evaluation of the one-hot double sum over labeled rows
     expected = 0.0
     for i in range(6):
@@ -344,21 +344,61 @@ def test_loaded_checkpoint_is_an_inference_store(tmp_path):
     assert all(t.grad is None and not t.requires_grad for _, t in clone.items())
 
 
-def test_checkpoint_duplicate_manifest_name_rejected(tmp_path):
-    import json as _json
-    import struct as _struct
+def seal(body: bytes) -> bytes:
+    """The checkpoint trailer, computed here and not by the code under test."""
+    return hashlib.sha256(body).digest()[:8]
 
+
+def write_sealed(path, manifest, payload: bytes) -> None:
+    """A checkpoint with this manifest (JSON bytes, or a value to encode) and
+    payload under a valid seal."""
+    text = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    body = trainer.CHECKPOINT_MAGIC + struct.pack("<I", len(text)) + text + payload
+    path.write_bytes(body + seal(body))
+
+
+def test_checkpoint_duplicate_manifest_name_rejected(tmp_path):
     store = ParameterStore()
     store.add("w", np.ones(2))
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
     blob = path.read_bytes()[:-8]
-    (length,) = _struct.unpack_from("<I", blob, 8)
-    manifest = _json.loads(blob[12:12 + length])
-    text = _json.dumps(manifest * 2, separators=(",", ":")).encode()
-    body = blob[:8] + _struct.pack("<I", len(text)) + text + blob[12 + length:]
-    path.write_bytes(body + _struct.pack("<Q", crc64(body)))
+    (length,) = struct.unpack_from("<I", blob, 8)
+    write_sealed(path, json.loads(blob[12:12 + length]) * 2, blob[12 + length:])
     with pytest.raises(CheckpointError, match="listed twice"):
+        load_checkpoint(path)
+
+
+ENTRY = {"name": "w", "shape": [2], "dtype": "f32", "offset": 0}
+
+
+MALFORMED_MANIFESTS = {
+    "shape-float": [{**ENTRY, "shape": [1.5]}],
+    "shape-bool": [{**ENTRY, "shape": [True]}],
+    "shape-str": [{**ENTRY, "shape": ["a"]}],
+    "shape-nested": [{**ENTRY, "shape": [[2]]}],
+    "shape-count-wraps-int64": [{**ENTRY, "shape": [2**40, 2**40]}],
+    "shape-beyond-int64": [{**ENTRY, "shape": [2**70]}],
+    "shape-negative": [{**ENTRY, "shape": [-1]}],  # would read the rest of the payload
+    "offset-float": [{**ENTRY, "offset": 1.5}],
+    "offset-str": [{**ENTRY, "offset": "0"}],
+    "name-list": [{**ENTRY, "name": ["x"]}],
+    "name-int": [{**ENTRY, "name": 3}],
+    "name-null": [{**ENTRY, "name": None}],
+    "manifest-int": 5,
+    "manifest-null": None,
+    "manifest-nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+def test_checkpoint_malformed_manifest_rejected(tmp_path, manifest):
+    path = tmp_path / "model.ckpt"
+    payload = np.ones(2, dtype="<f4").tobytes()
+    write_sealed(path, [ENTRY], payload)
+    np.testing.assert_array_equal(load_checkpoint(path).get("w").data, [1.0, 1.0])
+    write_sealed(path, manifest, payload)
+    with pytest.raises(CheckpointError, match="manifest|payload range"):
         load_checkpoint(path)
 
 
@@ -402,13 +442,10 @@ def test_checkpoint_truncated_payload_names_tensor(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
     blob = path.read_bytes()
-    # drop the last payload bytes, then re-seal with a fresh valid CRC so the
-    # structural check (not the checksum) has to catch it
-    body = blob[:-8]
-    cut = body[: len(body) - 40]
-    import struct as _struct
-
-    path.write_bytes(cut + _struct.pack("<Q", crc64(cut)))
+    # drop the last payload bytes, then re-seal so the structural check (not
+    # the checksum) has to catch it
+    cut = blob[:-8 - 40]
+    path.write_bytes(cut + seal(cut))
     with pytest.raises(CheckpointError, match="payload range|missing"):
         load_checkpoint(path)
 
@@ -431,42 +468,7 @@ def test_parameter_shapes_match_built_store(n_classes):
     assert parameter_shapes(cfg, n_classes) == {name: t.shape for name, t in store.items()}
 
 
-def test_crc64_known_vector():
-    # CRC-64/XZ check value for the standard 9-byte test input
-    assert crc64(b"123456789") == 0x995DC9BBDF1939FA
-
-
-def _crc64_table():
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ 0xC96C5795D7870F42 if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
-
-
-def crc64_reference(data: bytes, _table=_crc64_table()) -> int:
-    """Byte-at-a-time CRC-64/XZ, independent of the lane code under test."""
-    crc = 0xFFFFFFFFFFFFFFFF
-    for byte in data:
-        crc = _table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFFFFFFFFFF
-
-
-@pytest.mark.parametrize("length", [
-    0, 1,
-    _CRC64_LANES - 1,                     # empty lanes: all of it is tail
-    _CRC64_LANES,                         # one byte per lane, no tail
-    _CRC64_LANES * 11 + _CRC64_LANES - 1,  # a multiple plus the longest tail
-    1 << 20,                              # about 1 MB
-])
-def test_crc64_matches_byte_reference(length):
-    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
-    assert crc64(data) == crc64_reference(data)
-
-
-def test_train_writes_checkpoint_sealed_with_reference_crc(tmp_path, capsys):
+def test_train_writes_checkpoint_sealed_with_sha256(tmp_path, capsys):
     flows = generate_synthetic_flows(two_class_spec(8), seed=4)
     write_flows_jsonl(flows[::2], tmp_path / "train.jsonl")
     write_flows_jsonl(flows[1::2], tmp_path / "val.jsonl")
@@ -481,19 +483,17 @@ def test_train_writes_checkpoint_sealed_with_reference_crc(tmp_path, capsys):
         "--fuse-hidden", "8", "--predict-hidden", "4"]) == 0
     capsys.readouterr()
     blob = model.read_bytes()
-    assert len(blob) > 2 * _CRC64_LANES  # sealed through non-empty lanes
-    body = blob[:-8]
-    assert blob == body + crc64_reference(body).to_bytes(8, "little")
+    assert blob[:8] == b"FLOWID02"
+    assert blob[-8:] == seal(blob[:-8])
 
 
 def test_checkpoint_bit_flip_anywhere_is_a_checksum_mismatch(tmp_path):
-    # default dimensions: a checkpoint of several MB, hundreds of bytes per lane
+    # default dimensions: a checkpoint of several MB
     store = build_parameter_store(TrainConfig(), 2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
     blob = path.read_bytes()
-    assert len(blob) > 512 * _CRC64_LANES
-    assert blob[-8:] == crc64_reference(blob[:-8]).to_bytes(8, "little")
+    assert blob[-8:] == seal(blob[:-8])
     # first byte after the magic, the middle, the last body byte, the trailer
     for offset in (8, len(blob) // 2, len(blob) - 9, len(blob) - 1):
         bad = bytearray(blob)
