@@ -164,7 +164,7 @@ def _load_model(args) -> tuple:
             given["include_self"] = c.get("include_self", True)
             given.update((key, meta[key]) for key in _META_TOP_KEYS if key in meta)
             n_classes = meta.get("n_classes")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
         cfg = replace(cfg, **{key: _meta_value(meta_file, key, value, getattr(cfg, key))
                               for key, value in given.items()})

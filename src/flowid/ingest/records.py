@@ -118,7 +118,7 @@ def _field(obj: dict, key: str):
 def flow_from_json(line: str) -> FlowRecord:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too long an integer
         raise FlowFormatError(f"invalid JSON: {exc}") from exc
     try:
         ft = obj["five_tuple"]

@@ -481,6 +481,18 @@ def _max_pool_pairs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(keep_first, first, second), keep_first
 
 
+def _constant_run(a: np.ndarray) -> int:
+    """Start of the trailing positions of (N, L, C) `a` that equal a[0, -1] in
+    every flow (== per channel, so a NaN never matches); L if there are none."""
+    n, length, c = a.shape
+    if not a.size:
+        return length
+    rows = a.reshape(n, length * c)
+    same = np.logical_and.reduce(rows == np.tile(rows[0, -c:], length), axis=0)
+    differs = np.flatnonzero(~same)
+    return int(differs[-1]) // c + 1 if differs.size else 0
+
+
 def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
                      dtype=np.float64) -> Tensor:
     """One payload-CNN stage: relu(conv1d(x, kernel) + bias), then a width-2 max pool.
@@ -508,6 +520,20 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
     gradients and the patch gradient with two GEMMs, and overlap-adds the
     patch gradient into the input gradient one block-aligned slab at a time.
     A constant input (the raw byte stream) gets no input gradient.
+
+    The forward computes a trailing run of identical blocks once. It finds the
+    input's trailing positions that hold one value per channel in every flow
+    (the byte stream's zero padding in stage 1, relu(b1) after the pool in
+    stage 2, compared with == so a NaN never matches). Every block whose span
+    lies among them, short of the right zero padding, reads the same patch.
+    The GEMM computes the first of these blocks with the blocks before and
+    after the run; bias, ReLU and the pool run on the computed blocks alone,
+    and that block's pooled rows and "first of pair kept" rows are copied into
+    the rest of the run. A chunk whose GEMM this would leave shorter than one
+    flow's blocks computes every block. A GEMM row's rounding does not
+    depend on the other rows once the GEMM is that tall, and _CONV_BLOCK is
+    even so no pool pair crosses a block, so the copies are bitwise what
+    computing them would give. The backward rebuilds every block's patches.
 
     The kernel and bias gradients are summed one chunk at a time, so their
     last bits depend on _CONV_CHUNK_BYTES and _CONV_BLOCK; the output and the
@@ -561,24 +587,47 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
         del bounds[-2]
     chunks = list(zip(bounds[:-1], bounds[1:]))
 
-    def patches(lo, hi):
-        """(flows*blocks, span*C_in) patch matrix of flows lo:hi (a copy)."""
+    # the forward computes blocks [0, head) and [end, blocks) and copies block
+    # head-1 into [head, end): run blocks, whose spans hold only the input's
+    # constant tail, and which lie wholly inside the output
+    whole = l_out // block
+    run = padding + _constant_run(xp[:, padding : padding + length])
+    run_head = -(-run // step) + 1
+    run_end = min(whole, (padding + length - span) // step + 1)
+
+    def patches(lo, hi, head=blocks, end=blocks):
+        """(flows*blocks, span*C_in) patch matrix of flows lo:hi (a copy),
+        of blocks [0, head) and [end, blocks) only if those are given."""
         s0, s1, s2 = xp.strides
         windows = np.lib.stride_tricks.as_strided(
             xp[lo:hi], shape=(hi - lo, blocks, span, c_in),
             strides=(s0, s1 * step, s1, s2), writeable=False)
-        return windows.reshape((hi - lo) * blocks, span * c_in)
+        if head < end:
+            windows = np.concatenate((windows[:, :head], windows[:, end:]), axis=1)
+        return windows.reshape(-1, span * c_in)
 
+    half = block // 2
     out = np.empty((n, l_out // 2 if pool else l_out, c_out))
     keep_first = np.empty(out.shape, dtype=bool) if pool else None
     for lo, hi in chunks:
-        y = (patches(lo, hi) @ toeplitz).reshape(hi - lo, blocks * block, c_out)[:, :l_out]
+        # BLAS may round a shorter GEMM differently, so none is shorter than a
+        # one-flow chunk's, the shortest the chunking makes
+        head, end = run_head, run_end
+        if head >= end or (hi - lo) * (head + blocks - end) < blocks:
+            head = end = whole
+        computed = head + blocks - end
+        y = (patches(lo, hi, head, end) @ toeplitz).reshape(hi - lo, computed * block, c_out)
         y += bias.data.astype(dtype, copy=False)
         np.maximum(y, 0.0, out=y)
-        if pool:
-            out[lo:hi], keep_first[lo:hi] = _max_pool_pairs(y)
-        else:
-            out[lo:hi] = y
+        if not pool:
+            out[lo:hi] = y[:, :l_out]
+            continue
+        for dst, src in zip((out[lo:hi], keep_first[lo:hi]), _max_pool_pairs(y)):
+            dst[:, : head * half] = src[:, : head * half]
+            if head < end:
+                runs = dst[:, head * half : end * half].reshape(hi - lo, end - head, half, c_out)
+                runs[:] = src[:, None, (head - 1) * half : head * half]
+            dst[:, end * half :] = src[:, head * half : head * half + dst.shape[1] - end * half]
 
     def bw(g):
         g_toeplitz = np.zeros(toeplitz.shape)

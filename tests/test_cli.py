@@ -678,6 +678,45 @@ def test_oversized_jsonl_integer_exit_2(workspace, tmp_path, capsys, command, fi
     assert not out.exists()
 
 
+# JSON that the parser itself refuses with other errors than a syntax error
+UNPARSABLE_JSON = {"deep": "[" * 100000 + "]" * 100000,  # RecursionError
+                   "long_integer": "1" * 5000}  # beyond Python's int digit limit
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "detect"])
+@pytest.mark.parametrize("text", sorted(UNPARSABLE_JSON))
+def test_unparsable_jsonl_line_exit_2(workspace, tmp_path, capsys, command, text):
+    source = workspace / ("train.jsonl" if command == "train" else "test.jsonl")
+    lines = source.read_text().splitlines()
+    lines[0] = UNPARSABLE_JSON[text]
+    flows = tmp_path / "bad.jsonl"
+    flows.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    model = str(workspace / "model.ckpt")
+    args = {"train": ["train", "--flows", str(flows), "--val", str(workspace / "val.jsonl"),
+                      "--out", str(out), "--epochs", "1", *TINY_FLAGS],
+            "eval": ["eval", "--flows", str(flows), "--model", model, "--report", str(out)],
+            "detect": ["detect", "--flows", str(flows), "--model", model, "--window", "60",
+                       "--out", str(out)]}[command]
+    assert main(args) == 2
+    assert "bad.jsonl:1: invalid JSON:" in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+@pytest.mark.parametrize("text", sorted(UNPARSABLE_JSON))
+def test_unparsable_sidecar_exit_2(workspace, tmp_path, capsys, command, text):
+    model = tmp_path / "model.ckpt"
+    model.write_bytes((workspace / "model.ckpt").read_bytes())
+    (tmp_path / "model.ckpt.meta.json").write_text(UNPARSABLE_JSON[text])
+    out = tmp_path / "out"
+    args = {"eval": ["--report", str(out)], "detect": ["--window", "60", "--out", str(out)]}
+    assert main([command, "--flows", str(workspace / "test.jsonl"),
+                 "--model", str(model), *args[command]]) == 2
+    assert "malformed metadata" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_window_assignment_partition():
     from flowid.cli import assign_windows
     from flowid.errors import ConfigError

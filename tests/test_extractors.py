@@ -323,6 +323,38 @@ def test_extract_row_permutation_equivariance():
                                    getattr(base, attr).data[perm], atol=1e-12)
 
 
+def test_extract_rows_do_not_depend_on_batch_companions():
+    # reference dimensions at the default COMPUTE_DTYPE: the packet counts of
+    # the flows batched with a flow move the payload stream's constant tail
+    # (and the path graphs' padding), never the bits of the flow's embeddings
+    cfg = TrainConfig().validate()
+    store = make_store(cfg, seed=24)
+    nudge = np.random.default_rng(240)
+    for name in store.names():  # non-zero biases: relu(b1) is stage 2's tail
+        t = store.get(name)
+        t.data += nudge.uniform(-0.05, 0.05, t.data.shape)
+    rng = np.random.default_rng(25)
+
+    def flow(count, fid):
+        return make_flow([(int(rng.choice([-1, 1])), int(rng.integers(40, 1500)))
+                          for _ in range(count)],
+                         [bytes(rng.integers(1, 256, cfg.m).astype("uint8"))
+                          for _ in range(count)], fid=fid)
+
+    target = flow(6, "target")
+    rows = []
+    for place, counts in enumerate([(2, 3, 5, 7, 4, 3, 2), (1, 12, 9, 18, 6, 5, 3),
+                                    (40, 2, 2, 2, 2, 2, 2), (6, 6, 6, 6, 6, 6, 6)]):
+        flows = [flow(c, f"f{i}") for i, c in enumerate(counts)]
+        flows.insert(place, target)
+        emb = extract(store, build_view_batch(flows, cfg.n, cfg.m), cfg, mode="infer")
+        rows.append([getattr(emb, attr).data[place]
+                     for attr in ("z_lstm", "z_cnn", "z_gcn", "z_seq", "z_mv")])
+    for other in rows[1:]:
+        for got, want in zip(other, rows[0]):
+            np.testing.assert_array_equal(got, want)
+
+
 def test_extract_train_mode_dropout_draws_differ():
     cfg = tiny_cfg(dropout=0.5)
     store = make_store(cfg, seed=20)

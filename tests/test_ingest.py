@@ -396,6 +396,51 @@ def test_jsonl_largest_length_and_label_accepted():
     assert (flow.label, flow.packets[0].length) == (2 ** 63 - 1, 2 ** 32 - 1)
 
 
+# any JSON value: JSON's scalars, nested in arrays and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=16)
+VALID_RECORD = {"id": "f1", "five_tuple": {"src": "1.2.3.4", "sport": 10, "dst": "5.6.7.8",
+                                           "dport": 20, "proto": "udp"},
+                "label": 1, "packets": [{"ts": 1, "dir": 1, "len": 0, "payload_hex": "0a"}]}
+# the places in a valid record where a fuzzed value goes; () is the whole record
+RECORD_PATHS = ([(), ("packets", 0)] + [(key,) for key in VALID_RECORD]
+                + [("five_tuple", key) for key in VALID_RECORD["five_tuple"]]
+                + [("packets", 0, key) for key in VALID_RECORD["packets"][0]])
+
+
+def _record_with(path, value):
+    if not path:
+        return value
+    record = json.loads(json.dumps(VALID_RECORD))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return record
+
+
+def _nested(opener, depth):
+    if opener == "[":
+        return "[" * depth + "]" * depth
+    return '{"a":' * depth + "0" + "}" * depth
+
+
+@given(st.one_of(st.builds(_record_with, st.sampled_from(RECORD_PATHS), JSON_VALUES)
+                 .map(json.dumps),
+                 st.builds(_nested, st.sampled_from("[{"), st.integers(1, 200_000)),
+                 st.text(max_size=40)))
+@settings(max_examples=200, deadline=None)
+def test_flow_from_json_gives_a_record_or_a_format_error(line):
+    try:
+        flow = flow_from_json(line)
+    except FlowFormatError:
+        return
+    assert isinstance(flow, FlowRecord)
+
+
 def test_parsed_pcap_round_trips_through_jsonl(tmp_path):
     raw = build_pcap([
         (1.0, "10.0.0.1", 1234, "10.0.0.2", 80, "tcp", b"\x01\x02\x03"),

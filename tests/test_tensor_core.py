@@ -225,6 +225,15 @@ def test_conv1d_single_chunk_matches_channel_major_and_naive(name, monkeypatch):
             np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
 
 
+def _flow_bytes(length, w_shape, stride, pad):
+    """One float64 flow's share of the chunk budget, as conv1d_relu_pool computes it."""
+    block = tc.engine._CONV_BLOCK
+    c_out, c_in, k = w_shape
+    blocks = -(-((length + 2 * pad - k) // stride + 1) // block)
+    span = (block - 1) * stride + k
+    return 8 * blocks * max(span * c_in, block * c_out)
+
+
 @pytest.mark.parametrize("flows_per_chunk", [1, 2])
 @pytest.mark.parametrize("name", sorted(CONV_CASES))
 def test_conv1d_chunking_does_not_change_results(name, flows_per_chunk, monkeypatch):
@@ -232,13 +241,8 @@ def test_conv1d_chunking_does_not_change_results(name, flows_per_chunk, monkeypa
     x, w, b, stride, pad, g = _conv_case(name)
     monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", 1 << 40)
     whole = _stage_run(x, w, b, stride, pad, g)
-    # one flow's share of the chunk budget, as conv1d_relu_pool computes it
-    block = tc.engine._CONV_BLOCK
-    c_out, c_in, k = w.shape
-    blocks = -(-((x.shape[1] + 2 * pad - k) // stride + 1) // block)
-    span = (block - 1) * stride + k
-    flow_bytes = 8 * blocks * max(span * c_in, block * c_out)
-    monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES", flows_per_chunk * flow_bytes)
+    monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES",
+                        flows_per_chunk * _flow_bytes(x.shape[1], w.shape, stride, pad))
     out, gx, gw, gb = _stage_run(x, w, b, stride, pad, g)
     np.testing.assert_array_equal(out, whole[0])
     np.testing.assert_array_equal(gx, whole[1])
@@ -248,6 +252,83 @@ def test_conv1d_chunking_does_not_change_results(name, flows_per_chunk, monkeypa
     np.testing.assert_allclose(gb, whole[3], rtol=1e-12, atol=1e-12)
     for got, want in zip((out, gx, gw, gb), _naive_stage(x, w, b, stride, pad, g)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# (N, L, C_in), (C_out, C_in, k), stride, padding, and the input's trailing
+# run: its length and its value on each channel
+TAIL_CASES = {
+    "zero_tail": ((4, 64, 1), (3, 1, 5), 1, 2, 40, [0.0]),
+    "constant_tail": ((4, 64, 3), (4, 3, 5), 1, 2, 41, [0.6, -0.3, 1.2]),
+    "run_ends_mid_block": ((4, 50, 2), (3, 2, 3), 1, 1, 29, [0.5, 0.5]),
+    "run_under_one_block": ((4, 40, 2), (3, 2, 3), 1, 1, 6, [0.5, -1.0]),
+    "all_constant": ((4, 48, 2), (3, 2, 5), 1, 2, 48, [0.25, 0.0]),
+    "all_constant_one_flow": ((1, 48, 2), (3, 2, 5), 1, 2, 48, [0.25, 0.7]),
+    "stride2": ((4, 90, 2), (3, 2, 4), 2, 1, 50, [0.0, 0.0]),
+    "stride3_no_padding": ((4, 200, 2), (3, 2, 4), 3, 0, 150, [0.4, 0.1]),
+    "no_padding": ((4, 64, 1), (2, 1, 5), 1, 0, 40, [0.3]),
+    "unpooled": ((4, 5, 2), (4, 2, 5), 1, 0, 3, [0.5, 0.2]),
+}
+
+
+@pytest.fixture
+def constant_runs(monkeypatch) -> list:
+    """engine._constant_run patched to record each run start it returns."""
+    runs = []
+    scan = tc.engine._constant_run
+    monkeypatch.setattr(tc.engine, "_constant_run", lambda a: runs.append(scan(a)) or runs[-1])
+    return runs
+
+
+@pytest.mark.parametrize("several_chunks", [False, True])
+@pytest.mark.parametrize("name", sorted(TAIL_CASES))
+def test_conv1d_constant_tail_is_bitwise_the_full_computation(name, several_chunks,
+                                                              constant_runs, monkeypatch):
+    (n, length, c_in), w_shape, stride, pad, tail, value = TAIL_CASES[name]
+    rng = np.random.default_rng(sorted(TAIL_CASES).index(name))
+    x = rng.normal(size=(n, length, c_in))
+    x[:, length - tail :] = value
+    w, b = rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+    l_out = (length + 2 * pad - w_shape[-1]) // stride + 1
+    g = rng.normal(size=(n, l_out // 2 if l_out >= 2 else l_out, w_shape[0]))
+    if several_chunks:  # two flows per chunk
+        monkeypatch.setattr(tc.engine, "_CONV_CHUNK_BYTES",
+                            2 * _flow_bytes(length, w_shape, stride, pad))
+    got = _stage_run(x, w, b, stride, pad, g)
+    # one more flow whose tail is random leaves no constant run: the full
+    # computation, which must give the first n flows the same bits
+    x_full = np.concatenate([x, rng.normal(size=(1, length, c_in))])
+    full = _stage_run(x_full, w, b, stride, pad, np.concatenate([g, np.zeros_like(g[:1])]))
+    assert constant_runs == [length - tail, length]
+    np.testing.assert_array_equal(got[0], full[0][:n])
+    # The extra flow's zero output gradient adds exact zeros, but BLAS may
+    # round a taller GEMM differently, so the input gradient is bitwise where
+    # the extra flow gets a chunk of its own: after an even n in chunks of two
+    # flows of more than one block (one-block flows chunk in twos and threes).
+    if several_chunks and n % 2 == 0 and l_out > tc.engine._CONV_BLOCK:
+        np.testing.assert_array_equal(got[1], full[1][:n])
+    for have, want in zip(got[1:], (full[1][:n], full[2], full[3])):
+        np.testing.assert_allclose(have, want, rtol=1e-12, atol=1e-12)
+    for have, want in zip(got, _naive_stage(x, w, b, stride, pad, g)):
+        np.testing.assert_allclose(have, want, rtol=0, atol=1e-12)
+
+
+def test_conv1d_constant_tail_leaves_no_gemm_shorter_than_one_flow():
+    # The paper's stage 2 on one flow: copying its run would leave a 7-row
+    # GEMM, which BLAS may round differently from the full computation's.
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(1, 320, 16))
+    x[:, 20:] = rng.normal(size=16)
+    w, b = rng.normal(size=(32, 16, 25)), rng.normal(size=32)
+    full = _stage(np.concatenate([x, rng.normal(size=x.shape)]), w, b, 1, 12)
+    np.testing.assert_array_equal(_stage(x, w, b, 1, 12), full[:1])
+
+
+def test_conv1d_nan_tail_is_no_constant_run(constant_runs):
+    x = np.ones((2, 40, 1))
+    x[:, 20:] = np.nan
+    out = _stage(x, np.ones((2, 1, 3)), np.zeros(2), 1, 1)
+    assert constant_runs == [40]
+    assert np.isnan(out[:, -1]).all() and not np.isnan(out[:, :4]).any()
 
 
 def _max_rel_error(approx, exact) -> float:
