@@ -84,7 +84,7 @@ class AugmentationPipeline:
     def spec_string(self) -> str:
         if not self.steps:
             return "iden"
-        return ",".join(f"{s.op}:{s.p:g}" for s in self.steps)
+        return ",".join(f"{s.op}:{s.p!r}" for s in self.steps)
 
 
 def parse_pipeline(spec: str) -> AugmentationPipeline:

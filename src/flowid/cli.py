@@ -18,7 +18,6 @@ import numpy as np
 
 from .augment import parse_pipeline
 from .config import TrainConfig
-from .contrast import ContrastConfig
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -86,8 +85,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         else:
             p.add_argument(flag, type=type(f.default), default=f.default)
     defaults = TrainConfig()
-    p.add_argument("--tau-n", type=float, default=defaults.contrast.tau_n)
-    p.add_argument("--tau-g", type=float, default=defaults.contrast.tau_g)
     p.add_argument("--aug1", type=str, default=defaults.aug1.spec_string())
     p.add_argument("--aug2", type=str, default=defaults.aug2.spec_string())
     p.add_argument("--cnn-channels", type=str,
@@ -102,9 +99,7 @@ def _config_from_args(args) -> TrainConfig:
         values[f.name] = value ^ f.default if type(f.default) is bool else value
     if args.no_early_stop:
         values["patience"] = None
-    return TrainConfig(**values,
-                       contrast=ContrastConfig(tau_n=args.tau_n, tau_g=args.tau_g),
-                       aug1=parse_pipeline(args.aug1), aug2=parse_pipeline(args.aug2),
+    return TrainConfig(**values, aug1=parse_pipeline(args.aug1), aug2=parse_pipeline(args.aug2),
                        cnn_channels=tuple(_int_list("--cnn-channels", args.cnn_channels)),
                        ).validate()
 
@@ -113,68 +108,33 @@ def _meta_path(model_path: str) -> Path:
     return Path(str(model_path) + ".meta.json")
 
 
-# sidecar keys: required in "config", then optional at the top level
-_META_CONFIG_KEYS = ("n", "m", "k", "depth", "hidden", "projection_dim", "extractor_dim",
-                     "dropout", "conv_kernel", "conv_stride", "conv_padding")
-_META_TOP_KEYS = ("cnn_channels", "lstm_hidden", "gcn_hidden", "fuse_hidden", "predict_hidden")
 # config fields that eval/detect flags may override over the sidecar
 _OVERRIDE_KEYS = ("n", "m", "k")
 
 
-def _write_meta(model_path: str, cfg: TrainConfig, n_classes: int) -> None:
-    meta = {"config": cfg.echo(), "n_classes": n_classes,
-            **{key: getattr(cfg, key) for key in _META_TOP_KEYS}}
-    _meta_path(model_path).write_text(json.dumps(meta, indent=2))
-
-
-def _meta_value(meta_file: Path, key: str, value, default):
-    """`value` if it has the type of the config default `default` (a float
-    field also takes an int, a tuple field a JSON list of as many ints),
-    else CheckpointError."""
-    if isinstance(default, tuple):
-        ok = (isinstance(value, list) and len(value) == len(default)
-              and all(type(v) is int for v in value))
-        value = tuple(value) if ok else value
-    elif isinstance(default, float):
-        ok = type(value) in (int, float)
-    else:
-        ok = type(value) is type(default)
-    if not ok:
-        raise CheckpointError(f"{meta_file}: {key}={value!r} does not have the type "
-                              f"of {default!r}")
-    return value
+def _write_meta(model_path: str, cfg: TrainConfig) -> None:
+    _meta_path(model_path).write_text(json.dumps({"config": cfg.echo()}, indent=2))
 
 
 def _load_model(args) -> tuple:
-    """(store, cfg, n_classes) from --model, its sidecar and the --n/--m/--k overrides.
+    """(store, cfg, n_classes) from --model, its required sidecar and the
+    --n/--m/--k overrides.
 
     The checkpoint must hold exactly the tensors, by name and shape, of the
-    model that the sidecar describes (the config defaults without one), with
-    the sidecar's n_classes or else the prediction head's width.
+    model that the sidecar's config describes, with as many classes as its
+    prediction head is wide.
     """
     loaded = load_checkpoint(args.model)
     meta_file = _meta_path(args.model)
-    cfg = TrainConfig()
-    n_classes = None
-    if meta_file.exists():
-        try:
-            meta = json.loads(meta_file.read_text())
-            c = meta["config"]
-            given = {key: c[key] for key in _META_CONFIG_KEYS}
-            given["include_self"] = c.get("include_self", True)
-            given.update((key, meta[key]) for key in _META_TOP_KEYS if key in meta)
-            n_classes = meta.get("n_classes")
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
-        cfg = replace(cfg, **{key: _meta_value(meta_file, key, value, getattr(cfg, key))
-                              for key, value in given.items()})
-        if n_classes is not None:
-            _meta_value(meta_file, "n_classes", n_classes, 0)
+    try:
+        cfg = TrainConfig.from_echo(json.loads(meta_file.read_text())["config"])
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
     cfg = replace(cfg, **{key: getattr(args, key) for key in _OVERRIDE_KEYS
                           if getattr(args, key) is not None}).validate()
-    if n_classes is None:  # the prediction head's width; check_parameters names a bad head
-        head = loaded.get("predict.w2").shape if "predict.w2" in loaded else ()
-        n_classes = head[1] if len(head) == 2 else 2
+    # check_parameters names a missing or misshapen head
+    head = loaded.get("predict.w2").shape if "predict.w2" in loaded else ()
+    n_classes = head[1] if len(head) == 2 else 2
     try:
         shapes = parameter_shapes(cfg, n_classes)
     except ConfigError as exc:  # fewer than two classes
@@ -207,6 +167,8 @@ def _require_labels(flows) -> None:
 
 
 def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):
+    if cfg_n < 1 or cfg_m < 1:
+        raise ConfigError(f"packet cap n and byte cap m must be >= 1, got n={cfg_n}, m={cfg_m}")
     if getattr(args, "pcap", None):
         result = parse_capture(args.pcap, n=cfg_n, m=cfg_m, idle_timeout=timeout)
         return result.flows, result.counters()
@@ -244,7 +206,7 @@ def cmd_train(args) -> int:
           f"classes={n_classes}")
     result = fit(train_snap, val_snap, cfg, store=store)
     save_checkpoint(result.store, args.out)
-    _write_meta(args.out, cfg, n_classes)
+    _write_meta(args.out, cfg)
     history_path = args.history or (str(args.out) + ".history.json")
     Path(history_path).write_text(json.dumps(result.history, indent=2))
     print(f"done best_epoch={result.best_epoch} "

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .augment import AugmentationPipeline, parse_pipeline
-from .contrast import ContrastConfig
 from .errors import ConfigError
 
 
@@ -22,7 +21,8 @@ class TrainConfig:
     weight_decay: float = 1e-3
     omega_n: float = 1.0
     omega_g: float = 1.0
-    contrast: ContrastConfig = field(default_factory=ContrastConfig)
+    tau_n: float = 0.5
+    tau_g: float = 0.5
     aug1: AugmentationPipeline = field(default_factory=AugmentationPipeline)
     aug2: AugmentationPipeline = field(default_factory=AugmentationPipeline)
     depth: int = 2
@@ -54,16 +54,16 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("learning_rate", "weight_decay", "omega_n", "omega_g", "cosine_eps"):
+        for name in ("learning_rate", "weight_decay", "omega_n", "omega_g", "tau_n", "tau_g",
+                     "cosine_eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("learning_rate", "weight_decay", "omega_n", "omega_g"):
+        for name in ("weight_decay", "omega_n", "omega_g"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.learning_rate == 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.cosine_eps <= 0:
-            raise ConfigError(f"cosine_eps must be positive, got {self.cosine_eps}")
+        for name in ("learning_rate", "tau_n", "tau_g", "cosine_eps"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("depth",):
@@ -89,31 +89,36 @@ class TrainConfig:
         return self
 
     def echo(self) -> dict:
-        """Flat summary printed in run headers and stored next to checkpoints."""
-        return {
-            "n": self.n,
-            "m": self.m,
-            "k": self.k,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "extractor_dim": self.extractor_dim,
-            "hidden": self.hidden,
-            "projection_dim": self.projection_dim,
-            "depth": self.depth,
-            "dropout": self.dropout,
-            "conv_kernel": self.conv_kernel,
-            "conv_stride": self.conv_stride,
-            "conv_padding": self.conv_padding,
-            "lstm_layers": 1,
-            "gcn_layers": 2,
-            "cnn_layers": 2,
-            "epochs": self.epochs,
-            "omega_n": self.omega_n,
-            "omega_g": self.omega_g,
-            "tau_n": self.contrast.tau_n,
-            "tau_g": self.contrast.tau_g,
-            "aug1": self.aug1.spec_string(),
-            "aug2": self.aug2.spec_string(),
-            "include_self": self.include_self,
-            "seed": self.seed,
-        }
+        """Every field as a JSON value (a pipeline as its spec string, a tuple
+        as a list) plus the fixed layer counts; printed in run headers and
+        stored next to checkpoints, and read back by from_echo."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = (value.spec_string() if isinstance(value, AugmentationPipeline)
+                           else list(value) if isinstance(value, tuple) else value)
+        return {**out, "lstm_layers": 1, "gcn_layers": 2, "cnn_layers": 2}
+
+    @classmethod
+    def from_echo(cls, echo: dict) -> "TrainConfig":
+        """The config that echo() wrote. Every field is required and must have
+        its default's JSON type: a float field also takes an int, and patience
+        may be null. A missing field is a KeyError, a wrong type a TypeError;
+        the values are left for validate()."""
+        defaults, values = cls(), {}
+        for f in fields(cls):
+            value, default = echo[f.name], getattr(defaults, f.name)
+            if isinstance(default, AugmentationPipeline) and type(value) is str:
+                value = parse_pipeline(value)
+            elif isinstance(default, tuple) and type(value) is list:
+                value = tuple(value)
+            ok = (type(value) is type(default)
+                  or type(value) is int and type(default) is float
+                  or value is None and f.name == "patience")
+            if ok and isinstance(default, tuple):
+                ok = len(value) == len(default) and all(type(v) is int for v in value)
+            if not ok:
+                raise TypeError(f"{f.name}={echo[f.name]!r} does not have the type "
+                                f"of {default!r}")
+            values[f.name] = value
+        return cls(**values)

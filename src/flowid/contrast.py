@@ -9,25 +9,11 @@ both over 2N anchors. Hyperedge rows get the identical treatment.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor_core as tc
 from .errors import ConfigError, ShapeError
 from .tensor_core import Tensor
-
-
-@dataclass(frozen=True)
-class ContrastConfig:
-    tau_n: float = 0.5
-    tau_g: float = 0.5
-
-    def __post_init__(self):
-        if not all(0 < tau < math.inf for tau in (self.tau_n, self.tau_g)):  # NaN fails
-            raise ConfigError(f"temperatures must be positive and finite, "
-                              f"got {self.tau_n}, {self.tau_g}")
 
 
 def _normalize_rows(x: Tensor, eps: float) -> Tensor:

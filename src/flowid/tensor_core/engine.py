@@ -391,15 +391,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def _reduce_matmul_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis in range(g.ndim - 2):
-        if shape[axis] == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch broadcasting; operands must be >= 2-D."""
     a, b = as_tensor(a), as_tensor(b)
@@ -410,8 +401,8 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def bw(g):
-        ga = _reduce_matmul_grad(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _reduce_matmul_grad(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _node(data, (a, b), bw)

@@ -169,11 +169,11 @@ def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
     enc2 = encode(view2, emb.z_mv, store, cfg, mode=mode, rng=rng.child("enc", 2))
     v1, e1 = project(enc1, store)
     v2, e2 = project(enc2, store)
-    l_n = node_node_loss(v1, v2, cfg.contrast.tau_n, eps=cfg.cosine_eps)
+    l_n = node_node_loss(v1, v2, cfg.tau_n, eps=cfg.cosine_eps)
     if e1 is None or e2 is None:
         l_g = tc.constant(0.0)
     else:
-        l_g = group_group_loss(e1, e2, cfg.contrast.tau_g, eps=cfg.cosine_eps)
+        l_g = group_group_loss(e1, e2, cfg.tau_g, eps=cfg.cosine_eps)
     total = total_loss(l_pred, l_n, l_g, cfg.omega_n, cfg.omega_g)
     return StepLosses(total=total, l_pred=l_pred, l_n=l_n, l_g=l_g)
 

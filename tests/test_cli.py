@@ -1,16 +1,20 @@
 """End-to-end command-line behavior: formats, exit codes, golden files."""
 
+import contextlib
+import io
 import json
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowid import cli
-from flowid.augment import parse_pipeline
+from flowid.augment import OPS, AugmentationPipeline, Step, parse_pipeline
 from flowid.cli import main
 from flowid.config import TrainConfig
-from flowid.contrast import ContrastConfig
+from flowid.errors import ConfigError
 from flowid.ingest import generate_synthetic_flows, two_class_spec
 from flowid.tensor_core import ParameterStore
 from flowid.trainer import (
@@ -92,6 +96,17 @@ def test_extract_malformed_pcap_exit_2(tmp_path):
     assert main(["extract", "--pcap", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("source", ["pcap", "flows"])
+@pytest.mark.parametrize("cap", ["--n=-1", "--m=-1", "--n=0", "--m=0"])
+def test_extract_caps_below_one_exit_3(workspace, tmp_path, capsys, source, cap):
+    # a JSONL flow cut to n = -1 packets would silently lose its last one
+    path = {"pcap": _two_packet_pcap(tmp_path), "flows": workspace / "test.jsonl"}[source]
+    out = tmp_path / "out.jsonl"
+    assert main(["extract", f"--{source}", str(path), "--out", str(out), cap]) == 3
+    assert _one_line_error(capsys).startswith("config error: packet cap n and byte cap m")
+    assert not out.exists()
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["train", "--help"]) == 0
@@ -163,7 +178,8 @@ CONFIG_FLAG_CASES = [
     ("weight_decay", ["--weight-decay", "0.5"], 0.5),
     ("omega_n", ["--omega-n", "0.75"], 0.75),
     ("omega_g", ["--omega-g", "1.5"], 1.5),
-    ("contrast", ["--tau-n", "0.3", "--tau-g", "0.7"], ContrastConfig(tau_n=0.3, tau_g=0.7)),
+    ("tau_n", ["--tau-n", "0.3"], 0.3),
+    ("tau_g", ["--tau-g", "0.7"], 0.7),
     ("aug1", ["--aug1", "nf:0.4"], parse_pipeline("nf:0.4")),
     ("aug2", ["--aug2", "ed:0.3,ew:0.2"], parse_pipeline("ed:0.3,ew:0.2")),
     ("depth", ["--depth", "3"], 3),
@@ -268,25 +284,24 @@ def test_eval_bad_checkpoint_one_line_exit_2(workspace, tmp_path, capsys, defect
     "{not json",
     json.dumps({"n_classes": 2}),
     json.dumps({"config": {"n": 8, "m": 6}}),
-    # the trained model's own sidecar with one value of the wrong type:
-    # (section, key, value), section "config" or "" for the top level
-    ("config", "k", "3"),
-    ("config", "n", True),
-    ("config", "dropout", "0.2"),
-    ("config", "include_self", "no"),
-    ("config", "include_self", 1),
-    ("", "cnn_channels", [3]),
-    ("", "cnn_channels", [3, 4.0]),
-    ("", "lstm_hidden", 6.0),
-    ("", "n_classes", "2"),
+    # the trained model's own sidecar with one config value of the wrong type
+    ("k", "3"),
+    ("n", True),
+    ("dropout", "0.2"),
+    ("include_self", "no"),
+    ("include_self", 1),
+    ("cnn_channels", [3]),
+    ("cnn_channels", [3, 4.0]),
+    ("lstm_hidden", 6.0),
+    ("patience", 30.0),
 ])
 def test_detect_malformed_metadata_exit_2(workspace, tmp_path, capsys, meta):
     model = tmp_path / "model.ckpt"
     model.write_bytes((workspace / "model.ckpt").read_bytes())
     if isinstance(meta, tuple):
-        section, key, value = meta
+        key, value = meta
         meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
-        (meta[section] if section else meta)[key] = value
+        meta["config"][key] = value
         meta = json.dumps(meta)
     (tmp_path / "model.ckpt.meta.json").write_text(meta)
     out = tmp_path / "det.jsonl"
@@ -296,21 +311,100 @@ def test_detect_malformed_metadata_exit_2(workspace, tmp_path, capsys, meta):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "detect"])
-def test_sidecar_n_classes_must_match_prediction_head(workspace, tmp_path, capsys, command):
-    # a 2-class model whose sidecar claims 3 classes would report a phantom class
-    model = tmp_path / "model.ckpt"
+def _field_values(f):
+    """Any valid value of TrainConfig field `f`; validate() settles combinations."""
+    default = getattr(TrainConfig(), f.name)
+    if isinstance(default, AugmentationPipeline):
+        step = st.builds(Step, st.sampled_from(sorted(OPS)), st.floats(0, 1, exclude_max=True))
+        return st.lists(step, max_size=3).map(lambda steps: AugmentationPipeline(tuple(steps)))
+    if isinstance(default, tuple):
+        return st.tuples(st.integers(1, 64), st.integers(1, 64))
+    if type(default) is bool:
+        return st.booleans()
+    if f.name == "dropout":
+        return st.floats(0, 1, exclude_max=True)
+    if type(default) is float:
+        positive = f.name in ("learning_rate", "tau_n", "tau_g", "cosine_eps")
+        return st.floats(0, exclude_min=positive, allow_infinity=False)
+    if f.name == "patience":
+        return st.none() | st.integers(1, 10 ** 6)
+    if f.name == "conv_stride":
+        return st.integers(1, 8)
+    return st.integers(0 if f.name in ("depth", "conv_padding", "seed") else 1, 2 ** 40)
+
+
+def _is_valid(cfg) -> bool:
+    try:
+        cfg.validate()
+    except ConfigError:
+        return False
+    return True
+
+
+@given(st.fixed_dictionaries({f.name: _field_values(f) for f in fields(TrainConfig)})
+       .map(lambda values: TrainConfig(**values)).filter(_is_valid))
+@settings(max_examples=200, deadline=None)
+def test_config_echo_round_trips_through_json(cfg):
+    assert TrainConfig.from_echo(json.loads(json.dumps(cfg.echo()))) == cfg
+
+
+# JSON values by kind; a field takes the kinds _right_kinds names
+JSON_KINDS = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
+              "float": st.floats(), "str": st.text(max_size=8),
+              "int_pair": st.lists(st.integers(), min_size=2, max_size=2),
+              "str_list": st.lists(st.text(max_size=2), max_size=3),
+              "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2)}
+
+
+def _right_kinds(name: str) -> set:
+    default = getattr(TrainConfig(), name)
+    if isinstance(default, AugmentationPipeline):
+        return {"str"}
+    if isinstance(default, tuple):
+        return {"int_pair"}
+    if type(default) is float:
+        return {"int", "float"}
+    return {"int", "null"} if name == "patience" else {type(default).__name__}
+
+
+@given(st.sampled_from([f.name for f in fields(TrainConfig)]).flatmap(
+    lambda name: st.tuples(st.just(name), st.one_of(
+        *(values for kind, values in JSON_KINDS.items() if kind not in _right_kinds(name))))))
+@settings(max_examples=60, deadline=None)
+def test_sidecar_value_of_the_wrong_json_type_exit_2(workspace, case):
+    name, value = case
+    root = workspace / "wrong_type"
+    root.mkdir(exist_ok=True)
+    model, out = root / "model.ckpt", root / "out"
     model.write_bytes((workspace / "model.ckpt").read_bytes())
     meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
-    assert meta["n_classes"] == 2
-    meta["n_classes"] = 3
-    (tmp_path / "model.ckpt.meta.json").write_text(json.dumps(meta))
-    out = tmp_path / "out.json"
-    args = {"eval": ["--report", str(out)], "detect": ["--window", "60", "--out", str(out)]}
-    assert main([command, "--flows", str(workspace / "test.jsonl"),
-                 "--model", str(model), *args[command]]) == 2
-    assert "format error:" in capsys.readouterr().err
+    meta["config"][name] = value
+    (root / "model.ckpt.meta.json").write_text(json.dumps(meta))
+    for args in (["eval", "--report", str(out)],
+                 ["detect", "--window", "60", "--out", str(out)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([*args, "--flows", str(workspace / "test.jsonl"),
+                         "--model", str(model)]) == 2
+        assert err.getvalue().startswith("format error:") and err.getvalue().count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+def test_missing_sidecar_exit_1(workspace, tmp_path, capsys, command):
+    # a default-width model trained at n=8, m=4, k=2 fits the default config's
+    # tensors, so only its sidecar keeps it from running at n=40, m=16, k=3
+    cfg = TrainConfig(n=8, m=4, k=2)
+    model, out = tmp_path / "model.ckpt", tmp_path / "out"
+    save_checkpoint(build_parameter_store(cfg, 2), model)
+    argv = [command, "--flows", str(workspace / "test.jsonl"), "--model", str(model),
+            *{"eval": ["--report", str(out)],
+              "detect": ["--window", "60", "--out", str(out)]}[command]]
+    assert main(argv) == 1
+    assert _one_line_error(capsys).startswith("io error:")
     assert not out.exists()
+    cli._write_meta(str(model), cfg)
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("command", ["eval", "detect"])
@@ -321,11 +415,10 @@ def test_checkpoint_must_hold_the_sidecar_model(workspace, tmp_path, capsys, com
     store = load_checkpoint(workspace / "model.ckpt")
     meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
     kept = ParameterStore()
+    missing = {"missing_tensor": "temporal.lstm.b", "missing_head_and_n_classes": "predict.w2"}
     for name, t in store.items():
-        if not (defect.startswith("missing") and name == "predict.w2"):
+        if name != missing.get(defect):
             kept.add(name, t.data)
-    if defect == "missing_head_and_n_classes":
-        del meta["n_classes"]
     if defect == "extra_tensor":
         kept.add("predict.w3", np.ones((2, 2)))
     if defect == "sidecar_hidden":
@@ -339,8 +432,8 @@ def test_checkpoint_must_hold_the_sidecar_model(workspace, tmp_path, capsys, com
                  "--model", str(model), *args[command]]) == 2
     err = capsys.readouterr().err
     assert "format error:" in err
-    assert {"missing_tensor": "predict.w2", "missing_head_and_n_classes": "predict.w2",
-            "extra_tensor": "predict.w3", "sidecar_hidden": "expected shape"}[defect] in err
+    named = {**missing, "extra_tensor": "predict.w3", "sidecar_hidden": "expected shape"}
+    assert named[defect] in err
     assert not out.exists()
 
 
@@ -719,7 +812,6 @@ def test_unparsable_sidecar_exit_2(workspace, tmp_path, capsys, command, text):
 
 def test_window_assignment_partition():
     from flowid.cli import assign_windows
-    from flowid.errors import ConfigError
     from flowid.ingest import FiveTuple, FlowRecord, PacketView
 
     key = FiveTuple("1.1.1.1", "2.2.2.2", 1, 2, "tcp")
@@ -819,7 +911,7 @@ def test_cnn_channels_below_one_exit_3(workspace, tmp_path, capsys, command, cha
         model = tmp_path / "model.ckpt"
         model.write_bytes((workspace / "model.ckpt").read_bytes())
         meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
-        meta["cnn_channels"] = [int(c) for c in channels.split(",")]
+        meta["config"]["cnn_channels"] = [int(c) for c in channels.split(",")]
         (tmp_path / "model.ckpt.meta.json").write_text(json.dumps(meta))
     args = {"train": ["train", "--flows", train, "--val", val, "--out", str(out),
                       "--epochs", "1", *TINY_FLAGS, f"--cnn-channels={channels}"],
@@ -852,7 +944,6 @@ def _numeric_config_flag_cases():
     kinds = {"--" + f.name.replace("_", "-"): type(f.default)
              for f in fields(TrainConfig) if type(f.default) in (int, float)}
     kinds["--lr"] = kinds.pop("--learning-rate")
-    kinds.update({"--tau-n": float, "--tau-g": float})
     cases = [(flag, value) for flag, kind in kinds.items()
              for value in ("0", "-1") + (("nan",) if kind is float else ())]
     return cases + [("--cnn-channels", channels) for channels in ("0,4", "4,0", "-1,4", "4,-1")]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import flowid.tensor_core as tc
-from flowid.contrast import ContrastConfig, group_group_loss, node_node_loss
+from flowid.config import TrainConfig
+from flowid.contrast import group_group_loss, node_node_loss
 from flowid.errors import ConfigError
 from flowid.tensor_core import ParameterStore
 from gradcheck import grad_check
@@ -114,9 +115,9 @@ def test_gradients_match_finite_differences():
 
 
 def test_contrast_config_validation():
-    cfg = ContrastConfig()
+    cfg = TrainConfig()
     assert cfg.tau_n == 0.5 and cfg.tau_g == 0.5
     with pytest.raises(ConfigError):
-        ContrastConfig(tau_n=0.0)
+        TrainConfig(tau_n=0.0).validate()
     with pytest.raises(ConfigError):
         node_node_loss(np.eye(2), np.eye(2), tau_n=-1.0, eps=EPS)
