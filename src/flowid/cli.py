@@ -35,9 +35,7 @@ from .ingest import (
     split_flows,
     write_flows_jsonl,
 )
-from .metrics import confusion_matrix, macro_metrics
 from .trainer import (
-    LabelSet,
     build_parameter_store,
     check_parameters,
     evaluate_probs,
@@ -58,11 +56,10 @@ _SHAPE_OVERFLOW = ("Maximum allowed dimension exceeded", "array is too big")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 3."""
+    """argparse that reports usage problems in one line with exit code 3."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        print(f"usage error: {self.prog}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
 
@@ -117,8 +114,8 @@ def _write_meta(model_path: str, cfg: TrainConfig) -> None:
 
 
 def _load_model(args) -> tuple:
-    """(store, cfg, n_classes) from --model, its required sidecar and the
-    --n/--m/--k overrides.
+    """(store, cfg) from --model, its required sidecar and the --n/--m/--k
+    overrides.
 
     The checkpoint must hold exactly the tensors, by name and shape, of the
     model that the sidecar's config describes, with as many classes as its
@@ -140,7 +137,7 @@ def _load_model(args) -> tuple:
     except ConfigError as exc:  # fewer than two classes
         raise CheckpointError(f"{args.model}: {exc}") from exc
     check_parameters({name: t.data for name, t in loaded.items()}, shapes)
-    return loaded, cfg, n_classes
+    return loaded, cfg
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -153,12 +150,23 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def _class_count(train_flows, val_flows) -> int:
-    """Largest label of the training data plus one."""
+def _train(train_flows, val_flows, cfg: TrainConfig):
+    """fit's result for a new model whose prediction head has one class per
+    label up to the training data's largest."""
     labels = [f.label for f in train_flows + val_flows if f.label is not None]
     if not labels:
         raise ConfigError("training data carries no labels")
-    return max(labels) + 1
+    store = build_parameter_store(cfg, max(labels) + 1)
+    train_snap = prepare_snapshot(train_flows, store, cfg)
+    val_snap = prepare_snapshot(val_flows, store, cfg)
+    return fit(train_snap, val_snap, cfg, store=store)
+
+
+def _score(flows, store, cfg: TrainConfig):
+    """(probs, report) of the model on labeled `flows`, in one snapshot."""
+    snapshot = prepare_snapshot(flows, store, cfg)
+    probs = evaluate_probs(snapshot, store, cfg)
+    return probs, snapshot.report(probs)
 
 
 def _require_labels(flows) -> None:
@@ -198,13 +206,9 @@ def cmd_train(args) -> int:
     print("config " + json.dumps(cfg.echo()))
     train_flows = read_flows_jsonl(args.flows)
     val_flows = read_flows_jsonl(args.val)
-    n_classes = _class_count(train_flows, val_flows)
-    store = build_parameter_store(cfg, n_classes)
-    train_snap = prepare_snapshot(train_flows, store, cfg)
-    val_snap = prepare_snapshot(val_flows, store, cfg)
+    result = _train(train_flows, val_flows, cfg)
     print(f"data train_flows={len(train_flows)} val_flows={len(val_flows)} "
-          f"classes={n_classes}")
-    result = fit(train_snap, val_snap, cfg, store=store)
+          f"classes={result.store.get('predict.b2').shape[0]}")
     save_checkpoint(result.store, args.out)
     _write_meta(args.out, cfg)
     history_path = args.history or (str(args.out) + ".history.json")
@@ -216,21 +220,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    store, cfg, n_classes = _load_model(args)
+    store, cfg = _load_model(args)
     flows = read_flows_jsonl(args.flows)
     _require_labels(flows)
-    snapshot = prepare_snapshot(flows, store, cfg)
-    probs = evaluate_probs(snapshot, store, cfg)
-    labels = snapshot.labels
-    idx = labels.labeled_indices()
-    pred = probs.argmax(axis=1)
-    report = macro_metrics(confusion_matrix(pred[idx], labels.y[idx], n_classes))
+    probs, report = _score(flows, store, cfg)
     Path(args.report).write_text(report.to_json())
     if args.pred_out:
         with open(args.pred_out, "w", encoding="utf-8") as fh:
-            for i, fid in enumerate(snapshot.flow_ids):
-                fh.write(json.dumps({"flow_id": fid, "pred": int(pred[i]),
-                                     "probs": [float(p) for p in probs[i]]}) + "\n")
+            for flow, p in zip(flows, probs):
+                fh.write(json.dumps({"flow_id": flow.id, "pred": int(p.argmax()),
+                                     "probs": [float(x) for x in p]}) + "\n")
     print(report.to_text())
     print(f"macro_f1={report.macro_f1:.4f}")
     return EXIT_OK
@@ -252,7 +251,7 @@ def assign_windows(flows, duration: float) -> dict[int, list]:
 
 
 def cmd_detect(args) -> int:
-    store, cfg, n_classes = _load_model(args)
+    store, cfg = _load_model(args)
     flows, _ = _read_input_flows(args, cfg.n, cfg.m, args.timeout)
     windows = assign_windows(flows, args.window)
 
@@ -296,16 +295,8 @@ def cmd_sweep(args) -> int:
                     default_spec(args.synth_classes, args.per_class), seed=seed)
                 train_flows, val_flows, test_flows = split_flows(
                     flows, (0.6, 0.2, 0.2), seed=seed)
-            n_classes = _class_count(train_flows, val_flows)
-            store = build_parameter_store(cfg, n_classes)
-            train_snap = prepare_snapshot(train_flows, store, cfg)
-            val_snap = prepare_snapshot(val_flows, store, cfg)
-            result = fit(train_snap, val_snap, cfg, store=store)
-            test_snap = prepare_snapshot(test_flows, result.store, cfg)
-            probs = evaluate_probs(test_snap, result.store, cfg)
-            idx = test_snap.labels.labeled_indices()
-            report = macro_metrics(confusion_matrix(
-                probs[idx].argmax(axis=1), test_snap.labels.y[idx], n_classes))
+            result = _train(train_flows, val_flows, cfg)
+            _, report = _score(test_flows, result.store, cfg)
             rows.append({"param": args.param, "value": value, "seed": seed,
                          "accuracy": report.accuracy,
                          "macro_precision": report.macro_precision,

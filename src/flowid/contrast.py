@@ -19,8 +19,9 @@ from .tensor_core import Tensor
 def _normalize_rows(x: Tensor, eps: float) -> Tensor:
     # sqrt(|x|^2 + eps^2) equals eps at zero rows and stays within eps of the
     # true norm elsewhere; keeping eps under the root keeps the gradient
-    # finite at exactly-zero rows (sqrt alone has infinite slope at 0)
-    return x / tc.sqrt(tc.tsum(x * x, axis=1, keepdims=True) + eps * eps)
+    # finite at exactly-zero rows (sqrt alone has infinite slope at 0);
+    # np.square, unlike float arithmetic, reports an overflow to np.errstate
+    return x / tc.sqrt(tc.tsum(x * x, axis=1, keepdims=True) + np.square(eps))
 
 
 def _info_nce(a: Tensor, b: Tensor, tau: float, eps: float) -> Tensor:

@@ -8,8 +8,6 @@ membership by augmentation receives exactly relu(b_v).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import tensor_core as tc
@@ -18,27 +16,6 @@ from .errors import ConfigError, ShapeError
 from .hypergraph import FlowHypergraph
 from .rng import Rng
 from .tensor_core import ParameterStore, Tensor, glorot_uniform
-
-
-@dataclass
-class EncodedHypergraph:
-    """Per-layer node embeddings V^(0..L), hyperedge embeddings E^(1..L), and
-    (after project) the contrastive projections."""
-
-    node_layers: list[Tensor] = field(default_factory=list)
-    edge_layers: list[Tensor] = field(default_factory=list)
-    v_hat: Tensor | None = None
-    e_hat: Tensor | None = None
-
-    @property
-    def node_final(self) -> Tensor:
-        return self.node_layers[-1]
-
-    @property
-    def edge_final(self) -> Tensor:
-        if not self.edge_layers:
-            raise ConfigError("no hyperedge embeddings at depth 0")
-        return self.edge_layers[-1]
 
 
 def init_encoder_params(store: ParameterStore, cfg: TrainConfig, n_classes: int,
@@ -94,26 +71,27 @@ def hyperconv_layer(v_prev: Tensor, graph: FlowHypergraph, store: ParameterStore
 
 
 def encode(graph: FlowHypergraph, features: Tensor | np.ndarray, store: ParameterStore,
-           cfg: TrainConfig, mode: str = "infer", rng: Rng | None = None) -> EncodedHypergraph:
-    """Input projection of the (N, d) node `features` then cfg.depth stacked
-    layers; dropout between layers in train mode. Any augmentation feature
-    mask recorded on the graph is applied to the features first."""
+           cfg: TrainConfig, mode: str = "infer", rng: Rng | None = None
+           ) -> tuple[Tensor, Tensor | None]:
+    """(V, E): the last layer's node and hyperedge embeddings after the input
+    projection of the (N, d) node `features` and cfg.depth stacked layers; E
+    is None at depth 0. Dropout runs between layers in train mode. Any
+    augmentation feature mask recorded on the graph is applied to the
+    features first."""
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be train or infer, got {mode!r}")
     z = tc.as_tensor(features)
     if graph.feature_mask is not None:
         z = z * tc.constant(graph.feature_mask[:, None])
     v = tc.matmul(z, store.get("encoder.in.w")) + store.get("encoder.in.b")
-    out = EncodedHypergraph(node_layers=[v])
+    e = None
     for layer in range(cfg.depth):
         if layer > 0 and mode == "train" and cfg.dropout > 0:
             if rng is None:
                 raise ConfigError("train-mode encode needs an rng for dropout")
             v = v * tc.dropout_mask(v.shape, cfg.dropout, rng.child("enc-dropout", layer))
-        e_l, v = hyperconv_layer(v, graph, store, layer)
-        out.edge_layers.append(e_l)
-        out.node_layers.append(v)
-    return out
+        e, v = hyperconv_layer(v, graph, store, layer)
+    return v, e
 
 
 def _mlp_head(x: Tensor, store: ParameterStore, prefix: str) -> Tensor:
@@ -121,13 +99,12 @@ def _mlp_head(x: Tensor, store: ParameterStore, prefix: str) -> Tensor:
     return tc.matmul(h, store.get(f"{prefix}.w2")) + store.get(f"{prefix}.b2")
 
 
-def project(encoded: EncodedHypergraph, store: ParameterStore
+def project(v: Tensor, e: Tensor | None, store: ParameterStore
             ) -> tuple[Tensor, Tensor | None]:
-    """Row-wise 2-layer ELU MLPs (separate node/edge parameters)."""
-    encoded.v_hat = _mlp_head(encoded.node_final, store, "project.node")
-    encoded.e_hat = (_mlp_head(encoded.edge_final, store, "project.edge")
-                     if encoded.edge_layers else None)
-    return encoded.v_hat, encoded.e_hat
+    """(v_hat, e_hat): row-wise 2-layer ELU MLPs with separate node and edge
+    parameters; e_hat is None when `e` is."""
+    return (_mlp_head(v, store, "project.node"),
+            None if e is None else _mlp_head(e, store, "project.edge"))
 
 
 def predict(node_embeddings: Tensor, store: ParameterStore) -> Tensor:

@@ -49,15 +49,6 @@ class ViewBatch:
     counts: np.ndarray      # (N,) int64 packets kept, 1..n
 
 
-@dataclass
-class ViewEmbeddings:
-    z_lstm: Tensor
-    z_cnn: Tensor
-    z_gcn: Tensor
-    z_seq: Tensor
-    z_mv: Tensor
-
-
 def build_view_batch(flows: list[FlowRecord], n: int, m: int) -> ViewBatch:
     if not flows:
         raise ConfigError("cannot build a view batch from zero flows")
@@ -204,11 +195,11 @@ def fuse(store: ParameterStore, z_lstm: Tensor, z_cnn: Tensor, z_gcn: Tensor,
 
 
 def extract(store: ParameterStore, views: ViewBatch, cfg: TrainConfig,
-            mode: str = "infer", rng: Rng | None = None) -> ViewEmbeddings:
+            mode: str = "infer", rng: Rng | None = None) -> Tensor:
+    """The fused (N, d) multi-view embedding z_mv of the batch's flows."""
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be train or infer, got {mode!r}")
     z_lstm = temporal_encode(store, views.lengths, cfg)
     z_cnn = payload_encode(store, views.payloads, cfg)
     z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
-    z_seq, z_mv = fuse(store, z_lstm, z_cnn, z_gcn, cfg, mode=mode, rng=rng)
-    return ViewEmbeddings(z_lstm, z_cnn, z_gcn, z_seq, z_mv)
+    return fuse(store, z_lstm, z_cnn, z_gcn, cfg, mode=mode, rng=rng)[1]

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .extractors import EXTRACTOR_PREFIXES, ViewBatch, build_view_batch, extract
     init_extractor_params
 from .hypergraph import FlowHypergraph, build_flow_hypergraph
 from .ingest.records import FlowRecord
-from .metrics import macro_f1_score
+from .metrics import MetricsReport, confusion_matrix, macro_metrics
 from .rng import Rng
 from .tensor_core import Adam, ParameterStore, Tensor
 
@@ -54,11 +54,6 @@ class LabelSet:
 
     def labeled_indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
-
-    def n_classes(self) -> int:
-        if not self.mask.any():
-            raise ConfigError("label set has no labeled rows")
-        return int(self.y[self.mask].max()) + 1
 
 
 def cross_entropy_loss(pred: Tensor, labels: LabelSet) -> Tensor:
@@ -88,6 +83,16 @@ class Snapshot:
     graph: FlowHypergraph
     labels: LabelSet
     features: np.ndarray  # (N, d) extractor output the graph was built from
+
+    def report(self, probs: np.ndarray) -> MetricsReport:
+        """Metrics of `probs`, the (N, C) class distributions evaluate_probs
+        gives, over the labeled flows; C, the prediction head's width, is the
+        class count."""
+        idx = self.labels.labeled_indices()
+        if idx.size == 0:
+            raise ConfigError("evaluation snapshot has no labeled flows")
+        return macro_metrics(confusion_matrix(probs[idx].argmax(axis=1), self.labels.y[idx],
+                                              probs.shape[1]))
 
 
 def build_parameter_store(cfg: TrainConfig, n_classes: int) -> ParameterStore:
@@ -137,7 +142,7 @@ def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
     validation extract features again from the live parameters."""
     views = build_view_batch(flows, cfg.n, cfg.m)
     with tc.no_grad():
-        features = extract(store, views, cfg, mode="infer").z_mv.data
+        features = extract(store, views, cfg, mode="infer").data
     graph = build_flow_hypergraph(features, cfg.k, include_self=cfg.include_self)
     return Snapshot([f.id for f in flows], views, graph, LabelSet.from_flows(flows), features)
 
@@ -158,17 +163,15 @@ def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
                 rng: Rng, mode: str = "train") -> StepLosses:
     """Forward pass producing the full loss breakdown. Deterministic in
     (parameters, snapshot, rng), including dropout and augmentation draws."""
-    emb = extract(store, snapshot.views, cfg, mode=mode, rng=rng.child("extract"))
+    z = extract(store, snapshot.views, cfg, mode=mode, rng=rng.child("extract"))
     view1, view2 = make_views(snapshot.graph, cfg.aug1, cfg.aug2, rng.child("augment"))
 
-    enc0 = encode(snapshot.graph, emb.z_mv, store, cfg, mode=mode, rng=rng.child("enc", 0))
-    probs = predict(enc0.node_final, store)
+    v0, _ = encode(snapshot.graph, z, store, cfg, mode=mode, rng=rng.child("enc", 0))
+    probs = predict(v0, store)
     l_pred = cross_entropy_loss(probs, snapshot.labels)
 
-    enc1 = encode(view1, emb.z_mv, store, cfg, mode=mode, rng=rng.child("enc", 1))
-    enc2 = encode(view2, emb.z_mv, store, cfg, mode=mode, rng=rng.child("enc", 2))
-    v1, e1 = project(enc1, store)
-    v2, e2 = project(enc2, store)
+    v1, e1 = project(*encode(view1, z, store, cfg, mode=mode, rng=rng.child("enc", 1)), store)
+    v2, e2 = project(*encode(view2, z, store, cfg, mode=mode, rng=rng.child("enc", 2)), store)
     l_n = node_node_loss(v1, v2, cfg.tau_n, eps=cfg.cosine_eps)
     if e1 is None or e2 is None:
         l_g = tc.constant(0.0)
@@ -205,23 +208,18 @@ def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
     since. Once the parameters move (as during fit), prepare a new snapshot
     or extract live features as evaluate_macro_f1 does."""
     with tc.no_grad():
-        enc = encode(snapshot.graph, snapshot.features, store, cfg, mode="infer")
-        return predict(enc.node_final, store).data.copy()
+        v, _ = encode(snapshot.graph, snapshot.features, store, cfg, mode="infer")
+        return predict(v, store).data.copy()
 
 
-def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
-                      n_classes: int) -> float:
+def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig) -> float:
     """Macro-F1 over the labeled flows, from features extracted with the live
     parameters: fit moves them after the snapshot was prepared, so the
     features stored on the snapshot are stale."""
     with tc.no_grad():
-        features = extract(store, snapshot.views, cfg, mode="infer").z_mv
-        enc = encode(snapshot.graph, features, store, cfg, mode="infer")
-        probs = predict(enc.node_final, store).data
-    idx = snapshot.labels.labeled_indices()
-    if idx.size == 0:
-        raise ConfigError("evaluation snapshot has no labeled flows")
-    return macro_f1_score(probs[idx].argmax(axis=1), snapshot.labels.y[idx], n_classes)
+        features = extract(store, snapshot.views, cfg, mode="infer").data
+    return snapshot.report(evaluate_probs(replace(snapshot, features=features),
+                                          store, cfg)).macro_f1
 
 
 @dataclass
@@ -237,7 +235,6 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
     """Train `store` in place on the full snapshot with per-epoch validation;
     returns a copy of the parameters from the best-validation-macro-F1 epoch."""
     cfg.validate()
-    n_classes = max(train_snapshot.labels.n_classes(), val_snapshot.labels.n_classes())
     if cfg.freeze_extractor:
         for prefix in EXTRACTOR_PREFIXES:
             store.freeze(prefix)
@@ -249,7 +246,7 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
     stale = 0
     for epoch in range(cfg.epochs):
         stats = train_step(train_snapshot, store, optimizer, cfg, rng.child("epoch", epoch))
-        val_f1 = evaluate_macro_f1(val_snapshot, store, cfg, n_classes)
+        val_f1 = evaluate_macro_f1(val_snapshot, store, cfg)
         entry = {"epoch": epoch, **stats, "val_macro_f1": val_f1}
         result.history.append(entry)
         if val_f1 > result.best_val_macro_f1:

@@ -192,12 +192,10 @@ def test_criterion_3_encoder_oracle():
     edge_perm = rng.permutation(7)
     permuted = FlowHypergraph(graph.incidence[node_perm][:, edge_perm],
                               graph.edge_weights[edge_perm])
-    base = encode(graph, z, store, cfg)
-    moved = encode(permuted, z[node_perm], store, cfg)
-    perm_ok = (np.allclose(moved.node_final.data, base.node_final.data[node_perm],
-                           atol=1e-12)
-               and np.allclose(moved.edge_final.data, base.edge_final.data[edge_perm],
-                               atol=1e-12))
+    base_v, base_e = encode(graph, z, store, cfg)
+    moved_v, moved_e = encode(permuted, z[node_perm], store, cfg)
+    perm_ok = (np.allclose(moved_v.data, base_v.data[node_perm], atol=1e-12)
+               and np.allclose(moved_e.data, base_e.data[edge_perm], atol=1e-12))
 
     report(3, max_err <= 1e-12 and perm_ok,
            f"50 random instances <= 8 nodes match dense two-phase oracle "

@@ -1,6 +1,7 @@
 """The functions perfbench/workloads.py traces must exist under the names it
-patches, and its tracer must put them back. A rename would otherwise break
-only `python3 perfbench/run.py`."""
+patches, its tracer must put them back, and one operation of each workload
+must run. A rename or a changed signature would otherwise break only
+`python3 perfbench/run.py`."""
 
 import sys
 from pathlib import Path
@@ -32,3 +33,12 @@ def test_tracer_install_then_uninstall_restores_every_function():
             tracer.uninstall()
         assert all(getattr(owner, attr) is original
                    for (owner, attr, _, _), original in zip(targets, before))
+
+
+def test_one_operation_of_each_workload_runs(tmp_path):
+    for name, seed in (("train_ref", 1201), ("detect_windows", 1401)):
+        work = tmp_path / name
+        work.mkdir()
+        workloads.setup(name, seed, work)
+        sample = workloads.WORKLOADS[name](seed, work)()
+        assert sample["flows_per_s"] > 0 and 0.0 <= sample["macro_f1"] <= 1.0, name

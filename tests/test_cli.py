@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_extract_empty_pcap(tmp_path):
 def test_extract_bad_flag_value_exit_3(tmp_path, capsys):
     rc = main(["extract", "--pcap", "x.pcap", "--out", "y", "--n", "lots"])
     assert rc == 3
-    assert "usage" in capsys.readouterr().err
+    assert "usage" in _one_line_error(capsys)
 
 
 def test_extract_missing_file_exit_1(tmp_path):
@@ -115,7 +116,16 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_flag_exit_3(capsys):
     assert main(["extract", "--nope"]) == 3
-    capsys.readouterr()
+    assert _one_line_error(capsys).startswith("usage error: flowid extract:")
+
+
+@pytest.mark.parametrize("argv", [["train", "--flows", "a", "--val", "b", "--out", "c",
+                                   "--lr", "x"],
+                                  ["train", "--val", "b", "--out", "c"]],
+                         ids=["bad_value", "missing_required"])
+def test_train_usage_error_is_one_line_exit_3(capsys, argv):
+    assert main(argv) == 3
+    assert _one_line_error(capsys).startswith("usage error: flowid train:")
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +571,54 @@ def test_detect_from_pcap(workspace, tmp_path, capsys):
     assert all("pred" in r for r in records)
 
 
+def _conversation(i: int) -> list:
+    client, server = (f"10.0.0.{i + 1}", 1000 + i), ("10.0.0.9", 443)
+    proto = "udp" if i % 2 else "tcp"
+    return [(1.0 + i * 0.3, *client, *server, proto, bytes([i, 0, 7])),
+            (1.15 + i * 0.3, *server, *client, proto, bytes([i, 1, 7]))]
+
+
+# five two-packet conversations, TCP and UDP, in one 600 s window
+FUZZ_PCAP = build_pcap([packet for i in range(5) for packet in _conversation(i)])
+# (kind, position, value): flip bit `value` % 8 of the byte at `position`,
+# overwrite that byte with `value`, or truncate the capture to `position` bytes
+FUZZ_MUTATION = st.tuples(st.sampled_from(["flip", "overwrite", "truncate"]),
+                          st.integers(0, len(FUZZ_PCAP) - 1), st.integers(0, 255))
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    data = bytearray(data)
+    for kind, position, value in mutations:
+        if kind == "truncate":
+            del data[position:]
+        elif position < len(data):
+            data[position] = data[position] ^ (1 << value % 8) if kind == "flip" else value
+    return bytes(data)
+
+
+@given(st.lists(FUZZ_MUTATION, min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_mutated_pcap_exits_cleanly(workspace, mutations):
+    # extract and detect end in exit 0 or 2: one format error line, or only
+    # the notices of windows too small to score
+    root = workspace / "pcap_fuzz"
+    root.mkdir(exist_ok=True)
+    pcap, out = root / "mutated.pcap", root / "out"
+    pcap.write_bytes(_mutate(FUZZ_PCAP, mutations))
+    for args in (["extract"], ["detect", "--model", str(workspace / "model.ckpt"),
+                               "--window", "600"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*args, "--pcap", str(pcap), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert len(lines) == 1 and lines[0].startswith("format error:"), lines
+        else:
+            assert rc == 0 and all(re.fullmatch(r"window \d+: skipped \(.*\)", line)
+                                   for line in lines), (rc, lines)
+
+
 @pytest.mark.parametrize("packets", [
     [],
     [{"ts": 1.0, "dir": 0, "len": 60, "payload_hex": ""}],
@@ -874,9 +932,10 @@ def test_train_with_strong_edge_drop_at_default_settings(workspace, tmp_path, ca
 
 
 # finite settings whose arithmetic overflows: the contrast logits at a tiny
-# temperature, a parameter update at a huge step or loss weight
+# temperature, a parameter update at a huge step or loss weight, the squared
+# row-norm stabilizer (which would otherwise flatten every cosine to 0)
 @pytest.mark.parametrize("flag, value", [("--tau-n", "1e-300"), ("--lr", "1e308"),
-                                         ("--omega-n", "1e308")])
+                                         ("--omega-n", "1e308"), ("--cosine-eps", "1e300")])
 def test_numeric_error_exit_1(workspace, tmp_path, capsys, flag, value):
     model = tmp_path / "m.ckpt"
     assert main(["train", "--flows", str(workspace / "train.jsonl"),

@@ -3,7 +3,6 @@
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import flowid.tensor_core as tc
 from flowid.config import TrainConfig
@@ -15,7 +14,6 @@ from flowid.encoder import (
     project,
     propagation_mats,
 )
-from flowid.errors import ConfigError
 from flowid.hypergraph import FlowHypergraph, build_flow_hypergraph
 from flowid.rng import Rng
 from flowid.tensor_core import ParameterStore
@@ -129,10 +127,9 @@ def test_encode_default_shape_contract():
     store = make_store(cfg, n_classes=3, seed=5)
     z = np.random.default_rng(6).normal(size=(5, 512))
     graph = build_flow_hypergraph(z, k=3)
-    out = encode(graph, z, store, cfg)
-    assert out.node_final.shape == (5, 128)
-    assert out.edge_final.shape == (5, 128)
-    assert len(out.node_layers) == 3 and len(out.edge_layers) == 2
+    v, e = encode(graph, z, store, cfg)
+    assert v.shape == (5, 128)
+    assert e.shape == (5, 128)
 
 
 def test_encode_depth_zero_is_projected_input():
@@ -140,12 +137,12 @@ def test_encode_depth_zero_is_projected_input():
     store = make_store(cfg, seed=7)
     z = np.random.default_rng(8).normal(size=(4, cfg.extractor_dim))
     graph = build_flow_hypergraph(z, k=1)
-    out = encode(graph, z, store, cfg)
+    v, e = encode(graph, z, store, cfg)
     expected = z @ store.get("encoder.in.w").data + store.get("encoder.in.b").data
-    np.testing.assert_allclose(out.node_final.data, expected, atol=1e-12)
-    assert out.edge_layers == []
-    with pytest.raises(ConfigError):
-        _ = out.edge_final
+    np.testing.assert_allclose(v.data, expected, atol=1e-12)
+    assert e is None
+    v_hat, e_hat = project(v, e, store)
+    assert v_hat.shape == (4, cfg.projection_dim) and e_hat is None
 
 
 def test_encode_permutation_equivariance():
@@ -158,12 +155,10 @@ def test_encode_permutation_equivariance():
     edge_perm = rng.permutation(7)
     permuted = FlowHypergraph(incidence=graph.incidence[node_perm][:, edge_perm],
                               edge_weights=graph.edge_weights[edge_perm])
-    base = encode(graph, z, store, cfg)
-    moved = encode(permuted, z[node_perm], store, cfg)
-    np.testing.assert_allclose(moved.node_final.data, base.node_final.data[node_perm],
-                               atol=1e-12)
-    np.testing.assert_allclose(moved.edge_final.data, base.edge_final.data[edge_perm],
-                               atol=1e-12)
+    base_v, base_e = encode(graph, z, store, cfg)
+    moved_v, moved_e = encode(permuted, z[node_perm], store, cfg)
+    np.testing.assert_allclose(moved_v.data, base_v.data[node_perm], atol=1e-12)
+    np.testing.assert_allclose(moved_e.data, base_e.data[edge_perm], atol=1e-12)
 
 
 def test_encode_feature_mask_applied_to_override_features():
@@ -172,9 +167,9 @@ def test_encode_feature_mask_applied_to_override_features():
     z = np.random.default_rng(14).normal(size=(4, cfg.extractor_dim))
     graph = build_flow_hypergraph(z, k=1)
     masked_graph = replace(graph, feature_mask=np.array([1.0, 0.0, 1.0, 0.0]))
-    direct = encode(masked_graph, tc.constant(z), store, cfg).node_final.data
+    direct = encode(masked_graph, tc.constant(z), store, cfg)[0].data
     masked = z * masked_graph.feature_mask[:, None]
-    expected = encode(graph, masked, store, cfg).node_final.data
+    expected = encode(graph, masked, store, cfg)[0].data
     np.testing.assert_allclose(direct, expected, atol=1e-12)
 
 
@@ -191,8 +186,7 @@ def test_project_zero_weights_is_bias_broadcast():
         store.get(f"project.{head}.b2").data[...] = [1.0, -2.0, 3.0]
     z = np.random.default_rng(16).normal(size=(5, cfg.extractor_dim))
     graph = build_flow_hypergraph(z, k=2)
-    out = encode(graph, z, store, cfg)
-    v_hat, e_hat = project(out, store)
+    v_hat, e_hat = project(*encode(graph, z, store, cfg), store)
     np.testing.assert_allclose(v_hat.data, np.tile([1.0, -2.0, 3.0], (5, 1)), atol=1e-15)
     np.testing.assert_allclose(e_hat.data, np.tile([1.0, -2.0, 3.0], (5, 1)), atol=1e-15)
 
@@ -201,9 +195,8 @@ def test_project_row_purity():
     cfg = enc_cfg()
     store = make_store(cfg, seed=17)
     z = np.random.default_rng(18).normal(size=(4, cfg.extractor_dim))
-    enc = encode(build_flow_hypergraph(z, k=1), z, store, cfg)
-    enc.node_layers[-1] = tc.constant(np.tile([[0.5, 1.0, -1.0]], (4, 1)))
-    v_hat, _ = project(enc, store)
+    _, e = encode(build_flow_hypergraph(z, k=1), z, store, cfg)
+    v_hat, _ = project(tc.constant(np.tile([[0.5, 1.0, -1.0]], (4, 1))), e, store)
     for row in v_hat.data[1:]:
         np.testing.assert_array_equal(row, v_hat.data[0])
 
@@ -220,8 +213,7 @@ def test_project_encode_gradient_check():
     names = [n for n in store.names() if n.startswith(("encoder.", "project."))]
 
     def loss(s):
-        enc = encode(graph, z, s, cfg)
-        v_hat, e_hat = project(enc, s)
+        v_hat, e_hat = project(*encode(graph, z, s, cfg), s)
         return tc.tsum(v_hat * v_hat) + tc.tsum(e_hat * e_hat)
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4, param_names=names)

@@ -44,6 +44,15 @@ def make_store(cfg, seed=0) -> ParameterStore:
     return store
 
 
+def view_embeddings(store, views, cfg) -> tuple:
+    """(z_lstm, z_cnn, z_gcn, z_seq, z_mv) in inference mode: each view's
+    embedding plus fuse's two outputs, the last of which extract returns."""
+    z_lstm = temporal_encode(store, views.lengths, cfg)
+    z_cnn = payload_encode(store, views.payloads, cfg)
+    z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
+    return (z_lstm, z_cnn, z_gcn, *fuse(store, z_lstm, z_cnn, z_gcn, cfg))
+
+
 def make_flow(dirs_lengths, payloads=None, fid="f"):
     packets = []
     for i, (d, ln) in enumerate(dirs_lengths):
@@ -270,7 +279,7 @@ def test_extract_full_path_gradient_check():
     views = random_views(cfg, 3, seed=15)
 
     def loss(s):
-        return tc.tsum(extract(s, views, cfg, mode="infer").z_mv)
+        return tc.tsum(extract(s, views, cfg, mode="infer"))
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
@@ -290,12 +299,12 @@ def test_extract_float32_agrees_with_float64(monkeypatch):
     for dtype in (np.float64, np.float32):
         monkeypatch.setattr(extractors, "COMPUTE_DTYPE", dtype)
         store.zero_grad()
-        emb = extract(store, views, cfg, mode="infer")
-        tc.backward(tc.tsum(emb.z_mv * emb.z_mv))
+        emb = view_embeddings(store, views, cfg)
+        tc.backward(tc.tsum(emb[-1] * emb[-1]))
         runs[dtype] = emb, {name: store.get(name).grad.copy() for name in store.names()}
     (emb, grads), (exact_emb, exact_grads) = runs[np.float32], runs[np.float64]
-    for attr in ("z_lstm", "z_cnn", "z_gcn", "z_seq", "z_mv"):
-        assert _max_rel_error(getattr(emb, attr).data, getattr(exact_emb, attr).data) < 1e-6, attr
+    for i, (z, exact) in enumerate(zip(emb, exact_emb)):
+        assert _max_rel_error(z.data, exact.data) < 1e-6, i
     for name, exact in exact_grads.items():
         assert _max_rel_error(grads[name], exact) < 1e-5, name
 
@@ -304,8 +313,8 @@ def test_extract_inference_deterministic():
     cfg = tiny_cfg()
     store = make_store(cfg, seed=16)
     views = random_views(cfg, 4, seed=17)
-    a = extract(store, views, cfg, mode="infer").z_mv.data
-    b = extract(store, views, cfg, mode="infer").z_mv.data
+    a = extract(store, views, cfg, mode="infer").data
+    b = extract(store, views, cfg, mode="infer").data
     np.testing.assert_array_equal(a, b)
 
 
@@ -316,11 +325,10 @@ def test_extract_row_permutation_equivariance():
     perm = np.array([3, 0, 4, 1, 2])
     permuted = ViewBatch(views.lengths[perm], views.directions[perm], views.payloads[perm],
                          views.counts[perm])
-    base = extract(store, views, cfg, mode="infer")
-    moved = extract(store, permuted, cfg, mode="infer")
-    for attr in ("z_lstm", "z_cnn", "z_gcn", "z_seq", "z_mv"):
-        np.testing.assert_allclose(getattr(moved, attr).data,
-                                   getattr(base, attr).data[perm], atol=1e-12)
+    base = view_embeddings(store, views, cfg)
+    moved = view_embeddings(store, permuted, cfg)
+    for got, want in zip(moved, base):
+        np.testing.assert_allclose(got.data, want.data[perm], atol=1e-12)
 
 
 def test_extract_rows_do_not_depend_on_batch_companions():
@@ -347,9 +355,8 @@ def test_extract_rows_do_not_depend_on_batch_companions():
                                     (40, 2, 2, 2, 2, 2, 2), (6, 6, 6, 6, 6, 6, 6)]):
         flows = [flow(c, f"f{i}") for i, c in enumerate(counts)]
         flows.insert(place, target)
-        emb = extract(store, build_view_batch(flows, cfg.n, cfg.m), cfg, mode="infer")
-        rows.append([getattr(emb, attr).data[place]
-                     for attr in ("z_lstm", "z_cnn", "z_gcn", "z_seq", "z_mv")])
+        emb = view_embeddings(store, build_view_batch(flows, cfg.n, cfg.m), cfg)
+        rows.append([z.data[place] for z in emb])
     for other in rows[1:]:
         for got, want in zip(other, rows[0]):
             np.testing.assert_array_equal(got, want)
@@ -359,10 +366,10 @@ def test_extract_train_mode_dropout_draws_differ():
     cfg = tiny_cfg(dropout=0.5)
     store = make_store(cfg, seed=20)
     views = random_views(cfg, 4, seed=21)
-    a = extract(store, views, cfg, mode="train", rng=Rng(1)).z_seq.data
-    b = extract(store, views, cfg, mode="train", rng=Rng(2)).z_seq.data
+    a = extract(store, views, cfg, mode="train", rng=Rng(1)).data
+    b = extract(store, views, cfg, mode="train", rng=Rng(2)).data
     assert not np.array_equal(a, b)
-    c = extract(store, views, cfg, mode="train", rng=Rng(1)).z_seq.data
+    c = extract(store, views, cfg, mode="train", rng=Rng(1)).data
     np.testing.assert_array_equal(a, c)
 
 
@@ -486,4 +493,4 @@ def test_view_arrays_match_the_per_flow_tig_reference(packet_lists):
     np.testing.assert_array_equal(views.payloads, payloads)
     _, z_mv = fuse(store, temporal_encode(store, lengths, cfg),
                    payload_encode(store, payloads, cfg), z_gcn, cfg)
-    np.testing.assert_array_equal(extract(store, views, cfg).z_mv.data, z_mv.data)
+    np.testing.assert_array_equal(extract(store, views, cfg).data, z_mv.data)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_validation_sees_live_extractor_parameters(monkeypatch):
     snap, store = toy_snapshot(cfg, per_class=5)
     store.get("fuse.lin2.b").data += 0.5  # moves every flow's features after prepare
     with tc.no_grad():
-        live = trainer.extract(store, snap.views, cfg, mode="infer").z_mv.data
+        live = trainer.extract(store, snap.views, cfg, mode="infer").data
     assert not np.array_equal(live, snap.features)
     seen = []
     real = trainer.encode
@@ -278,14 +279,26 @@ def test_validation_sees_live_extractor_parameters(monkeypatch):
         return real(graph, features, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "encode", spy)
-    f1 = evaluate_macro_f1(snap, store, cfg, 2)
+    f1 = evaluate_macro_f1(snap, store, cfg)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], live)
     with tc.no_grad():
-        enc = real(snap.graph, tc.constant(live), store, cfg, mode="infer")
-        probs = trainer.predict(enc.node_final, store).data
+        v, _ = real(snap.graph, tc.constant(live), store, cfg, mode="infer")
+        probs = trainer.predict(v, store).data
     idx = snap.labels.labeled_indices()
     assert f1 == macro_f1_score(probs[idx].argmax(axis=1), snap.labels.y[idx], 2)
+
+
+def test_report_counts_classes_by_the_head_width():
+    snap, _ = toy_snapshot(tiny_cfg(), per_class=5)  # classes 0 and 1 only
+    probs = np.eye(3)[snap.labels.y]  # a 3-wide head, right on every flow
+    probs[0] = [0.1, 0.2, 0.7]
+    report = snap.report(probs)
+    assert report.confusion.shape == (3, 3) and report.confusion[snap.labels.y[0], 2] == 1
+    assert report.accuracy == 0.9 and len(report.per_class) == 3
+    unlabeled = replace(snap, labels=LabelSet(snap.labels.y, np.zeros(10, dtype=bool)))
+    with pytest.raises(ConfigError, match="no labeled flows"):
+        unlabeled.report(probs)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
