@@ -25,7 +25,6 @@ from .errors import (
     FlowidError,
     PcapFormatError,
     ShapeError,
-    TrainingDivergedError,
 )
 from .ingest import (
     default_spec,
@@ -426,9 +425,6 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TrainingDivergedError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

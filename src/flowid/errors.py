@@ -27,7 +27,3 @@ class FlowFormatError(FlowidError):
 
 class CheckpointError(FlowidError):
     """Unreadable, corrupt, or inconsistent checkpoint file."""
-
-
-class TrainingDivergedError(FlowidError):
-    """Non-finite loss encountered during training."""

@@ -97,21 +97,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -401,8 +386,13 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def bw(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = gb = None  # a constant operand (incidence, adjacency) gets none
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad and b.ndim == 2 and a.ndim > 2:  # one GEMM over folded rows
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _node(data, (a, b), bw)

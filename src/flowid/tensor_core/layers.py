@@ -1,6 +1,5 @@
-"""Recurrent and attention building blocks.
-
-Both are batched: the extractors run them over a leading flow axis.
+"""Recurrent and attention building blocks, each one autodiff node with a
+hand-written backward, batched over a leading flow axis.
 """
 
 from __future__ import annotations
@@ -109,14 +108,36 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor,
 def attention_pool_batch(states: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Tensor:
     """Additive attention over the time axis of (N, T, d) states -> (N, d).
 
-    score_t = v . tanh(W s_t + b), weights = softmax over t.
+    score_t = v . tanh(W s_t + b), weights = softmax over t. Float64: the
+    forward runs the former node graph's numpy ops in its order, so its output
+    is bitwise that graph's. The node keeps tanh(W s + b) and the weights; the
+    backward sums in another order (W's gradient is one GEMM over all N*T
+    rows), so the gradients differ in the last bits. Constant states get none.
     """
     if states.ndim != 3:
         raise ShapeError(f"attention_pool_batch expects (N, T, d), got {states.shape}")
-    n, t_steps, _ = states.shape
+    n, t_steps, d = states.shape
     da = w.shape[1]
-    hidden = tc.tanh(tc.matmul(states, w) + b)              # (N, T, da)
-    scores = tc.matmul(hidden, tc.reshape(v, (da, 1)))      # (N, T, 1)
-    weights = tc.softmax_last(tc.reshape(scores, (n, t_steps)))
-    weighted = states * tc.reshape(weights, (n, t_steps, 1))
-    return tc.tsum(weighted, axis=1)
+    s = states.data
+    hid = s @ w.data  # (N, T, da)
+    hid += b.data
+    np.tanh(hid, out=hid)
+    scores = (hid @ v.data.reshape(da, 1)).reshape(n, t_steps)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = (s * weights.reshape(n, t_steps, 1)).sum(axis=1)
+
+    def bw(g):
+        d_weights = (s @ g[:, :, None]).reshape(n, t_steps)
+        d_scores = weights * (d_weights - (d_weights * weights).sum(axis=-1, keepdims=True))
+        hid2 = hid.reshape(-1, da)
+        d_u = np.multiply.outer(d_scores.reshape(-1), v.data)
+        d_u *= 1.0 - hid2 * hid2
+        d_states = None
+        if states.requires_grad:
+            d_states = (d_u @ w.data.T).reshape(n, t_steps, d)
+            d_states += weights[:, :, None] * g[:, None, :]
+        return (d_states, s.reshape(-1, d).T @ d_u, d_u.sum(axis=0),
+                hid2.T @ d_scores.reshape(-1))
+
+    return tc._node(out, (states, w, b, v), bw)

@@ -76,6 +76,3 @@ class ParameterStore:
         for name, t in self._params.items():
             out.add(name, Tensor(t.data.copy()))
         return out
-
-    def value_norms(self) -> dict[str, float]:
-        return {n: float(np.linalg.norm(t.data)) for n, t in self._params.items()}

@@ -28,7 +28,7 @@ from .augment import make_views
 from .config import TrainConfig
 from .contrast import group_group_loss, node_node_loss
 from .encoder import encode, init_encoder_params, predict, project
-from .errors import CheckpointError, ConfigError, TrainingDivergedError
+from .errors import CheckpointError, ConfigError
 from .extractors import EXTRACTOR_PREFIXES, ViewBatch, build_view_batch, extract, \
     init_extractor_params
 from .hypergraph import FlowHypergraph, build_flow_hypergraph
@@ -181,22 +181,16 @@ def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
     return StepLosses(total=total, l_pred=l_pred, l_n=l_n, l_g=l_g)
 
 
-def _diverged_message(store: ParameterStore, stats: dict[str, float]) -> str:
-    norms = sorted(store.value_norms().items(), key=lambda kv: -kv[1])[:8]
-    dump = ", ".join(f"{name}={norm:.3e}" for name, norm in norms)
-    return f"non-finite loss {stats}; largest parameter norms: {dump}"
-
-
 def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
                cfg: TrainConfig, rng: Rng) -> dict[str, float]:
-    losses = step_losses(snapshot, store, cfg, rng, mode="train")
-    stats = losses.stats()
-    if not all(np.isfinite(v) for v in stats.values()):
-        raise TrainingDivergedError(_diverged_message(store, stats))
-    store.zero_grad()
-    tc.backward(losses.total)
-    optimizer.step(store)
-    return stats
+    """One forward, backward and update; an overflow, NaN or division by zero
+    in any of them stops the step with FloatingPointError."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        losses = step_losses(snapshot, store, cfg, rng, mode="train")
+        store.zero_grad()
+        tc.backward(losses.total)
+        optimizer.step(store)
+    return losses.stats()
 
 
 def evaluate_probs(snapshot: Snapshot, store: ParameterStore,

@@ -63,6 +63,29 @@ def test_matmul_batched_matches_loop():
         np.testing.assert_allclose(out.data[i], a[i] @ w, atol=1e-12)
 
 
+def test_matmul_backward_skips_constant_operands():
+    rng = np.random.default_rng(4)
+    a, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    g = rng.normal(size=(3, 2))
+    ga, gb = tc.matmul(tc.constant(a), tc.Tensor(w, requires_grad=True))._backward(g)
+    assert ga is None
+    np.testing.assert_allclose(gb, a.T @ g, atol=1e-12)
+    ga, gb = tc.matmul(tc.Tensor(a, requires_grad=True), tc.constant(w))._backward(g)
+    assert gb is None
+    np.testing.assert_allclose(ga, g @ w.T, atol=1e-12)
+
+
+def test_matmul_batched_weight_gradient_is_the_per_flow_sum():
+    # (N, T, d) @ (d, k): the weight gradient is one GEMM over the N*T rows
+    rng = np.random.default_rng(5)
+    a, w = rng.normal(size=(30, 40, 16)), rng.normal(size=(16, 8))
+    g = rng.normal(size=(30, 40, 8))
+    _, gb = tc.matmul(tc.constant(a), tc.Tensor(w, requires_grad=True))._backward(g)
+    per_flow = sum(a[i].T @ g[i] for i in range(len(a)))
+    assert gb.shape == w.shape
+    np.testing.assert_allclose(gb, per_flow, rtol=1e-12, atol=1e-12 * np.abs(per_flow).max())
+
+
 # ---------------------------------------------------------------------------
 # conv1d_relu_pool: conv1d + bias + ReLU + width-2 max pool, channels-last
 # ---------------------------------------------------------------------------
@@ -716,6 +739,60 @@ def test_attention_hand_softmax():
     np.testing.assert_allclose(out, 0.75 * s1 + 0.25 * s2, atol=1e-12)
 
 
+def graph_attention_reference(states, w, b, v):
+    """attention_pool_batch as it was built from graph nodes before it was one op."""
+    n, t_steps, _ = states.shape
+    da = w.shape[1]
+    hidden = tc.tanh(tc.matmul(states, w) + b)
+    scores = tc.matmul(hidden, tc.reshape(v, (da, 1)))
+    weights = tc.softmax_last(tc.reshape(scores, (n, t_steps)))
+    return tc.tsum(states * tc.reshape(weights, (n, t_steps, 1)), axis=1)
+
+
+def _attention_case(n, t_steps, d, seed):
+    rng = np.random.default_rng(seed)
+    arrays = (rng.normal(size=(n, t_steps, d)), rng.normal(size=(d, d)) / np.sqrt(d),
+              0.1 * rng.normal(size=d), rng.normal(size=d) / np.sqrt(d))
+    return arrays, rng.normal(size=(n, d))
+
+
+@pytest.mark.parametrize("n, t_steps, d", [(300, 160, 32), (30, 40, 64)])
+def test_attention_matches_graph_reference(n, t_steps, d):
+    # the payload (N = 300, T = 160, d = 32) and temporal (T = 40, H = 64) pools
+    arrays, g = _attention_case(n, t_steps, d, seed=n)
+    results = []
+    for pool in (tc.attention_pool_batch, graph_attention_reference):
+        leaves = [tc.Tensor(a, requires_grad=True) for a in arrays]
+        out = pool(*leaves)
+        tc.backward(tc.tsum(out * tc.constant(g)))
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (fused, fused_grads), (graph, graph_grads) = results
+    np.testing.assert_array_equal(fused, graph)
+    for name, got, want in zip(("states", "w", "b", "v"), fused_grads, graph_grads):
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= 1e-13, (name, err)
+
+
+def test_attention_constant_states_get_no_gradient():
+    arrays, g = _attention_case(4, 5, 3, seed=1)
+    states = tc.constant(arrays[0])
+    out = tc.attention_pool_batch(states, *(tc.Tensor(a, requires_grad=True) for a in arrays[1:]))
+    d_states, d_w, d_b, d_v = out._backward(g)
+    assert d_states is None and d_w.shape == (3, 3) and d_b.shape == d_v.shape == (3,)
+
+
+def test_attention_retained_memory_bound():
+    # the node keeps tanh(W s + b) and the weights; the graph kept three
+    # (N, T, d_a) arrays and one (N, T, d) array besides
+    n, t_steps, d = 300, 160, 32
+    arrays, _ = _attention_case(n, t_steps, d, seed=2)
+    leaves = [tc.Tensor(a, requires_grad=True) for a in arrays]
+    out, retained = _retained_bytes(lambda: tc.attention_pool_batch(*leaves))
+    assert out.requires_grad
+    bound = n * t_steps * d * 8 + 4 * n * t_steps * 8 + out.data.nbytes + 2**16
+    assert retained < bound, (retained, bound)
+
+
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
@@ -817,6 +894,33 @@ def test_adam_determinism():
     w2, b2 = run()
     np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(b1, b2)
+
+
+def test_adam_matches_textbook_expression_bitwise():
+    rng = np.random.default_rng(17)
+    lr, wd = 0.002, 1e-2
+    shapes = {"w": (6, 5), "b": (5,), "alpha": (1,)}
+    # parameters of the step's size, so the update's last bits survive the subtraction
+    store = make_store(**{k: lr * rng.normal(size=sh) for k, sh in shapes.items()})
+    want = {k: t.data.copy() for k, t in store.items()}
+    m = {k: np.zeros(sh) for k, sh in shapes.items()}
+    v = {k: np.zeros(sh) for k, sh in shapes.items()}
+    opt = tc.Adam(lr=lr, weight_decay=wd)
+    for t in range(1, 4):
+        for k, p in store.items():
+            p.grad[...] = rng.normal(size=shapes[k])
+            g = p.grad.copy()
+            want[k] = want[k] - lr * wd * want[k]
+            m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k] + (1.0 - 0.999) * g * g
+            m_hat = m[k] / (1.0 - 0.9 ** t)
+            v_hat = v[k] / (1.0 - 0.999 ** t)
+            want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        opt.step(store)
+        for k, p in store.items():
+            np.testing.assert_array_equal(p.data, want[k])
+            np.testing.assert_array_equal(opt.m[k], m[k])
+            np.testing.assert_array_equal(opt.v[k], v[k])
 
 
 # ---------------------------------------------------------------------------
@@ -935,6 +1039,12 @@ def _op_cases():
             lambda s: _sum_squares(tc.attention_pool_batch(
                 tc.constant(np.random.default_rng(8).normal(size=(2, 4, 3))),
                 s.get("w"), s.get("b"), s.get("v"))),
+        ),
+        "attention_states": (
+            {"s": rng.normal(size=(2, 4, 3)), "w": rng.normal(size=(3, 2)),
+             "b": rng.normal(size=2), "v": rng.normal(size=2)},
+            lambda s: _sum_squares(tc.attention_pool_batch(
+                s.get("s"), s.get("w"), s.get("b"), s.get("v"))),
         ),
     }
     return cases
