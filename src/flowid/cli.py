@@ -67,19 +67,14 @@ _FLAG_NAMES = {"learning_rate": "lr"}
 
 
 def _scalar_flags() -> list:
-    """(field, flag) for each int, float and bool TrainConfig field; a bool's
-    flag switches away from its default (--no-include-self, --freeze-extractor)."""
-    return [(f, "--" + ("no-" if f.default is True else "")
-             + _FLAG_NAMES.get(f.name, f.name).replace("_", "-"))
-            for f in fields(TrainConfig) if type(f.default) in (int, float, bool)]
+    """(field, flag) for each int and float TrainConfig field."""
+    return [(f, "--" + _FLAG_NAMES.get(f.name, f.name).replace("_", "-"))
+            for f in fields(TrainConfig) if type(f.default) in (int, float)]
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     for f, flag in _scalar_flags():
-        if type(f.default) is bool:
-            p.add_argument(flag, action="store_true")
-        else:
-            p.add_argument(flag, type=type(f.default), default=f.default)
+        p.add_argument(flag, type=type(f.default), default=f.default)
     defaults = TrainConfig()
     p.add_argument("--aug1", type=str, default=defaults.aug1.spec_string())
     p.add_argument("--aug2", type=str, default=defaults.aug2.spec_string())
@@ -89,10 +84,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> TrainConfig:
-    values = {}
-    for f, flag in _scalar_flags():
-        value = getattr(args, flag[2:].replace("-", "_"))
-        values[f.name] = value ^ f.default if type(f.default) is bool else value
+    values = {f.name: getattr(args, flag[2:].replace("-", "_")) for f, flag in _scalar_flags()}
     if args.no_early_stop:
         values["patience"] = None
     return TrainConfig(**values, aug1=parse_pipeline(args.aug1), aug2=parse_pipeline(args.aug2),
@@ -254,11 +246,11 @@ def cmd_detect(args) -> int:
     flows, _ = _read_input_flows(args, cfg.n, cfg.m, args.timeout)
     windows = assign_windows(flows, args.window)
 
-    records = []  # written only after every window has been scored
+    # written, and skipped windows reported, only after every window has been
+    # scored: a failing window leaves one error line and no output
+    records = []
     for index, members in sorted(windows.items()):
         if len(members) < cfg.k + 1:
-            print(f"window {index}: skipped ({len(members)} flows < K+1={cfg.k + 1})",
-                  file=sys.stderr)
             records.append({"window": index, "skipped": True, "flows": len(members),
                             "reason": f"fewer than K+1={cfg.k + 1} flows"})
             continue
@@ -270,6 +262,9 @@ def cmd_detect(args) -> int:
                        for i, fid in enumerate(snapshot.flow_ids))
     with open(args.out, "w", encoding="utf-8") as fh:
         for record in records:
+            if record.get("skipped"):
+                print(f"window {record['window']}: skipped "
+                      f"({record['flows']} flows < K+1={cfg.k + 1})", file=sys.stderr)
             fh.write(json.dumps(record) + "\n")
     print(f"windows={len(windows)} flows={len(flows)}")
     return EXIT_OK

@@ -14,7 +14,7 @@ class TrainConfig:
     """Every knob of the pipeline. Defaults match the reference setting:
     n=40 packets, m=16 payload bytes, K=3 neighbors, extractor output 512,
     hypergraph hidden/projection 128, depth 2, dropout 0.2, Adam lr 0.002
-    with weight decay 1e-3."""
+    with weight decay 1e-3. What the model fixes is not a field (see fixed())."""
 
     epochs: int = 200
     learning_rate: float = 0.002
@@ -39,17 +39,13 @@ class TrainConfig:
     lstm_hidden: int = 64
     cnn_channels: tuple[int, int] = (16, 32)
     conv_kernel: int = 25
-    conv_stride: int = 1
-    conv_padding: int = 12
     gcn_hidden: int = 32
     fuse_hidden: int = 512
     predict_hidden: int = 128
 
     # training behavior
     patience: int | None = 30
-    include_self: bool = True
     cosine_eps: float = 1e-8
-    freeze_extractor: bool = False
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 1:
@@ -66,44 +62,49 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        for name in ("depth",):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        if self.depth < 0:
+            raise ConfigError("depth must be >= 0")
         for name in ("hidden", "projection_dim", "extractor_dim", "n", "m", "k",
                      "lstm_hidden", "gcn_hidden", "fuse_hidden", "predict_hidden",
-                     "conv_kernel", "conv_stride"):
+                     "conv_kernel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.conv_padding < 0:
-            raise ConfigError("conv_padding must be >= 0")
         if len(self.cnn_channels) != 2 or min(self.cnn_channels) < 1:
             raise ConfigError(f"cnn_channels must be two ints >= 1, got {self.cnn_channels}")
-        # a longer stride leaves each conv stage one output position over the
-        # same padded inputs, so it builds the same model
-        longest = self.n * self.m + 2 * self.conv_padding
-        if self.conv_stride > longest:
-            raise ConfigError(f"conv_stride must be <= n*m + 2*conv_padding = {longest}, "
-                              f"got {self.conv_stride}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError("patience must be >= 1 or None")
         return self
 
+    @property
+    def conv_padding(self) -> int:
+        """Each payload conv stage's zero padding; at stride 1 and an odd
+        kernel it keeps the stage's length."""
+        return self.conv_kernel // 2
+
+    def fixed(self) -> dict:
+        """The settings the model fixes rather than any field, as echo()
+        writes them: the layer counts, each payload conv stage's stride and
+        padding, and the flow's own membership of its hyperedge."""
+        return {"lstm_layers": 1, "gcn_layers": 2, "cnn_layers": 2, "conv_stride": 1,
+                "conv_padding": self.conv_padding, "include_self": True}
+
     def echo(self) -> dict:
         """Every field as a JSON value (a pipeline as its spec string, a tuple
-        as a list) plus the fixed layer counts; printed in run headers and
+        as a list) plus the fixed settings; printed in run headers and
         stored next to checkpoints, and read back by from_echo."""
         out = {}
         for f in fields(self):
             value = getattr(self, f.name)
             out[f.name] = (value.spec_string() if isinstance(value, AugmentationPipeline)
                            else list(value) if isinstance(value, tuple) else value)
-        return {**out, "lstm_layers": 1, "gcn_layers": 2, "cnn_layers": 2}
+        return {**out, **self.fixed()}
 
     @classmethod
     def from_echo(cls, echo: dict) -> "TrainConfig":
         """The config that echo() wrote. Every field is required and must have
         its default's JSON type: a float field also takes an int, and patience
-        may be null. A missing field is a KeyError, a wrong type a TypeError;
+        may be null. A missing field is a KeyError, a wrong type a TypeError,
+        and a fixed setting present with another value or type a ValueError;
         the values are left for validate()."""
         defaults, values = cls(), {}
         for f in fields(cls):
@@ -121,4 +122,8 @@ class TrainConfig:
                 raise TypeError(f"{f.name}={echo[f.name]!r} does not have the type "
                                 f"of {default!r}")
             values[f.name] = value
-        return cls(**values)
+        cfg = cls(**values)
+        for name, value in cfg.fixed().items():
+            if name in echo and (type(echo[name]) is not type(value) or echo[name] != value):
+                raise ValueError(f"{name}={echo[name]!r}, but the model fixes it at {value!r}")
+        return cfg

@@ -71,24 +71,19 @@ def hyperconv_layer(v_prev: Tensor, graph: FlowHypergraph, store: ParameterStore
 
 
 def encode(graph: FlowHypergraph, features: Tensor | np.ndarray, store: ParameterStore,
-           cfg: TrainConfig, mode: str = "infer", rng: Rng | None = None
-           ) -> tuple[Tensor, Tensor | None]:
+           cfg: TrainConfig, rng: Rng | None = None) -> tuple[Tensor, Tensor | None]:
     """(V, E): the last layer's node and hyperedge embeddings after the input
     projection of the (N, d) node `features` and cfg.depth stacked layers; E
-    is None at depth 0. Dropout runs between layers in train mode. Any
-    augmentation feature mask recorded on the graph is applied to the
-    features first."""
-    if mode not in ("train", "infer"):
-        raise ConfigError(f"mode must be train or infer, got {mode!r}")
+    is None at depth 0. Dropout runs between layers when an `rng` is given
+    (training). Any augmentation feature mask recorded on the graph is
+    applied to the features first."""
     z = tc.as_tensor(features)
     if graph.feature_mask is not None:
         z = z * tc.constant(graph.feature_mask[:, None])
     v = tc.matmul(z, store.get("encoder.in.w")) + store.get("encoder.in.b")
     e = None
     for layer in range(cfg.depth):
-        if layer > 0 and mode == "train" and cfg.dropout > 0:
-            if rng is None:
-                raise ConfigError("train-mode encode needs an rng for dropout")
+        if layer > 0 and rng is not None and cfg.dropout > 0:
             v = v * tc.dropout_mask(v.shape, cfg.dropout, rng.child("enc-dropout", layer))
         e, v = hyperconv_layer(v, graph, store, layer)
     return v, e

@@ -116,9 +116,6 @@ def init_extractor_params(store: ParameterStore, cfg: TrainConfig, rng: Rng) -> 
     store.add("fuse.alpha", np.array([0.5]))
 
 
-EXTRACTOR_PREFIXES = ("temporal.", "payload.", "interaction.", "fuse.")
-
-
 def temporal_encode(store: ParameterStore, lengths: np.ndarray, cfg: TrainConfig) -> Tensor:
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths.ndim != 2 or lengths.shape[1] != cfg.n:
@@ -142,9 +139,9 @@ def payload_encode(store: ParameterStore, payloads: np.ndarray, cfg: TrainConfig
 
     # channels-last (N, positions, channels) throughout
     h = tc.conv1d_relu_pool(stream, store.get("payload.conv1.w"), store.get("payload.conv1.b"),
-                            cfg.conv_stride, cfg.conv_padding, dtype=COMPUTE_DTYPE)
+                            cfg.conv_padding, dtype=COMPUTE_DTYPE)
     states = tc.conv1d_relu_pool(h, store.get("payload.conv2.w"), store.get("payload.conv2.b"),
-                                 cfg.conv_stride, cfg.conv_padding, dtype=COMPUTE_DTYPE)
+                                 cfg.conv_padding, dtype=COMPUTE_DTYPE)
     pooled = tc.attention_pool_batch(states, store.get("payload.attn.w"),
                                      store.get("payload.attn.b"),
                                      store.get("payload.attn.v"))
@@ -179,14 +176,12 @@ def interaction_encode(store: ParameterStore, lengths: np.ndarray, directions: n
 
 
 def fuse(store: ParameterStore, z_lstm: Tensor, z_cnn: Tensor, z_gcn: Tensor,
-         cfg: TrainConfig, mode: str = "infer", rng: Rng | None = None
-         ) -> tuple[Tensor, Tensor]:
-    """(z_seq, z_mv): the fused sequence embedding and the final blend."""
+         cfg: TrainConfig, rng: Rng | None = None) -> tuple[Tensor, Tensor]:
+    """(z_seq, z_mv): the fused sequence embedding and the final blend.
+    Dropout runs on the hidden layer when an `rng` is given (training)."""
     cat = tc.concat([z_cnn, z_lstm], axis=1)
     h = tc.matmul(cat, store.get("fuse.lin1.w")) + store.get("fuse.lin1.b")
-    if mode == "train":
-        if rng is None:
-            raise ConfigError("train-mode fuse needs an rng for dropout")
+    if rng is not None:
         h = h * tc.dropout_mask(h.shape, cfg.dropout, rng.child("fuse-dropout"))
     z_seq = tc.matmul(h, store.get("fuse.lin2.w")) + store.get("fuse.lin2.b")
     alpha = tc.clamp(store.get("fuse.alpha"), 0.0, 1.0)
@@ -195,11 +190,10 @@ def fuse(store: ParameterStore, z_lstm: Tensor, z_cnn: Tensor, z_gcn: Tensor,
 
 
 def extract(store: ParameterStore, views: ViewBatch, cfg: TrainConfig,
-            mode: str = "infer", rng: Rng | None = None) -> Tensor:
-    """The fused (N, d) multi-view embedding z_mv of the batch's flows."""
-    if mode not in ("train", "infer"):
-        raise ConfigError(f"mode must be train or infer, got {mode!r}")
+            rng: Rng | None = None) -> Tensor:
+    """The fused (N, d) multi-view embedding z_mv of the batch's flows;
+    with an `rng`, fuse's dropout runs (training)."""
     z_lstm = temporal_encode(store, views.lengths, cfg)
     z_cnn = payload_encode(store, views.payloads, cfg)
     z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
-    return fuse(store, z_lstm, z_cnn, z_gcn, cfg, mode=mode, rng=rng)[1]
+    return fuse(store, z_lstm, z_cnn, z_gcn, cfg, rng=rng)[1]

@@ -1,9 +1,9 @@
 """Flow hypergraph: KNN hyperedges plus incidence, weight, and degree matrices.
 
-One hyperedge per flow: the flow's K nearest neighbors in Euclidean feature
-space, plus the flow itself when include_self is on (the default). Hyperedge
-weights start at 1. Node degrees are weighted row sums of the incidence
-matrix; hyperedge degrees are plain column sums.
+One hyperedge per flow: the flow itself and its K nearest neighbors in
+Euclidean feature space, HGNN's KNN construction (Feng et al.,
+arXiv:1809.09401). Hyperedge weights start at 1. Node degrees are weighted
+row sums of the incidence matrix; hyperedge degrees are plain column sums.
 
 The neighbor search is exact brute force in two steps. One GEMM per block of
 query rows gives every squared distance as |a|^2 - 2 a.b + |b|^2 on
@@ -58,13 +58,13 @@ class FlowHypergraph:
         return self.incidence.sum(axis=0)
 
 
-def knn_hyperedges(features: np.ndarray, k: int, include_self: bool = True) -> np.ndarray:
+def knn_hyperedges(features: np.ndarray, k: int) -> np.ndarray:
     """Incidence matrix H (N x N): column i is flow i's hyperedge.
 
-    Members are the K flows nearest to flow i by squared Euclidean distance
-    (self excluded from candidates, distance ties broken by lower flow index)
-    plus flow i itself when include_self is on. The distance that ranks flows
-    is the difference form D_ij = sum_t (x_it - x_jt)^2, computed as written.
+    Members are flow i itself and the K flows nearest to it by squared
+    Euclidean distance (self excluded from candidates, distance ties broken
+    by lower flow index). The distance that ranks flows is the difference
+    form D_ij = sum_t (x_it - x_jt)^2, computed as written.
 
     Candidates. With z = fl(x - mean(x)) and sq_j = |z_j|^2, one GEMM per
     block of query rows gives g_ij = (-2 z_i.z_j + sq_i) + sq_j. With
@@ -124,8 +124,7 @@ def knn_hyperedges(features: np.ndarray, k: int, include_self: bool = True) -> n
         stop = min(n, start + block)
         nearest = _block_nearest(features, z, sq, slack, start, stop, k)
         h[nearest, np.arange(start, stop)[:, None]] = 1.0
-    if include_self:
-        np.fill_diagonal(h, 1.0)
+    np.fill_diagonal(h, 1.0)
     return h
 
 
@@ -154,9 +153,8 @@ def _block_nearest(features, z, sq, slack, start, stop, k) -> np.ndarray:
     return col[order[first[:, None] + np.arange(k)]]
 
 
-def build_flow_hypergraph(features: np.ndarray, k: int,
-                          include_self: bool = True) -> FlowHypergraph:
+def build_flow_hypergraph(features: np.ndarray, k: int) -> FlowHypergraph:
     """KNN hyperedges over `features` with unit weights (M = I)."""
-    incidence = knn_hyperedges(features, k, include_self=include_self)
+    incidence = knn_hyperedges(features, k)
     return FlowHypergraph(incidence, np.ones(incidence.shape[1], dtype=np.float64))
 

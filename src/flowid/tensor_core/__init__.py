@@ -19,12 +19,10 @@ from .engine import (
     mul,
     no_grad,
     relu,
-    reshape,
     softmax_last,
     sqrt,
     sub,
     take_per_row,
-    tanh,
     tmean,
     transpose2d,
     tsum,

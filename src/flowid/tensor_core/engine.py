@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 
 
 class _GradMode(threading.local):
@@ -237,16 +237,6 @@ def sqrt(a) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    data = np.tanh(a.data)
-
-    def bw(g):
-        return (g * (1.0 - data * data),)
-
-    return _node(data, (a,), bw)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     data = np.maximum(a.data, 0.0)
@@ -291,16 +281,6 @@ def transpose2d(a) -> Tensor:
 
     def bw(g):
         return (g.T,)
-
-    return _node(data, (a,), bw)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        return (g.reshape(a.shape),)
 
     return _node(data, (a,), bw)
 
@@ -474,25 +454,24 @@ def _constant_run(a: np.ndarray) -> int:
     return int(differs[-1]) // c + 1 if differs.size else 0
 
 
-def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
-                     dtype=np.float64) -> Tensor:
+def conv1d_relu_pool(x, kernel, bias, padding: int = 0, dtype=np.float64) -> Tensor:
     """One payload-CNN stage: relu(conv1d(x, kernel) + bias), then a width-2 max pool.
 
     x: channels-last (N, L, C_in); kernel: (C_out, C_in, k); bias: (C_out,).
-    The convolution is a cross-correlation over zero padding with
-    L_out = floor((L + 2*padding - k)/stride) + 1 positions; the output is
+    The convolution is a stride-1 cross-correlation over zero padding with
+    L_out = L + 2*padding - k + 1 positions; the output is
     channels-last (N, floor(L_out/2), C_out), or (N, L_out, C_out) unpooled
     when L_out < 2. The pool is _max_pool_pairs: ties keep the first element
     of a pair, and an odd length's trailing position is dropped and gets zero
     gradient.
 
     Each GEMM row covers _CONV_BLOCK consecutive output positions: it reads
-    the (block-1)*stride + k input positions they span, and multiplies them by
-    a block-Toeplitz copy of the kernel of shape (span*C_in, block*C_out). The
-    patch matrix is thus block*k/span times smaller than im2col's (6.25 at
-    k=25, stride 1), and the GEMM block times wider. Because the Toeplitz
-    zeros multiply every input of the span, a non-finite input value makes
-    its whole block non-finite.
+    the span = block + k - 1 input positions they cover, and multiplies them
+    by a block-Toeplitz copy of the kernel of shape (span*C_in, block*C_out).
+    The patch matrix is thus block*k/span times smaller than im2col's (6.25
+    at k=25), and the GEMM block times wider. Because the Toeplitz zeros
+    multiply every input of the span, a non-finite input value makes its
+    whole block non-finite.
 
     Both passes run over chunks of flows that fit in _CONV_CHUNK_BYTES; bias,
     ReLU and the pool run on each chunk while it is in cache. The node keeps
@@ -535,27 +514,26 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
     c_out, kc_in, k = kernel.shape
     if kc_in != c_in:
         raise ShapeError(f"conv1d_relu_pool channel mismatch: input {c_in}, kernel {kc_in}")
-    if k < 1 or stride < 1 or padding < 0 or length + 2 * padding < k:
+    if k < 1 or padding < 0 or length + 2 * padding < k:
         raise ShapeError(f"conv1d_relu_pool geometry invalid: L={length}, k={k}, "
-                         f"stride={stride}, padding={padding}")
-    l_out = (length + 2 * padding - k) // stride + 1
+                         f"padding={padding}")
+    l_out = length + 2 * padding - k + 1
     pool = l_out >= 2
     stop = 2 * (l_out // 2)
 
     block = _CONV_BLOCK
     blocks = -(-l_out // block)
-    step = block * stride               # input positions from one block to the next
-    span = (block - 1) * stride + k     # input positions one block reads
-    segs = -(-span // step)             # step-sized slabs of one block's span
-    # whole step-sized slabs that hold the padded input and every block's span
-    slabs = max(blocks + segs - 1, -(-(length + padding) // step))
-    xp = np.zeros((n, slabs * step, c_in), dtype=dtype)
+    span = block + k - 1       # input positions one block reads
+    segs = -(-span // block)   # block-sized slabs of one block's span
+    # whole block-sized slabs that hold the padded input and every block's span
+    slabs = max(blocks + segs - 1, -(-(length + padding) // block))
+    xp = np.zeros((n, slabs * block, c_in), dtype=dtype)
     xp[:, padding : padding + length] = x.data
 
     toeplitz = np.zeros((span, c_in, block, c_out), dtype=dtype)
     taps = kernel.data.transpose(2, 1, 0)  # (k, C_in, C_out)
     for j in range(block):
-        toeplitz[j * stride : j * stride + k, :, j] = taps
+        toeplitz[j : j + k, :, j] = taps
     toeplitz = toeplitz.reshape(span * c_in, block * c_out)
 
     # chunks of flows; at least two GEMM rows each when the batch has two,
@@ -573,8 +551,8 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
     # constant tail, and which lie wholly inside the output
     whole = l_out // block
     run = padding + _constant_run(xp[:, padding : padding + length])
-    run_head = -(-run // step) + 1
-    run_end = min(whole, (padding + length - span) // step + 1)
+    run_head = -(-run // block) + 1
+    run_end = min(whole, (padding + length - span) // block + 1)
 
     def patches(lo, hi, head=blocks, end=blocks):
         """(flows*blocks, span*C_in) patch matrix of flows lo:hi (a copy),
@@ -582,7 +560,7 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
         s0, s1, s2 = xp.strides
         windows = np.lib.stride_tricks.as_strided(
             xp[lo:hi], shape=(hi - lo, blocks, span, c_in),
-            strides=(s0, s1 * step, s1, s2), writeable=False)
+            strides=(s0, s1 * block, s1, s2), writeable=False)
         if head < end:
             windows = np.concatenate((windows[:, :head], windows[:, end:]), axis=1)
         return windows.reshape(-1, span * c_in)
@@ -633,14 +611,14 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
             if gxp is None:
                 continue
             g_patch = (gy @ toeplitz.T).reshape(hi - lo, blocks, span, c_in)
-            gx_slabs = gxp[lo:hi].reshape(hi - lo, slabs, step, c_in)
+            gx_slabs = gxp[lo:hi].reshape(hi - lo, slabs, block, c_in)
             for q in range(segs):  # slab q of every block's span
-                width = min(step, span - q * step)
-                gx_slabs[:, q : q + blocks, :width] += g_patch[:, :, q * step : q * step + width]
+                width = min(block, span - q * block)
+                gx_slabs[:, q : q + blocks, :width] += g_patch[:, :, q * block : q * block + width]
         g_taps = np.zeros((k, c_in, c_out))
         g_toeplitz = g_toeplitz.reshape(span, c_in, block, c_out)
         for j in range(block):
-            g_taps += g_toeplitz[j * stride : j * stride + k, :, j]
+            g_taps += g_toeplitz[j : j + k, :, j]
         gx = None if gxp is None else gxp[:, padding : padding + length]
         return gx, g_taps.transpose(2, 1, 0), g_bias
 
@@ -649,8 +627,6 @@ def conv1d_relu_pool(x, kernel, bias, stride: int = 1, padding: int = 0,
 
 def dropout_mask(shape, rate: float, rng) -> Tensor:
     """Inverted-dropout mask: entries 0 with probability `rate`, else 1/(1-rate)."""
-    from ..errors import ConfigError
-
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:

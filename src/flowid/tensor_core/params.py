@@ -9,18 +9,11 @@ from ..rng import Rng
 from .engine import Tensor
 
 
-def glorot_uniform(shape: tuple[int, ...], rng: Rng, fan_in: int | None = None,
-                   fan_out: int | None = None) -> np.ndarray:
-    """Uniform in +/- sqrt(6/(fan_in+fan_out)); fans default to the 2-D dims."""
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-        elif len(shape) == 3:  # conv kernels (C_out, C_in, k)
-            fan_out = shape[0] * shape[2]
-            fan_in = shape[1] * shape[2]
-        else:
-            fan_in = fan_out = int(np.prod(shape))
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(shape: tuple[int, ...], rng: Rng) -> np.ndarray:
+    """Uniform in +/- sqrt(6/(fan_in+fan_out)); the fans are a matrix's two
+    dims, or a conv kernel (C_out, C_in, k)'s C_out*k and C_in*k."""
+    taps = shape[2] if len(shape) == 3 else 1
+    limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * taps))
     return rng.uniform(-limit, limit, shape)
 
 
@@ -58,15 +51,6 @@ class ParameterStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def freeze(self, prefix: str) -> int:
-        """Exclude matching parameters from both gradients and updates."""
-        hit = 0
-        for name, t in self._params.items():
-            if name.startswith(prefix):
-                t.requires_grad = False
-                hit += 1
-        return hit
 
     def copy(self) -> "ParameterStore":
         """The values only, as plain tensors like a loaded checkpoint's: a

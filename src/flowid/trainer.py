@@ -29,8 +29,7 @@ from .config import TrainConfig
 from .contrast import group_group_loss, node_node_loss
 from .encoder import encode, init_encoder_params, predict, project
 from .errors import CheckpointError, ConfigError
-from .extractors import EXTRACTOR_PREFIXES, ViewBatch, build_view_batch, extract, \
-    init_extractor_params
+from .extractors import ViewBatch, build_view_batch, extract, init_extractor_params
 from .hypergraph import FlowHypergraph, build_flow_hypergraph
 from .ingest.records import FlowRecord
 from .metrics import MetricsReport, confusion_matrix, macro_metrics
@@ -135,15 +134,15 @@ def parameter_shapes(cfg: TrainConfig, n_classes: int) -> dict[str, tuple[int, .
 
 def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
                      cfg: TrainConfig) -> Snapshot:
-    """Derive views, run the extractor once (inference mode, no gradients),
+    """Derive views, run the extractor once (no dropout, no gradients),
     and build the KNN hypergraph from those features. The incidence structure
     is fixed for the snapshot's lifetime. The features stay on the snapshot
     for evaluate_probs with the same store; training steps and fit's
     validation extract features again from the live parameters."""
     views = build_view_batch(flows, cfg.n, cfg.m)
     with tc.no_grad():
-        features = extract(store, views, cfg, mode="infer").data
-    graph = build_flow_hypergraph(features, cfg.k, include_self=cfg.include_self)
+        features = extract(store, views, cfg).data
+    graph = build_flow_hypergraph(features, cfg.k)
     return Snapshot([f.id for f in flows], views, graph, LabelSet.from_flows(flows), features)
 
 
@@ -160,18 +159,18 @@ class StepLosses:
 
 
 def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
-                rng: Rng, mode: str = "train") -> StepLosses:
-    """Forward pass producing the full loss breakdown. Deterministic in
-    (parameters, snapshot, rng), including dropout and augmentation draws."""
-    z = extract(store, snapshot.views, cfg, mode=mode, rng=rng.child("extract"))
+                rng: Rng) -> StepLosses:
+    """Training forward pass producing the full loss breakdown. Deterministic
+    in (parameters, snapshot, rng), including dropout and augmentation draws."""
+    z = extract(store, snapshot.views, cfg, rng=rng.child("extract"))
     view1, view2 = make_views(snapshot.graph, cfg.aug1, cfg.aug2, rng.child("augment"))
 
-    v0, _ = encode(snapshot.graph, z, store, cfg, mode=mode, rng=rng.child("enc", 0))
+    v0, _ = encode(snapshot.graph, z, store, cfg, rng=rng.child("enc", 0))
     probs = predict(v0, store)
     l_pred = cross_entropy_loss(probs, snapshot.labels)
 
-    v1, e1 = project(*encode(view1, z, store, cfg, mode=mode, rng=rng.child("enc", 1)), store)
-    v2, e2 = project(*encode(view2, z, store, cfg, mode=mode, rng=rng.child("enc", 2)), store)
+    v1, e1 = project(*encode(view1, z, store, cfg, rng=rng.child("enc", 1)), store)
+    v2, e2 = project(*encode(view2, z, store, cfg, rng=rng.child("enc", 2)), store)
     l_n = node_node_loss(v1, v2, cfg.tau_n, eps=cfg.cosine_eps)
     if e1 is None or e2 is None:
         l_g = tc.constant(0.0)
@@ -186,7 +185,7 @@ def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
     """One forward, backward and update; an overflow, NaN or division by zero
     in any of them stops the step with FloatingPointError."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        losses = step_losses(snapshot, store, cfg, rng, mode="train")
+        losses = step_losses(snapshot, store, cfg, rng)
         store.zero_grad()
         tc.backward(losses.total)
         optimizer.step(store)
@@ -195,14 +194,14 @@ def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
 
 def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
                    cfg: TrainConfig) -> np.ndarray:
-    """Inference-mode class distributions for every flow in the snapshot.
+    """Class distributions, without dropout, for every flow in the snapshot.
 
     The encoder reads the features prepare_snapshot stored on the snapshot,
     so `store` must be the store the snapshot was prepared with, unchanged
     since. Once the parameters move (as during fit), prepare a new snapshot
     or extract live features as evaluate_macro_f1 does."""
     with tc.no_grad():
-        v, _ = encode(snapshot.graph, snapshot.features, store, cfg, mode="infer")
+        v, _ = encode(snapshot.graph, snapshot.features, store, cfg)
         return predict(v, store).data.copy()
 
 
@@ -211,7 +210,7 @@ def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfi
     parameters: fit moves them after the snapshot was prepared, so the
     features stored on the snapshot are stale."""
     with tc.no_grad():
-        features = extract(store, snapshot.views, cfg, mode="infer").data
+        features = extract(store, snapshot.views, cfg).data
     return snapshot.report(evaluate_probs(replace(snapshot, features=features),
                                           store, cfg)).macro_f1
 
@@ -229,9 +228,6 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
     """Train `store` in place on the full snapshot with per-epoch validation;
     returns a copy of the parameters from the best-validation-macro-F1 epoch."""
     cfg.validate()
-    if cfg.freeze_extractor:
-        for prefix in EXTRACTOR_PREFIXES:
-            store.freeze(prefix)
     optimizer = Adam(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
 

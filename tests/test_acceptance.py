@@ -58,7 +58,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 def _toy_cfg(**overrides) -> TrainConfig:
     base = dict(n=6, m=4, extractor_dim=6, hidden=5, projection_dim=4,
-                lstm_hidden=3, cnn_channels=(2, 3), conv_kernel=3, conv_padding=1,
+                lstm_hidden=3, cnn_channels=(2, 3), conv_kernel=3,
                 gcn_hidden=3, fuse_hidden=4, predict_hidden=4, k=2, depth=2,
                 seed=7, aug1=parse_pipeline("ew:0.4"), aug2=parse_pipeline("ew:0.4"))
     base.update(overrides)
@@ -112,7 +112,7 @@ def test_criterion_1_gradient_suite():
     store = _nudged(build_parameter_store(cfg, 2), 77)
     snap = prepare_snapshot(flows, store, cfg)
     assert len(snap.flow_ids) == 6
-    rep = grad_check(lambda s: step_losses(snap, s, cfg, Rng(13), mode="train").total,
+    rep = grad_check(lambda s: step_losses(snap, s, cfg, Rng(13)).total,
                      store, h=1e-5, tol=1e-4)
     if not rep.passed:
         failures.append(f"full loss: {rep.worst()}")
@@ -312,7 +312,7 @@ def test_criterion_6_end_to_end_synthetic():
 
 # small dimensions for the many-seed runs of criteria 7 and 8
 SMALL_DIMS = dict(extractor_dim=32, hidden=16, projection_dim=16, lstm_hidden=8,
-                  cnn_channels=(4, 8), conv_kernel=5, conv_padding=2, gcn_hidden=8,
+                  cnn_channels=(4, 8), conv_kernel=5, gcn_hidden=8,
                   fuse_hidden=32, predict_hidden=16)
 
 
@@ -385,7 +385,7 @@ def test_criterion_8_k_sweep_shape():
 TINY_FLAGS = [
     "--extractor-dim", "24", "--hidden", "12", "--projection-dim", "12",
     "--lstm-hidden", "6", "--cnn-channels", "3,4", "--conv-kernel", "5",
-    "--conv-padding", "2", "--gcn-hidden", "6", "--fuse-hidden", "16",
+    "--gcn-hidden", "6", "--fuse-hidden", "16",
     "--predict-hidden", "8", "--n", "8", "--m", "6", "--k", "2",
 ]
 
@@ -483,7 +483,7 @@ def test_criterion_10_metrics_and_defaults():
     expected = {"n": 40, "m": 16, "k": 3, "learning_rate": 0.002,
                 "weight_decay": 1e-3, "extractor_dim": 512, "hidden": 128,
                 "projection_dim": 128, "depth": 2, "dropout": 0.2,
-                "conv_kernel": 25, "conv_stride": 1, "conv_padding": 12,
+                "conv_kernel": 25, "conv_stride": 1, "conv_padding": 12, "include_self": True,
                 "lstm_layers": 1, "gcn_layers": 2, "cnn_layers": 2}
     mismatches = {k: (echo.get(k), v) for k, v in expected.items() if echo.get(k) != v}
     ok &= not mismatches

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from test_trainer import ENTRY, write_sealed
 TINY_FLAGS = [
     "--extractor-dim", "24", "--hidden", "12", "--projection-dim", "12",
     "--lstm-hidden", "6", "--cnn-channels", "3,4", "--conv-kernel", "5",
-    "--conv-padding", "2", "--gcn-hidden", "6", "--fuse-hidden", "16",
+    "--gcn-hidden", "6", "--fuse-hidden", "16",
     "--predict-hidden", "8", "--n", "8", "--m", "6", "--k", "2",
 ]
 
@@ -153,6 +154,7 @@ def test_train_header_echoes_reference_defaults(workspace, capsys, tmp_path):
     assert header["conv_kernel"] == 25
     assert header["conv_stride"] == 1
     assert header["conv_padding"] == 12
+    assert header["include_self"] is True
     assert header["lstm_layers"] == 1
     assert header["gcn_layers"] == 2
     assert header["cnn_layers"] == 2
@@ -204,16 +206,12 @@ CONFIG_FLAG_CASES = [
     ("lstm_hidden", ["--lstm-hidden", "16"], 16),
     ("cnn_channels", ["--cnn-channels", "3,5"], (3, 5)),
     ("conv_kernel", ["--conv-kernel", "7"], 7),
-    ("conv_stride", ["--conv-stride", "2"], 2),
-    ("conv_padding", ["--conv-padding", "3"], 3),
     ("gcn_hidden", ["--gcn-hidden", "12"], 12),
     ("fuse_hidden", ["--fuse-hidden", "100"], 100),
     ("predict_hidden", ["--predict-hidden", "48"], 48),
     ("patience", ["--patience", "4"], 4),
     ("patience", ["--no-early-stop"], None),
-    ("include_self", ["--no-include-self"], False),
     ("cosine_eps", ["--cosine-eps", "1e-6"], 1e-6),
-    ("freeze_extractor", ["--freeze-extractor"], True),
 ]
 PARSER_ARGS = {"train": ["train", "--flows", "t", "--val", "v", "--out", "o"],
                "sweep": ["sweep", "--param", "k", "--values", "2", "--out", "o"]}
@@ -299,11 +297,12 @@ def test_eval_bad_checkpoint_one_line_exit_2(workspace, tmp_path, capsys, defect
     ("n", True),
     ("dropout", "0.2"),
     ("include_self", "no"),
-    ("include_self", 1),
+    ("include_self", False),
     ("cnn_channels", [3]),
     ("cnn_channels", [3, 4.0]),
     ("lstm_hidden", 6.0),
     ("patience", 30.0),
+    ("conv_padding", 2.0),  # the model's padding, but not an integer
 ])
 def test_detect_malformed_metadata_exit_2(workspace, tmp_path, capsys, meta):
     model = tmp_path / "model.ckpt"
@@ -321,6 +320,61 @@ def test_detect_malformed_metadata_exit_2(workspace, tmp_path, capsys, meta):
     assert not out.exists()
 
 
+def _run_with_sidecar(workspace, root, config: dict, args: list) -> int:
+    """`main(args + --model)` on a copy of the workspace model whose sidecar
+    holds `config`."""
+    root.mkdir(exist_ok=True)
+    model = root / "model.ckpt"
+    model.write_bytes((workspace / "model.ckpt").read_bytes())
+    (root / "model.ckpt.meta.json").write_text(json.dumps({"config": config}))
+    return main([*args, "--model", str(model)])
+
+
+# a fixed setting of another value describes another model, even where the
+# tensors' shapes cannot tell (padding changes none)
+@pytest.mark.parametrize("command", ["eval", "detect"])
+@pytest.mark.parametrize("key, value", [("conv_padding", 3), ("conv_stride", 2),
+                                        ("include_self", False), ("lstm_layers", 2)])
+def test_sidecar_fixed_setting_of_another_value_exit_2(workspace, tmp_path, capsys,
+                                                        command, key, value):
+    config = json.loads((workspace / "model.ckpt.meta.json").read_text())["config"]
+    out = tmp_path / "out"
+    args = {"eval": ["eval", "--report", str(out)],
+            "detect": ["detect", "--window", "60", "--out", str(out)]}[command]
+    args += ["--flows", str(workspace / "test.jsonl")]
+    assert _run_with_sidecar(workspace, tmp_path, {**config, key: value}, args) == 2
+    err = _one_line_error(capsys)
+    assert err.startswith("format error:") and key in err
+    assert not out.exists()
+
+
+# the sidecar config as written when conv_stride, conv_padding, include_self
+# and freeze_extractor were TrainConfig fields, in their field order
+OLDER_SIDECAR_KEYS = [
+    "epochs", "learning_rate", "weight_decay", "omega_n", "omega_g", "tau_n", "tau_g",
+    "aug1", "aug2", "depth", "hidden", "projection_dim", "extractor_dim", "n", "m", "k",
+    "dropout", "seed", "lstm_hidden", "cnn_channels", "conv_kernel", "conv_stride",
+    "conv_padding", "gcn_hidden", "fuse_hidden", "predict_hidden", "patience",
+    "include_self", "cosine_eps", "freeze_extractor", "lstm_layers", "gcn_layers",
+    "cnn_layers"]
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_older_sidecar_layout_gives_identical_detections(workspace, tmp_path, capsys, frozen):
+    config = json.loads((workspace / "model.ckpt.meta.json").read_text())["config"]
+    assert set(config) == set(OLDER_SIDECAR_KEYS) - {"freeze_extractor"}
+    older = {key: config.get(key, frozen) for key in OLDER_SIDECAR_KEYS}
+    outputs = []
+    for name, sidecar in (("new", config), ("older", older)):
+        out = tmp_path / f"{name}.jsonl"
+        assert _run_with_sidecar(workspace, tmp_path / name, sidecar,
+                                 ["detect", "--flows", str(workspace / "test.jsonl"),
+                                  "--window", "60", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
+
+
 def _field_values(f):
     """Any valid value of TrainConfig field `f`; validate() settles combinations."""
     default = getattr(TrainConfig(), f.name)
@@ -329,8 +383,6 @@ def _field_values(f):
         return st.lists(step, max_size=3).map(lambda steps: AugmentationPipeline(tuple(steps)))
     if isinstance(default, tuple):
         return st.tuples(st.integers(1, 64), st.integers(1, 64))
-    if type(default) is bool:
-        return st.booleans()
     if f.name == "dropout":
         return st.floats(0, 1, exclude_max=True)
     if type(default) is float:
@@ -338,9 +390,7 @@ def _field_values(f):
         return st.floats(0, exclude_min=positive, allow_infinity=False)
     if f.name == "patience":
         return st.none() | st.integers(1, 10 ** 6)
-    if f.name == "conv_stride":
-        return st.integers(1, 8)
-    return st.integers(0 if f.name in ("depth", "conv_padding", "seed") else 1, 2 ** 40)
+    return st.integers(0 if f.name in ("depth", "seed") else 1, 2 ** 40)
 
 
 def _is_valid(cfg) -> bool:
@@ -351,6 +401,11 @@ def _is_valid(cfg) -> bool:
     return True
 
 
+def test_fixed_padding_is_half_the_kernel():
+    assert [TrainConfig(conv_kernel=k).echo()["conv_padding"]
+            for k in (1, 4, 5, 25)] == [0, 2, 2, 12]
+
+
 @given(st.fixed_dictionaries({f.name: _field_values(f) for f in fields(TrainConfig)})
        .map(lambda values: TrainConfig(**values)).filter(_is_valid))
 @settings(max_examples=200, deadline=None)
@@ -358,7 +413,7 @@ def test_config_echo_round_trips_through_json(cfg):
     assert TrainConfig.from_echo(json.loads(json.dumps(cfg.echo()))) == cfg
 
 
-# JSON values by kind; a field takes the kinds _right_kinds names
+# JSON values by kind; a sidecar entry takes the kinds _right_kinds names
 JSON_KINDS = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
               "float": st.floats(), "str": st.text(max_size=8),
               "int_pair": st.lists(st.integers(), min_size=2, max_size=2),
@@ -367,17 +422,16 @@ JSON_KINDS = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
 
 
 def _right_kinds(name: str) -> set:
-    default = getattr(TrainConfig(), name)
-    if isinstance(default, AugmentationPipeline):
-        return {"str"}
-    if isinstance(default, tuple):
+    default = TrainConfig().echo()[name]
+    if isinstance(default, list):
         return {"int_pair"}
     if type(default) is float:
         return {"int", "float"}
     return {"int", "null"} if name == "patience" else {type(default).__name__}
 
 
-@given(st.sampled_from([f.name for f in fields(TrainConfig)]).flatmap(
+# every sidecar entry: the fields, and the fixed settings
+@given(st.sampled_from(sorted(TrainConfig().echo())).flatmap(
     lambda name: st.tuples(st.just(name), st.one_of(
         *(values for kind, values in JSON_KINDS.items() if kind not in _right_kinds(name))))))
 @settings(max_examples=60, deadline=None)
@@ -619,6 +673,80 @@ def test_mutated_pcap_exits_cleanly(workspace, mutations):
                                    for line in lines), (rc, lines)
 
 
+# (kind, index, value): set the name, one dimension (position, size), the
+# offset or the dtype of manifest entry `index`, or overwrite payload bytes
+# from byte `index` on (with random bytes, or a float32 inf, NaN or largest
+# finite value); the result is sealed again
+CKPT_MUTATION = st.one_of(
+    st.tuples(st.just("name"), st.integers(0),
+              st.sampled_from(["predict.w2", "fuse.alpha", "w"]) | st.text(max_size=12)),
+    st.tuples(st.just("shape"), st.integers(0),
+              st.tuples(st.integers(0, 3), st.integers(0, 64) | st.integers(-1, 2 ** 64))),
+    st.tuples(st.just("offset"), st.integers(0),
+              st.integers(0, 1 << 16) | st.integers(-1, 2 ** 64)),
+    st.tuples(st.just("dtype"), st.integers(0),
+              st.sampled_from(["f64", "f16", "<f4", "F32", ""]) | st.none()),
+    st.tuples(st.just("payload"), st.integers(0), st.binary(min_size=1, max_size=16)
+              | st.sampled_from([b"\x00\x00\x80\x7f", b"\x00\x00\xc0\x7f", b"\xff\xff\x7f\x7f"])),
+)
+
+
+def _mutate_checkpoint(blob: bytes, mutation) -> tuple[list, bytes]:
+    """(manifest, payload) of sealed checkpoint `blob` after `mutation`."""
+    (length,) = struct.unpack_from("<I", blob, 8)
+    manifest, payload = json.loads(blob[12:12 + length]), bytearray(blob[12 + length:-8])
+    kind, index, value = mutation
+    if kind == "payload":
+        at = index % len(payload)
+        payload[at:at + len(value)] = value[:len(payload) - at]
+    elif kind == "shape":
+        shape = manifest[index % len(manifest)]["shape"]
+        position, size = value
+        shape[position % len(shape)] = size
+    else:
+        manifest[index % len(manifest)][kind] = value
+    return manifest, bytes(payload)
+
+
+@given(CKPT_MUTATION)
+@settings(max_examples=60, deadline=None)
+def test_mutated_sealed_checkpoint_exits_cleanly(workspace, mutation):
+    # eval and detect end in exit 0, or one numeric (1) or format (2) error line
+    root = workspace / "ckpt_fuzz"
+    root.mkdir(exist_ok=True)
+    model, out = root / "model.ckpt", root / "out"
+    write_sealed(model, *_mutate_checkpoint((workspace / "model.ckpt").read_bytes(), mutation))
+    (root / "model.ckpt.meta.json").write_text((workspace / "model.ckpt.meta.json").read_text())
+    for args in (["eval", "--report", str(out)], ["detect", "--window", "60", "--out", str(out)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*args, "--flows", str(workspace / "test.jsonl"), "--model", str(model)])
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            assert all(re.fullmatch(r"window \d+: skipped \(.*\)", line) for line in lines)
+        else:
+            prefix = {1: "numeric error:", 2: "format error:"}[rc]
+            assert len(lines) == 1 and lines[0].startswith(prefix), (rc, lines)
+
+
+def test_detect_numeric_error_is_its_only_line(workspace, tmp_path, capsys):
+    # the largest float32 in the first conv's bias overflows the second conv;
+    # the windows skipped before that are not reported
+    store = load_checkpoint(workspace / "model.ckpt")
+    store.get("payload.conv1.b").data[0] = np.finfo(np.float32).max
+    model, out = tmp_path / "model.ckpt", tmp_path / "det.jsonl"
+    save_checkpoint(store, model)
+    (tmp_path / "model.ckpt.meta.json").write_text(
+        (workspace / "model.ckpt.meta.json").read_text())
+    args = ["detect", "--flows", str(workspace / "test.jsonl"), "--window", "60",
+            "--out", str(out)]
+    assert main([*args, "--model", str(workspace / "model.ckpt")]) == 0
+    assert "skipped" in capsys.readouterr().err
+    assert main([*args, "--model", str(model)]) == 1
+    assert _one_line_error(capsys).startswith("numeric error:")
+
+
 @pytest.mark.parametrize("packets", [
     [],
     [{"ts": 1.0, "dir": 0, "len": 60, "payload_hex": ""}],
@@ -653,7 +781,7 @@ def test_training_still_works_after_detect(workspace, tmp_path, capsys):
     assert "windows=12" in capsys.readouterr().out
     cfg = TrainConfig(n=6, m=4, extractor_dim=6, hidden=5, projection_dim=4,
                       lstm_hidden=3, cnn_channels=(2, 3), conv_kernel=3,
-                      conv_padding=1, gcn_hidden=3, fuse_hidden=4, predict_hidden=4,
+                      gcn_hidden=3, fuse_hidden=4, predict_hidden=4,
                       k=2, epochs=2, patience=None, seed=7, cosine_eps=1e-8,
                       weight_decay=0.0).validate()
     flows = generate_synthetic_flows(two_class_spec(6), seed=5)
@@ -783,7 +911,7 @@ def _with_first_record(src, dst, edit):
     pytest.param("train", "--n", 10 ** 22, id="n_1e22"),
     pytest.param("eval", "--n", 10 ** 22, id="eval_n_1e22"),
     pytest.param("detect", "--n", 10 ** 22, id="detect_n_1e22"),
-    pytest.param("train", "--conv-padding", 10 ** 22, id="conv_padding_1e22"),
+    pytest.param("train", "--conv-kernel", 10 ** 22, id="conv_kernel_1e22"),
 ])
 def test_out_of_memory_exit_1(workspace, tmp_path, capsys, command, flag, size):
     train = workspace / "train.jsonl"
@@ -984,18 +1112,6 @@ def test_cnn_channels_below_one_exit_3(workspace, tmp_path, capsys, command, cha
     assert main(args) == 3
     assert _one_line_error(capsys).startswith("config error: cnn_channels must be")
     assert not out.exists()
-
-
-# n*m + 2*conv_padding = 52 for TINY_FLAGS: a longer stride would build the same model
-@pytest.mark.parametrize("stride, code", [(52, 0), (53, 3), (10 ** 22, 3)])
-def test_conv_stride_beyond_the_padded_input_exit_3(workspace, tmp_path, capsys, stride, code):
-    out = tmp_path / "m.ckpt"
-    assert main(["train", "--flows", str(workspace / "train.jsonl"),
-                 "--val", str(workspace / "val.jsonl"), "--out", str(out), "--epochs", "1",
-                 *TINY_FLAGS, "--conv-stride", str(stride)]) == code
-    if code:
-        assert _one_line_error(capsys).startswith("config error: conv_stride must be <=")
-    assert out.exists() == (code == 0)
 
 
 def _numeric_config_flag_cases():

@@ -132,6 +132,19 @@ def test_encode_default_shape_contract():
     assert e.shape == (5, 128)
 
 
+def test_encode_dropout_runs_exactly_when_an_rng_is_given():
+    cfg = enc_cfg(dropout=0.5, hidden=16)
+    store = make_store(cfg, seed=9)
+    z = np.random.default_rng(10).normal(size=(6, cfg.extractor_dim))
+    graph = build_flow_hypergraph(z, k=2)
+    plain = encode(graph, z, store, cfg)[0].data
+    np.testing.assert_array_equal(encode(graph, z, store, replace(cfg, dropout=0.0),
+                                         rng=Rng(1))[0].data, plain)
+    a, b = (encode(graph, z, store, cfg, rng=Rng(seed))[0].data for seed in (1, 2))
+    assert not np.array_equal(a, plain) and not np.array_equal(a, b)
+    np.testing.assert_array_equal(encode(graph, z, store, cfg, rng=Rng(1))[0].data, a)
+
+
 def test_encode_depth_zero_is_projected_input():
     cfg = enc_cfg(depth=0)
     store = make_store(cfg, seed=7)

@@ -32,7 +32,7 @@ from test_tensor_core import _max_rel_error
 
 def tiny_cfg(**overrides) -> TrainConfig:
     base = dict(n=6, m=4, extractor_dim=6, hidden=5, projection_dim=4,
-                lstm_hidden=3, cnn_channels=(2, 3), conv_kernel=3, conv_padding=1,
+                lstm_hidden=3, cnn_channels=(2, 3), conv_kernel=3,
                 gcn_hidden=3, fuse_hidden=4, predict_hidden=4, k=2, depth=2)
     base.update(overrides)
     return TrainConfig(**base).validate()
@@ -279,7 +279,7 @@ def test_extract_full_path_gradient_check():
     views = random_views(cfg, 3, seed=15)
 
     def loss(s):
-        return tc.tsum(extract(s, views, cfg, mode="infer"))
+        return tc.tsum(extract(s, views, cfg))
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
@@ -313,8 +313,8 @@ def test_extract_inference_deterministic():
     cfg = tiny_cfg()
     store = make_store(cfg, seed=16)
     views = random_views(cfg, 4, seed=17)
-    a = extract(store, views, cfg, mode="infer").data
-    b = extract(store, views, cfg, mode="infer").data
+    a = extract(store, views, cfg).data
+    b = extract(store, views, cfg).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -366,10 +366,10 @@ def test_extract_train_mode_dropout_draws_differ():
     cfg = tiny_cfg(dropout=0.5)
     store = make_store(cfg, seed=20)
     views = random_views(cfg, 4, seed=21)
-    a = extract(store, views, cfg, mode="train", rng=Rng(1)).data
-    b = extract(store, views, cfg, mode="train", rng=Rng(2)).data
+    a = extract(store, views, cfg, rng=Rng(1)).data
+    b = extract(store, views, cfg, rng=Rng(2)).data
     assert not np.array_equal(a, b)
-    c = extract(store, views, cfg, mode="train", rng=Rng(1)).data
+    c = extract(store, views, cfg, rng=Rng(1)).data
     np.testing.assert_array_equal(a, c)
 
 

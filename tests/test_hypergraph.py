@@ -16,7 +16,7 @@ from flowid.hypergraph import (
 )
 
 
-def brute_force_hyperedges(features, k, include_self=True):
+def brute_force_hyperedges(features, k):
     """O(N^2) oracle: per-flow distance sort with (distance, index) tie rule."""
     n = len(features)
     h = np.zeros((n, n))
@@ -30,15 +30,14 @@ def brute_force_hyperedges(features, k, include_self=True):
         dists.sort()
         for _, j in dists[:k]:
             h[j, i] = 1.0
-        if include_self:
-            h[i, i] = 1.0
+        h[i, i] = 1.0
     return h
 
 
 _REFERENCE_BLOCK_BYTES = 4 * 1024 * 1024
 
 
-def difference_form_reference(features, k, include_self=True):
+def difference_form_reference(features, k):
     """Block-einsum brute force over every flow, kept verbatim as the oracle
     for the GEMM candidate search."""
     features = np.asarray(features, dtype=np.float64)
@@ -62,14 +61,13 @@ def difference_form_reference(features, k, include_self=True):
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
         for row, i in enumerate(range(start, stop)):
             h[nearest[row], i] = 1.0
-            if include_self:
-                h[i, i] = 1.0
+            h[i, i] = 1.0
     return h
 
 
 def test_three_flow_hand_example():
     z = np.array([[0.0], [1.0], [10.0]])
-    h = knn_hyperedges(z, k=1, include_self=True)
+    h = knn_hyperedges(z, k=1)
     #      e0       e1       e2
     expected = np.array([
         [1.0, 1.0, 0.0],   # v0 in e0 (self), e1 (nearest to v1)
@@ -110,15 +108,6 @@ def test_matches_brute_force_oracle_200_points():
         h = knn_hyperedges(z, k)
         oracle = brute_force_hyperedges(z, k)
         np.testing.assert_array_equal(h, oracle)
-
-
-def test_include_self_off_matches_oracle():
-    rng = np.random.default_rng(1)
-    z = rng.normal(size=(40, 8))
-    h = knn_hyperedges(z, 3, include_self=False)
-    oracle = brute_force_hyperedges(z, 3, include_self=False)
-    np.testing.assert_array_equal(h, oracle)
-    np.testing.assert_array_equal(h.sum(axis=0), np.full(40, 3.0))
 
 
 def test_tie_breaking_prefers_lower_index():
@@ -263,15 +252,13 @@ def _adversarial(name):
     return rng.normal(size=(300, 512))  # a train_ref-sized snapshot
 
 
-@pytest.mark.parametrize("include_self", [True, False])
 @pytest.mark.parametrize("name", ["duplicated_rows", "one_ulp_near_ties", "offset_1e6",
                                   "offset_1e12", "integer_grid", "far_clusters",
                                   "subnormal_scale", "n300_d512"])
-def test_gemm_candidates_match_difference_form(name, include_self):
+def test_gemm_candidates_match_difference_form(name):
     z = _adversarial(name)
     for k in (1, 3, 7):
-        np.testing.assert_array_equal(knn_hyperedges(z, k, include_self=include_self),
-                                      difference_form_reference(z, k, include_self))
+        np.testing.assert_array_equal(knn_hyperedges(z, k), difference_form_reference(z, k))
 
 
 @st.composite
@@ -286,12 +273,11 @@ def _partly_duplicated_rows(draw):
     return np.array(values).reshape(distinct, d)[picks], k
 
 
-@given(_partly_duplicated_rows(), st.booleans())
+@given(_partly_duplicated_rows())
 @settings(max_examples=50, deadline=None)
-def test_random_and_duplicated_rows_match_difference_form(case, include_self):
+def test_random_and_duplicated_rows_match_difference_form(case):
     z, k = case
-    np.testing.assert_array_equal(knn_hyperedges(z, k, include_self=include_self),
-                                  difference_form_reference(z, k, include_self))
+    np.testing.assert_array_equal(knn_hyperedges(z, k), difference_form_reference(z, k))
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "overflow"])
