@@ -36,11 +36,9 @@ from .ingest import (
 )
 from .trainer import (
     build_parameter_store,
-    check_parameters,
     evaluate_probs,
     fit,
     load_checkpoint,
-    parameter_shapes,
     prepare_snapshot,
     save_checkpoint,
 )
@@ -106,13 +104,8 @@ def _write_meta(model_path: str, cfg: TrainConfig) -> None:
 
 def _load_model(args) -> tuple:
     """(store, cfg) from --model, its required sidecar and the --n/--m/--k
-    overrides.
-
-    The checkpoint must hold exactly the tensors, by name and shape, of the
-    model that the sidecar's config describes, with as many classes as its
-    prediction head is wide.
-    """
-    loaded = load_checkpoint(args.model)
+    overrides. The checkpoint must hold exactly the model that the sidecar's
+    config describes."""
     meta_file = _meta_path(args.model)
     try:
         cfg = TrainConfig.from_echo(json.loads(meta_file.read_text())["config"])
@@ -120,15 +113,7 @@ def _load_model(args) -> tuple:
         raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
     cfg = replace(cfg, **{key: getattr(args, key) for key in _OVERRIDE_KEYS
                           if getattr(args, key) is not None}).validate()
-    # check_parameters names a missing or misshapen head
-    head = loaded.get("predict.w2").shape if "predict.w2" in loaded else ()
-    n_classes = head[1] if len(head) == 2 else 2
-    try:
-        shapes = parameter_shapes(cfg, n_classes)
-    except ConfigError as exc:  # fewer than two classes
-        raise CheckpointError(f"{args.model}: {exc}") from exc
-    check_parameters({name: t.data for name, t in loaded.items()}, shapes)
-    return loaded, cfg
+    return load_checkpoint(args.model, cfg), cfg
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -177,7 +162,7 @@ def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):
         for pkt in flow.packets:
             pkt.payload_prefix = pkt.payload_prefix[:cfg_m]
     counters = {"flows": len(flows), "packets": sum(len(f.packets) for f in flows),
-                "skipped_frames": 0, "truncated_records": 0, "empty_flows_dropped": 0}
+                "skipped_frames": 0, "truncated_records": 0}
     return flows, counters
 
 
@@ -234,9 +219,9 @@ def assign_windows(flows, duration: float) -> dict[int, list]:
     windows: dict[int, list] = {}
     for flow in flows:
         index = flow.first_timestamp() / duration
-        if not math.isfinite(index):
+        if not abs(index) < 2 ** 63:  # NaN and inf fail too
             raise ConfigError(f"window duration {duration} puts a flow starting at "
-                              f"{flow.first_timestamp()} s in a non-finite window")
+                              f"{flow.first_timestamp()} s in a window index beyond int64")
         windows.setdefault(math.floor(index), []).append(flow)
     return windows
 

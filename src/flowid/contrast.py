@@ -33,7 +33,7 @@ def _info_nce(a: Tensor, b: Tensor, tau: float, eps: float) -> Tensor:
     na = _normalize_rows(a, eps)
     nb = _normalize_rows(b, eps)
     sims = tc.matmul(na, tc.transpose2d(nb)) * (1.0 / tau)
-    diag = tc.take_per_row(sims, np.arange(n))
+    diag = tc.pick(sims, np.arange(n), np.arange(n))
     # anchor in view 1 vs all of view 2 (rows), then the swapped direction (columns)
     loss_12 = tc.logsumexp_last(sims) - diag
     loss_21 = tc.logsumexp_last(tc.transpose2d(sims)) - diag

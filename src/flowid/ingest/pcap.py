@@ -29,7 +29,6 @@ class ParseResult:
     packets_kept: int = 0
     skipped_frames: int = 0       # non-IPv4 / non-TCP-UDP / fragments / undersized
     truncated_records: int = 0    # pcap records cut short
-    empty_flows_dropped: int = 0
 
     def counters(self) -> dict[str, int]:
         return {
@@ -37,7 +36,6 @@ class ParseResult:
             "packets": self.packets_kept,
             "skipped_frames": self.skipped_frames,
             "truncated_records": self.truncated_records,
-            "empty_flows_dropped": self.empty_flows_dropped,
         }
 
 
@@ -108,7 +106,6 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
         raise ConfigError(f"idle_timeout must be positive, got {idle_timeout}")
     result = ParseResult()
     open_flows: dict[tuple, _OpenFlow] = {}
-    order: list[_OpenFlow] = []
     # record by record: a capture-sized buffer made the heap grow by its size
     # whenever a fragmented heap had no hole that large
     with open(path, "rb") as fh:
@@ -148,12 +145,12 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
             ckey = key.canonical()
             state = open_flows.get(ckey)
             if state is not None and ts - state.last_ts > idle_timeout:
-                state = None  # idle gap: the old record stays finished in `order`
+                state = None  # idle gap: the old record stays finished in result.flows
             if state is None:
-                record = FlowRecord(id=f"flow-{len(order) + 1:06d}", key=key)
+                record = FlowRecord(id=f"flow-{len(result.flows) + 1:06d}", key=key)
+                result.flows.append(record)
                 state = _OpenFlow(record, ts)
                 open_flows[ckey] = state
-                order.append(state)
             direction = -1 if (decoded.src, decoded.sport) == (
                 state.record.key.src_addr, state.record.key.src_port) else 1
             state.last_ts = ts
@@ -164,9 +161,4 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
                 )
             result.packets_kept += 1
 
-    for state in order:
-        if state.record.packets:
-            result.flows.append(state.record)
-        else:
-            result.empty_flows_dropped += 1
     return result

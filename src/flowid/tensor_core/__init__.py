@@ -12,17 +12,16 @@ from .engine import (
     div,
     dropout_mask,
     elu,
-    gather_rows,
     log,
     logsumexp_last,
     matmul,
     mul,
     no_grad,
+    pick,
     relu,
     softmax_last,
     sqrt,
     sub,
-    take_per_row,
     tmean,
     transpose2d,
     tsum,

@@ -297,30 +297,16 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     return _node(data, tuple(parts), bw)
 
 
-def gather_rows(a, idx: np.ndarray) -> Tensor:
-    """Select rows of a 2-D tensor; backward scatters into the originals."""
+def pick(a, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+    """out = a[rows, cols] for a 2-D tensor; index arrays broadcast as in
+    numpy, and backward scatters into the originals."""
     a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
+    idx = (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))
     data = a.data[idx]
 
     def bw(g):
         z = np.zeros_like(a.data)
         np.add.at(z, idx, g)
-        return (z,)
-
-    return _node(data, (a,), bw)
-
-
-def take_per_row(a, cols: np.ndarray) -> Tensor:
-    """out[i] = a[i, cols[i]] for a 2-D tensor."""
-    a = as_tensor(a)
-    cols = np.asarray(cols, dtype=np.intp)
-    rows = np.arange(a.shape[0])
-    data = a.data[rows, cols]
-
-    def bw(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, (rows, cols), g)
         return (z,)
 
     return _node(data, (a,), bw)

@@ -16,6 +16,7 @@ gives identical values, which is what the finite-difference checks rely on.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -60,8 +61,7 @@ def cross_entropy_loss(pred: Tensor, labels: LabelSet) -> Tensor:
     idx = labels.labeled_indices()
     if idx.size == 0:
         raise ConfigError("cross entropy needs at least one labeled row")
-    rows = tc.gather_rows(pred, idx)
-    p_true = tc.take_per_row(rows, labels.y[idx])
+    p_true = tc.pick(pred, idx, labels.y[idx])
     return -tc.tmean(tc.log(p_true + EPS_LOG))
 
 
@@ -255,7 +255,7 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"FLOWID02"
+CHECKPOINT_MAGIC = b"FLOWID03"
 
 
 def _seal(body) -> bytes:
@@ -266,23 +266,19 @@ def _seal(body) -> bytes:
 def save_checkpoint(store: ParameterStore, path) -> None:
     """Write magic, manifest, float32 payloads, and the SHA-256 seal.
 
-    Saving canonicalizes the live store to float32 precision so that
-    predictions made before saving and after reloading agree exactly;
-    repeated save/load cycles are byte-identical.
+    The manifest lists [name, shape] in name order, and the tensors follow
+    it end to end in that order. Saving canonicalizes the live store to
+    float32 precision so that predictions made before saving and after
+    reloading agree exactly; repeated save/load cycles are byte-identical.
     """
     names = sorted(store.names())
     payloads = []
-    manifest = []
-    offset = 0
     for name in names:
         t = store.get(name)
         as_f32 = t.data.astype(np.float32)
         t.data[...] = as_f32.astype(np.float64)
-        raw = as_f32.astype("<f4").tobytes()
-        manifest.append({"name": name, "shape": list(t.data.shape),
-                         "dtype": "f32", "offset": offset})
-        payloads.append(raw)
-        offset += len(raw)
+        payloads.append(as_f32.astype("<f4").tobytes())
+    manifest = [[name, list(store.get(name).shape)] for name in names]
     manifest_bytes = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
     body = (CHECKPOINT_MAGIC + struct.pack("<I", len(manifest_bytes))
             + manifest_bytes + b"".join(payloads))
@@ -291,10 +287,14 @@ def save_checkpoint(store: ParameterStore, path) -> None:
         fh.write(_seal(body))
 
 
-def load_checkpoint(path) -> ParameterStore:
-    """An inference store: plain tensors, no gradients, checked against the
-    seal and the manifest but not against any model (check_parameters
-    against parameter_shapes does that)."""
+def load_checkpoint(path, cfg: TrainConfig) -> ParameterStore:
+    """The parameters of the model `cfg` describes, read from `path` into an
+    inference store: plain tensors, no gradients.
+
+    The class count is the stored prediction head's width. The manifest must
+    list exactly that model's tensors, [name, shape] in name order, and the
+    payload must hold exactly them, end to end.
+    """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())  # body and payload are slices, not copies
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8:
@@ -305,55 +305,38 @@ def load_checkpoint(path) -> ParameterStore:
     if _seal(body) != trailer:
         raise CheckpointError("checksum mismatch")
     (manifest_len,) = struct.unpack_from("<I", body, 8)
-    manifest_start = 12
-    payload_start = manifest_start + manifest_len
+    payload_start = 12 + manifest_len
     if payload_start > len(body):
         raise CheckpointError("manifest length exceeds file size")
     try:
-        manifest = json.loads(str(body[manifest_start:payload_start], "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        manifest = json.loads(str(body[12:payload_start], "utf-8"))
+        # entries compare as JSON text, so 2.0 and true do not pass for 2 and 1
+        stored = [json.dumps(entry) for entry in manifest]
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, list):
-        raise CheckpointError(f"manifest is not a list: {manifest!r}")
 
-    store = ParameterStore()
+    try:
+        (width,) = [entry[1][1] for entry in manifest if entry[0] == "predict.w2"]
+    except (LookupError, TypeError, ValueError):
+        width = None
+    # a head no payload could hold is checked as a two-class one, which names it
+    n_classes = width if type(width) is int and 2 <= width <= len(body) else 2
+    shapes = parameter_shapes(cfg, n_classes)
+    expected = [[name, list(shapes[name])] for name in sorted(shapes)]
+    for i, (got, want) in enumerate(itertools.zip_longest(
+            stored, map(json.dumps, expected), fillvalue="nothing")):
+        if got != want:
+            raise CheckpointError(f"manifest entry {i}: expected {want}, got {got}")
+
     payload = body[payload_start:]
-    for entry in manifest:
-        try:
-            name, shape, dtype, offset = (entry["name"], entry["shape"],
-                                          entry["dtype"], entry["offset"])
-            # offset and dimensions are ints >= 0; JSON true/false are not
-            well_formed = (isinstance(name, str) and isinstance(shape, list)
-                           and all(type(v) is int and v >= 0 for v in [offset, *shape]))
-        except (KeyError, TypeError):
-            well_formed = False
-        if not well_formed:
-            raise CheckpointError(f"malformed manifest entry {entry!r}")
-        if dtype != "f32":
-            raise CheckpointError(f"tensor {name}: unsupported dtype {dtype!r}")
-        count = math.prod(shape)
-        end = offset + 4 * count
-        if end > len(payload):
-            raise CheckpointError(f"tensor {name}: payload range [{offset}, {end}) "
-                                  f"outside data section of {len(payload)} bytes")
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+    sizes = [math.prod(shape) for _, shape in expected]
+    if len(payload) != 4 * sum(sizes):
+        raise CheckpointError(f"payload of {len(payload)} bytes, where the model's "
+                              f"tensors take {4 * sum(sizes)}")
+    values = np.split(np.frombuffer(payload, dtype="<f4"), np.cumsum(sizes)[:-1])
+    store = ParameterStore()
+    for (name, shape), arr in zip(expected, values):
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name}: non-finite value")
-        if name in store:
-            raise CheckpointError(f"tensor {name}: listed twice in the manifest")
         store.add(name, Tensor(arr.reshape(shape).astype(np.float64)))
     return store
-
-
-def check_parameters(values: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
-    """CheckpointError unless `values` holds exactly the tensors `shapes`
-    names, each of its shape."""
-    for name in shapes:
-        if name not in values:
-            raise CheckpointError(f"tensor {name}: missing from checkpoint")
-    for name, arr in values.items():
-        if name not in shapes:
-            raise CheckpointError(f"tensor {name}: not a parameter of the model")
-        if arr.shape != shapes[name]:
-            raise CheckpointError(f"tensor {name}: expected shape {shapes[name]}, "
-                                  f"got {arr.shape}")

@@ -36,9 +36,17 @@ def test_tracer_install_then_uninstall_restores_every_function():
 
 
 def test_one_operation_of_each_workload_runs(tmp_path):
-    for name, seed in (("train_ref", 1201), ("detect_windows", 1401)):
+    # an untraced detect_windows operation reads its setup_s from the one
+    # load_checkpoint span; without that span, setup_s would read 0
+    for name, seed, loads in (("train_ref", 1201, 0), ("detect_windows", 1401, 1)):
         work = tmp_path / name
         work.mkdir()
         workloads.setup(name, seed, work)
-        sample = workloads.WORKLOADS[name](seed, work)()
+        tracer = Tracer()
+        tracer.install(workloads.SETUP_TARGETS)
+        try:
+            sample = workloads.WORKLOADS[name](seed, work)()
+        finally:
+            tracer.uninstall()
         assert sample["flows_per_s"] > 0 and 0.0 <= sample["macro_f1"] <= 1.0, name
+        assert [s.name for s in tracer.spans] == ["trainer.load_checkpoint"] * loads, name

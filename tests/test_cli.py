@@ -4,7 +4,6 @@ import contextlib
 import io
 import json
 import re
-import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from flowid.trainer import (
     save_checkpoint,
 )
 from pcap_util import build_pcap
-from test_trainer import ENTRY, write_sealed
+from test_trainer import sealed_parts, write_sealed
 
 TINY_FLAGS = [
     "--extractor-dim", "24", "--hidden", "12", "--projection-dim", "12",
@@ -50,6 +49,20 @@ def workspace(tmp_path_factory):
                "--no-early-stop", *TINY_FLAGS])
     assert rc == 0
     return root
+
+
+def _workspace_store(workspace) -> ParameterStore:
+    """The parameters of the workspace model."""
+    meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
+    return load_checkpoint(workspace / "model.ckpt", TrainConfig.from_echo(meta["config"]))
+
+
+def _with_sidecar(workspace, model):
+    """`model`, next to a copy of the workspace model's sidecar: a command
+    reads the sidecar first, so a checkpoint test needs a good one."""
+    (model.parent / (model.name + ".meta.json")).write_text(
+        (workspace / "model.ckpt.meta.json").read_text())
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -260,32 +273,64 @@ def test_eval_on_training_data_converged(workspace, tmp_path, capsys):
 
 def test_eval_missing_checkpoint_exit_1(workspace, tmp_path):
     assert main(["eval", "--flows", str(workspace / "train.jsonl"),
-                 "--model", str(tmp_path / "missing.ckpt"),
+                 "--model", str(_with_sidecar(workspace, tmp_path / "missing.ckpt")),
                  "--report", str(tmp_path / "r.json")]) == 1
 
 
 def test_eval_corrupt_checkpoint_exit_2(workspace, tmp_path):
     blob = bytearray((workspace / "model.ckpt").read_bytes())
     blob[30] ^= 0xFF
-    bad = tmp_path / "bad.ckpt"
+    bad = _with_sidecar(workspace, tmp_path / "bad.ckpt")
     bad.write_bytes(bytes(blob))
     assert main(["eval", "--flows", str(workspace / "train.jsonl"),
                  "--model", str(bad), "--report", str(tmp_path / "r.json")]) == 2
 
 
-@pytest.mark.parametrize("defect, message", [
-    ("old_format", "format error: bad magic b'FLOWID01'\n"),
-    ("fractional_dimension", "format error: malformed manifest entry"),
-], ids=["old_format", "fractional_dimension"])
-def test_eval_bad_checkpoint_one_line_exit_2(workspace, tmp_path, capsys, defect, message):
-    bad = tmp_path / "bad.ckpt"
-    if defect == "old_format":  # checkpoints sealed with CRC-64 must be retrained
-        bad.write_bytes(b"FLOWID01" + (workspace / "model.ckpt").read_bytes()[8:])
-    else:
-        write_sealed(bad, [{**ENTRY, "shape": [1.5]}], bytes(8))
+def _resealed(change):
+    """Write the workspace checkpoint with `change` applied to its (manifest,
+    payload) and sealed again, so that the layout check and not the checksum
+    has to catch it."""
+    return lambda bad, blob: write_sealed(bad, *change(*sealed_parts(blob)))
+
+
+def _retagged(magic):
+    """Write the workspace checkpoint under another magic."""
+    return lambda bad, blob: bad.write_bytes(magic + blob[8:])
+
+
+# defect -> (writer, stderr prefix); fuse.alpha is (1,). Checkpoints sealed
+# with CRC-64 (FLOWID01), or laid out by offsets (FLOWID02), must be retrained.
+BAD_CHECKPOINTS = {
+    "old_format": (_retagged(b"FLOWID01"), "format error: bad magic b'FLOWID01'\n"),
+    "offset_format": (_retagged(b"FLOWID02"), "format error: bad magic b'FLOWID02'\n"),
+    "fractional_dimension": (_resealed(lambda manifest, payload: (
+        [[name, [1.5] if name == "fuse.alpha" else shape] for name, shape in manifest],
+        payload)), "format error: manifest entry"),
+    "float_dimension": (_resealed(lambda manifest, payload: (
+        [[name, [float(d) for d in shape]] for name, shape in manifest], payload)),
+        "format error: manifest entry 0:"),
+    "true_dimension": (_resealed(lambda manifest, payload: (
+        [[name, [True] if name == "fuse.alpha" else shape] for name, shape in manifest],
+        payload)), "format error: manifest entry"),
+    "reordered_entry": (_resealed(lambda manifest, payload: (
+        manifest[1::-1] + manifest[2:], payload)), "format error: manifest entry 0:"),
+    "leftover_payload": (_resealed(lambda manifest, payload: (manifest, payload + bytes(4))),
+                         "format error: payload of"),
+    "short_payload": (_resealed(lambda manifest, payload: (manifest, payload[:-4])),
+                      "format error: payload of"),
+}
+
+
+@pytest.mark.parametrize("defect", list(BAD_CHECKPOINTS))
+def test_eval_bad_checkpoint_one_line_exit_2(workspace, tmp_path, capsys, defect):
+    write, message = BAD_CHECKPOINTS[defect]
+    bad = _with_sidecar(workspace, tmp_path / "bad.ckpt")
+    write(bad, (workspace / "model.ckpt").read_bytes())
+    out = tmp_path / "r.json"
     assert main(["eval", "--flows", str(workspace / "train.jsonl"),
-                 "--model", str(bad), "--report", str(tmp_path / "r.json")]) == 2
+                 "--model", str(bad), "--report", str(out)]) == 2
     assert _one_line_error(capsys).startswith(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("meta", [
@@ -476,7 +521,7 @@ def test_missing_sidecar_exit_1(workspace, tmp_path, capsys, command):
                                     "extra_tensor", "sidecar_hidden"])
 def test_checkpoint_must_hold_the_sidecar_model(workspace, tmp_path, capsys, command, defect):
     # the tensors must be exactly the model's, by name and shape
-    store = load_checkpoint(workspace / "model.ckpt")
+    store = _workspace_store(workspace)
     meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
     kept = ParameterStore()
     missing = {"missing_tensor": "temporal.lstm.b", "missing_head_and_n_classes": "predict.w2"}
@@ -496,7 +541,7 @@ def test_checkpoint_must_hold_the_sidecar_model(workspace, tmp_path, capsys, com
                  "--model", str(model), *args[command]]) == 2
     err = capsys.readouterr().err
     assert "format error:" in err
-    named = {**missing, "extra_tensor": "predict.w3", "sidecar_hidden": "expected shape"}
+    named = {**missing, "extra_tensor": "predict.w3", "sidecar_hidden": "encoder.in.b"}
     assert named[defect] in err
     assert not out.exists()
 
@@ -504,12 +549,10 @@ def test_checkpoint_must_hold_the_sidecar_model(workspace, tmp_path, capsys, com
 @pytest.mark.parametrize("command", ["eval", "detect"])
 def test_non_finite_checkpoint_value_exit_2(workspace, tmp_path, capsys, command):
     # a NaN weight under a valid checksum would score every flow as one class
-    store = load_checkpoint(workspace / "model.ckpt")
+    store = _workspace_store(workspace)
     store.get("predict.w2").data[0, 0] = np.nan
-    model = tmp_path / "model.ckpt"
+    model = _with_sidecar(workspace, tmp_path / "model.ckpt")
     save_checkpoint(store, model)
-    (tmp_path / "model.ckpt.meta.json").write_text(
-        (workspace / "model.ckpt.meta.json").read_text())
     out = tmp_path / "out.json"
     args = {"eval": ["--report", str(out)], "detect": ["--window", "60", "--out", str(out)]}
     assert main([command, "--flows", str(workspace / "test.jsonl"),
@@ -673,38 +716,54 @@ def test_mutated_pcap_exits_cleanly(workspace, mutations):
                                    for line in lines), (rc, lines)
 
 
-# (kind, index, value): set the name, one dimension (position, size), the
-# offset or the dtype of manifest entry `index`, or overwrite payload bytes
-# from byte `index` on (with random bytes, or a float32 inf, NaN or largest
-# finite value); the result is sealed again
+# (kind, index, value): set the name or one dimension (position, size) of
+# manifest entry `index`, drop or duplicate it, swap it with the next, or
+# append an entry; overwrite payload bytes from byte `index` on (with random
+# bytes, or a float32 inf, NaN or largest finite value), cut the payload
+# there, or extend it; the result is sealed again
 CKPT_MUTATION = st.one_of(
     st.tuples(st.just("name"), st.integers(0),
               st.sampled_from(["predict.w2", "fuse.alpha", "w"]) | st.text(max_size=12)),
     st.tuples(st.just("shape"), st.integers(0),
               st.tuples(st.integers(0, 3), st.integers(0, 64) | st.integers(-1, 2 ** 64))),
-    st.tuples(st.just("offset"), st.integers(0),
-              st.integers(0, 1 << 16) | st.integers(-1, 2 ** 64)),
-    st.tuples(st.just("dtype"), st.integers(0),
-              st.sampled_from(["f64", "f16", "<f4", "F32", ""]) | st.none()),
+    st.tuples(st.sampled_from(["drop", "duplicate", "swap", "truncate"]), st.integers(0),
+              st.none()),
+    st.tuples(st.just("append"), st.integers(0),
+              st.tuples(st.sampled_from(["predict.w3", "fuse.alpha"]) | st.text(max_size=12),
+                        st.lists(st.integers(0, 64), max_size=3))),
     st.tuples(st.just("payload"), st.integers(0), st.binary(min_size=1, max_size=16)
               | st.sampled_from([b"\x00\x00\x80\x7f", b"\x00\x00\xc0\x7f", b"\xff\xff\x7f\x7f"])),
+    st.tuples(st.just("extend"), st.integers(0), st.binary(min_size=1, max_size=16)),
 )
 
 
 def _mutate_checkpoint(blob: bytes, mutation) -> tuple[list, bytes]:
     """(manifest, payload) of sealed checkpoint `blob` after `mutation`."""
-    (length,) = struct.unpack_from("<I", blob, 8)
-    manifest, payload = json.loads(blob[12:12 + length]), bytearray(blob[12 + length:-8])
+    manifest, payload = sealed_parts(blob)
+    payload = bytearray(payload)
     kind, index, value = mutation
+    entry = index % len(manifest)
     if kind == "payload":
         at = index % len(payload)
         payload[at:at + len(value)] = value[:len(payload) - at]
+    elif kind == "truncate":
+        del payload[index % len(payload):]
+    elif kind == "extend":
+        payload += value
+    elif kind == "name":
+        manifest[entry][0] = value
     elif kind == "shape":
-        shape = manifest[index % len(manifest)]["shape"]
+        shape = manifest[entry][1]
         position, size = value
         shape[position % len(shape)] = size
+    elif kind == "drop":
+        del manifest[entry]
+    elif kind == "duplicate":
+        manifest.insert(entry, manifest[entry])
+    elif kind == "swap":
+        manifest[entry:entry + 2] = manifest[entry:entry + 2][::-1]
     else:
-        manifest[index % len(manifest)][kind] = value
+        manifest.append(list(value))
     return manifest, bytes(payload)
 
 
@@ -715,8 +774,8 @@ def test_mutated_sealed_checkpoint_exits_cleanly(workspace, mutation):
     root = workspace / "ckpt_fuzz"
     root.mkdir(exist_ok=True)
     model, out = root / "model.ckpt", root / "out"
-    write_sealed(model, *_mutate_checkpoint((workspace / "model.ckpt").read_bytes(), mutation))
-    (root / "model.ckpt.meta.json").write_text((workspace / "model.ckpt.meta.json").read_text())
+    write_sealed(_with_sidecar(workspace, model),
+                 *_mutate_checkpoint((workspace / "model.ckpt").read_bytes(), mutation))
     for args in (["eval", "--report", str(out)], ["detect", "--window", "60", "--out", str(out)]):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -733,12 +792,10 @@ def test_mutated_sealed_checkpoint_exits_cleanly(workspace, mutation):
 def test_detect_numeric_error_is_its_only_line(workspace, tmp_path, capsys):
     # the largest float32 in the first conv's bias overflows the second conv;
     # the windows skipped before that are not reported
-    store = load_checkpoint(workspace / "model.ckpt")
+    store = _workspace_store(workspace)
     store.get("payload.conv1.b").data[0] = np.finfo(np.float32).max
-    model, out = tmp_path / "model.ckpt", tmp_path / "det.jsonl"
+    model, out = _with_sidecar(workspace, tmp_path / "model.ckpt"), tmp_path / "det.jsonl"
     save_checkpoint(store, model)
-    (tmp_path / "model.ckpt.meta.json").write_text(
-        (workspace / "model.ckpt.meta.json").read_text())
     args = ["detect", "--flows", str(workspace / "test.jsonl"), "--window", "60",
             "--out", str(out)]
     assert main([*args, "--model", str(workspace / "model.ckpt")]) == 0
@@ -1076,12 +1133,10 @@ def test_numeric_error_exit_1(workspace, tmp_path, capsys, flag, value):
 def test_saturated_lstm_gates_are_not_a_numeric_error(workspace, tmp_path, capsys):
     # every gate pre-activation is about -100: float32 exp(100) overflows,
     # and each sigmoid gate takes its limit 0
-    store = load_checkpoint(workspace / "model.ckpt")
+    store = _workspace_store(workspace)
     store.get("temporal.lstm.b").data[...] = -100.0
-    model = tmp_path / "model.ckpt"
+    model = _with_sidecar(workspace, tmp_path / "model.ckpt")
     save_checkpoint(store, model)
-    (tmp_path / "model.ckpt.meta.json").write_text(
-        (workspace / "model.ckpt.meta.json").read_text())
     assert main(["eval", "--flows", str(workspace / "test.jsonl"), "--model", str(model),
                  "--report", str(tmp_path / "report.json")]) == 0
     assert capsys.readouterr().err == ""
@@ -1138,8 +1193,8 @@ def test_numeric_config_flag_fuzz(workspace, tmp_path, capsys, flag, value):
         assert "Traceback" not in capsys.readouterr().err and out.exists()
 
 
-@pytest.mark.parametrize("case", ["detect_window", "detect_tiny_window", "detect_timeout",
-                                  "extract_timeout", "synth_split"])
+@pytest.mark.parametrize("case", ["detect_window", "detect_tiny_window", "detect_small_window",
+                                  "detect_timeout", "extract_timeout", "synth_split"])
 def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
     pcap = _two_packet_pcap(tmp_path)
     out = tmp_path / "out"
@@ -1150,6 +1205,9 @@ def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
         # finite and positive, but a flow's window index overflows to inf
         "detect_tiny_window": detect + ["--flows", str(workspace / "test.jsonl"),
                                         "--window", "1e-310"],
+        # finite, but a flow's window index is beyond int64
+        "detect_small_window": detect + ["--flows", str(workspace / "test.jsonl"),
+                                         "--window", "1e-300"],
         "detect_timeout": detect + ["--pcap", str(pcap), "--window", "60",
                                     "--timeout", "nan"],
         "extract_timeout": ["extract", "--pcap", str(pcap), "--out", str(out),
@@ -1158,7 +1216,7 @@ def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
                         "--split", "0.5,0.5,nan"],
     }[case]
     assert main(argv) == 3
-    assert "config error:" in capsys.readouterr().err
+    assert _one_line_error(capsys).startswith("config error:")
     assert not out.exists()
 
 

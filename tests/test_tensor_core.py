@@ -1018,11 +1018,14 @@ def _op_cases():
             {"a": x55.copy()},
             lambda s: tc.tsum(tc.logsumexp_last(s.get("a"))),
         ),
-        "concat_slice_pad": (  # columns 1:5 sliced as rows of the transpose, zero-padded
+        # columns 1:5 picked as rows of the transpose, row 2 and entry (4, 1)
+        # twice so that the scatter adds, then zero-padded
+        "concat_slice_pad": (
             {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 2))},
             lambda s: _sum_squares(tc.concat([tc.constant(np.zeros((3, 1))), tc.transpose2d(
-                tc.gather_rows(tc.transpose2d(tc.concat([s.get("a"), s.get("b")], axis=1)),
-                               np.arange(1, 5))),
+                tc.pick(tc.transpose2d(tc.concat([s.get("a"), s.get("b")], axis=1)),
+                        np.array([[1], [2], [2], [4]]),
+                        np.array([[0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 1, 2]]))),
                 tc.constant(np.zeros((3, 2)))], axis=1)),
         ),
         "reductions": (
@@ -1034,11 +1037,6 @@ def _op_cases():
              "b": rng.normal(size=3)},
             lambda s: _sum_squares(tc.conv1d_relu_pool(
                 s.get("x"), s.get("k"), s.get("b"), padding=1)),
-        ),
-        "gather_take": (
-            {"a": x55.copy()},
-            lambda s: tc.tsum(tc.take_per_row(tc.gather_rows(s.get("a"), np.array([0, 2, 2, 4])),
-                                              np.array([1, 0, 3, 2]))),
         ),
         "clamp": (
             {"a": np.array([[-0.5, 0.3, 0.9, 1.7]])},

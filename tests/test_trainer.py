@@ -18,12 +18,11 @@ from flowid.errors import CheckpointError, ConfigError
 from flowid.ingest import generate_synthetic_flows, two_class_spec, write_flows_jsonl
 from flowid.metrics import macro_f1_score
 from flowid.rng import Rng
-from flowid.tensor_core import Adam, ParameterStore
+from flowid.tensor_core import Adam
 from flowid.trainer import (
     LabelSet,
     Snapshot,
     build_parameter_store,
-    check_parameters,
     cross_entropy_loss,
     evaluate_macro_f1,
     evaluate_probs,
@@ -320,29 +319,6 @@ def test_divergence_reports_parameter_norms():
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def test_checkpoint_save_load_save_byte_identical(tmp_path):
-    cfg = tiny_cfg()
-    store = build_parameter_store(cfg, 2)
-    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(store, p1)
-    loaded = load_checkpoint(p1)
-    save_checkpoint(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_loaded_checkpoint_is_an_inference_store(tmp_path):
-    cfg = tiny_cfg()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(build_parameter_store(cfg, 2), path)
-    loaded = load_checkpoint(path)
-    assert loaded.names()
-    for name, t in loaded.items():
-        assert not t.requires_grad and t.grad is None, name
-    loaded.zero_grad()  # a no-op, not an error
-    clone = loaded.copy()
-    assert all(t.grad is None and not t.requires_grad for _, t in clone.items())
-
-
 def seal(body: bytes) -> bytes:
     """The checkpoint trailer, computed here and not by the code under test."""
     return hashlib.sha256(body).digest()[:8]
@@ -356,49 +332,91 @@ def write_sealed(path, manifest, payload: bytes) -> None:
     path.write_bytes(body + seal(body))
 
 
-def test_checkpoint_duplicate_manifest_name_rejected(tmp_path):
-    store = ParameterStore()
-    store.add("w", np.ones(2))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(store, path)
-    blob = path.read_bytes()[:-8]
+def sealed_parts(blob: bytes) -> tuple[list, bytes]:
+    """(manifest, payload) of the sealed checkpoint `blob`."""
     (length,) = struct.unpack_from("<I", blob, 8)
-    write_sealed(path, json.loads(blob[12:12 + length]) * 2, blob[12 + length:])
-    with pytest.raises(CheckpointError, match="listed twice"):
-        load_checkpoint(path)
+    return json.loads(blob[12:12 + length]), blob[12 + length:-8]
 
 
-ENTRY = {"name": "w", "shape": [2], "dtype": "f32", "offset": 0}
+def tiny_checkpoint(path) -> tuple[list, bytes]:
+    """Save a two-class tiny_cfg() model at `path`; its (manifest, payload)."""
+    save_checkpoint(build_parameter_store(tiny_cfg(), 2), path)
+    return sealed_parts(path.read_bytes())
 
 
+def test_checkpoint_save_load_save_byte_identical(tmp_path):
+    cfg = tiny_cfg()
+    store = build_parameter_store(cfg, 2)
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_checkpoint(store, p1)
+    loaded = load_checkpoint(p1, cfg)
+    save_checkpoint(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    # [name, shape] in name order, then the float32 tensors end to end
+    manifest, payload = sealed_parts(p1.read_bytes())
+    assert manifest == [[name, list(shape)]
+                        for name, shape in sorted(parameter_shapes(cfg, 2).items())]
+    assert payload == b"".join(store.get(name).data.astype("<f4").tobytes()
+                               for name, _ in manifest)
+
+
+def test_loaded_checkpoint_is_an_inference_store(tmp_path):
+    cfg = tiny_cfg()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_parameter_store(cfg, 2), path)
+    loaded = load_checkpoint(path, cfg)
+    assert loaded.names()
+    for name, t in loaded.items():
+        assert not t.requires_grad and t.grad is None, name
+    loaded.zero_grad()  # a no-op, not an error
+    clone = loaded.copy()
+    assert all(t.grad is None and not t.requires_grad for _, t in clone.items())
+
+
+def test_checkpoint_duplicate_manifest_name_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    manifest, payload = tiny_checkpoint(path)
+    write_sealed(path, manifest[:1] + manifest, payload)
+    with pytest.raises(CheckpointError, match="manifest entry 1"):
+        load_checkpoint(path, tiny_cfg())
+
+
+def _entry(name, entry):
+    """A manifest change: `name`'s entry replaced by `entry`."""
+    return lambda manifest: [entry if e[0] == name else e for e in manifest]
+
+
+# fuse.alpha is (1,) and predict.w2, whose width is the class count, is (4, 2)
 MALFORMED_MANIFESTS = {
-    "shape-float": [{**ENTRY, "shape": [1.5]}],
-    "shape-bool": [{**ENTRY, "shape": [True]}],
-    "shape-str": [{**ENTRY, "shape": ["a"]}],
-    "shape-nested": [{**ENTRY, "shape": [[2]]}],
-    "shape-count-wraps-int64": [{**ENTRY, "shape": [2**40, 2**40]}],
-    "shape-beyond-int64": [{**ENTRY, "shape": [2**70]}],
-    "shape-negative": [{**ENTRY, "shape": [-1]}],  # would read the rest of the payload
-    "offset-float": [{**ENTRY, "offset": 1.5}],
-    "offset-str": [{**ENTRY, "offset": "0"}],
-    "name-list": [{**ENTRY, "name": ["x"]}],
-    "name-int": [{**ENTRY, "name": 3}],
-    "name-null": [{**ENTRY, "name": None}],
+    "shape-float": _entry("predict.w2", ["predict.w2", [4, 2.0]]),
+    "shape-bool": _entry("fuse.alpha", ["fuse.alpha", [True]]),
+    "shape-str": _entry("fuse.alpha", ["fuse.alpha", ["1"]]),
+    "shape-nested": _entry("fuse.alpha", ["fuse.alpha", [[1]]]),
+    "shape-count-wraps-int64": _entry("fuse.alpha", ["fuse.alpha", [2**40, 2**40]]),
+    "shape-beyond-int64": _entry("fuse.alpha", ["fuse.alpha", [2**70]]),
+    "shape-negative": _entry("fuse.alpha", ["fuse.alpha", [-1]]),
+    "head-beyond-int64": _entry("predict.w2", ["predict.w2", [4, 2**70]]),
+    "head-one-class": _entry("predict.w2", ["predict.w2", [4, 1]]),
+    "entry-with-offset": _entry("fuse.alpha", ["fuse.alpha", [1], 0]),
+    "entry-object": _entry("fuse.alpha", {"name": "fuse.alpha", "shape": [1]}),
+    "name-list": _entry("fuse.alpha", [["fuse.alpha"], [1]]),
+    "name-int": _entry("fuse.alpha", [3, [1]]),
+    "name-null": _entry("fuse.alpha", [None, [1]]),
     "manifest-int": 5,
     "manifest-null": None,
     "manifest-nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
-@pytest.mark.parametrize("manifest", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
-def test_checkpoint_malformed_manifest_rejected(tmp_path, manifest):
+@pytest.mark.parametrize("change", MALFORMED_MANIFESTS.values(), ids=MALFORMED_MANIFESTS)
+def test_checkpoint_malformed_manifest_rejected(tmp_path, change):
     path = tmp_path / "model.ckpt"
-    payload = np.ones(2, dtype="<f4").tobytes()
-    write_sealed(path, [ENTRY], payload)
-    np.testing.assert_array_equal(load_checkpoint(path).get("w").data, [1.0, 1.0])
+    manifest, payload = tiny_checkpoint(path)
     write_sealed(path, manifest, payload)
-    with pytest.raises(CheckpointError, match="manifest|payload range"):
-        load_checkpoint(path)
+    assert load_checkpoint(path, tiny_cfg()).names()
+    write_sealed(path, change(manifest) if callable(change) else change, payload)
+    with pytest.raises(CheckpointError, match="manifest"):
+        load_checkpoint(path, tiny_cfg())
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -410,14 +428,14 @@ def test_checkpoint_corruption_detected(tmp_path):
     blob[len(blob) // 2] ^= 0x01
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+        load_checkpoint(path, cfg)
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
     with pytest.raises(CheckpointError, match="magic"):
-        load_checkpoint(path)
+        load_checkpoint(path, tiny_cfg())
 
 
 def test_checkpoint_predictions_exact_across_round_trip(tmp_path):
@@ -426,27 +444,21 @@ def test_checkpoint_predictions_exact_across_round_trip(tmp_path):
     store = generic_store(cfg)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)  # canonicalizes the live store to f32 grid
-    restored = load_checkpoint(path)
-    check_parameters({name: t.data for name, t in restored.items()},
-                     parameter_shapes(cfg, 2))
+    restored = load_checkpoint(path, cfg)
     # each side extracts its own features, so the extractor weights are compared too
     before = evaluate_probs(prepare_snapshot(flows, store, cfg), store, cfg)
     after = evaluate_probs(prepare_snapshot(flows, restored, cfg), restored, cfg)
     np.testing.assert_array_equal(before, after)
 
 
-def test_checkpoint_truncated_payload_names_tensor(tmp_path):
-    cfg = tiny_cfg()
-    store = build_parameter_store(cfg, 2)
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_checkpoint_payload_must_end_at_the_seal(tmp_path, change):
+    # re-sealed, so the length check and not the checksum has to catch it
     path = tmp_path / "model.ckpt"
-    save_checkpoint(store, path)
-    blob = path.read_bytes()
-    # drop the last payload bytes, then re-seal so the structural check (not
-    # the checksum) has to catch it
-    cut = blob[:-8 - 40]
-    path.write_bytes(cut + seal(cut))
-    with pytest.raises(CheckpointError, match="payload range|missing"):
-        load_checkpoint(path)
+    manifest, payload = tiny_checkpoint(path)
+    write_sealed(path, manifest, payload[:-40] if change == "short" else payload + bytes(4))
+    with pytest.raises(CheckpointError, match="payload of"):
+        load_checkpoint(path, tiny_cfg())
 
 
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
@@ -454,10 +466,8 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     store = build_parameter_store(cfg, 2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
-    loaded = load_checkpoint(path)
     with pytest.raises(CheckpointError, match="encoder"):
-        check_parameters({name: t.data for name, t in loaded.items()},
-                         parameter_shapes(tiny_cfg(hidden=6), 2))
+        load_checkpoint(path, tiny_cfg(hidden=6))
 
 
 @pytest.mark.parametrize("n_classes", [2, 5])
@@ -482,7 +492,7 @@ def test_train_writes_checkpoint_sealed_with_sha256(tmp_path, capsys):
         "--fuse-hidden", "8", "--predict-hidden", "4"]) == 0
     capsys.readouterr()
     blob = model.read_bytes()
-    assert blob[:8] == b"FLOWID02"
+    assert blob[:8] == b"FLOWID03"
     assert blob[-8:] == seal(blob[:-8])
 
 
@@ -499,4 +509,4 @@ def test_checkpoint_bit_flip_anywhere_is_a_checksum_mismatch(tmp_path):
         bad[offset] ^= 0x10
         path.write_bytes(bytes(bad))
         with pytest.raises(CheckpointError, match="checksum mismatch"):
-            load_checkpoint(path)
+            load_checkpoint(path, TrainConfig())
