@@ -15,33 +15,32 @@ from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .hypergraph import FlowHypergraph
 from .rng import Rng
-from .tensor_core import ParameterStore, Tensor, glorot_uniform
+from .tensor_core import ParameterStore, Tensor, fill, glorot
 
 
-def init_encoder_params(store: ParameterStore, cfg: TrainConfig, n_classes: int,
-                        rng: Rng) -> None:
+def encoder_params(cfg: TrainConfig, n_classes: int):
+    """(name, shape, init) of each encoder and head parameter, in creation
+    order; init(shape, rng) draws from the part's substream."""
     if n_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {n_classes}")
-    r = rng.child("encoder")
-    store.add("encoder.in.w", glorot_uniform((cfg.extractor_dim, cfg.hidden), r.child("in")))
-    store.add("encoder.in.b", np.zeros(cfg.hidden))
+    hd, p, ph = cfg.hidden, cfg.projection_dim, cfg.predict_hidden
+    zero = fill(0.0)
+    yield "encoder.in.w", (cfg.extractor_dim, hd), glorot("in")
+    yield "encoder.in.b", (hd,), zero
     for layer in range(cfg.depth):
-        store.add(f"encoder.layer{layer}.we",
-                  glorot_uniform((cfg.hidden, cfg.hidden), r.child("we", layer)))
-        store.add(f"encoder.layer{layer}.be", np.zeros(cfg.hidden))
-        store.add(f"encoder.layer{layer}.wv",
-                  glorot_uniform((cfg.hidden, cfg.hidden), r.child("wv", layer)))
-        store.add(f"encoder.layer{layer}.bv", np.zeros(cfg.hidden))
-    p = cfg.projection_dim
+        yield f"encoder.layer{layer}.we", (hd, hd), glorot("we", layer)
+        yield f"encoder.layer{layer}.be", (hd,), zero
+        yield f"encoder.layer{layer}.wv", (hd, hd), glorot("wv", layer)
+        yield f"encoder.layer{layer}.bv", (hd,), zero
     for head in ("node", "edge"):
-        store.add(f"project.{head}.w1", glorot_uniform((cfg.hidden, p), r.child(head, 1)))
-        store.add(f"project.{head}.b1", np.zeros(p))
-        store.add(f"project.{head}.w2", glorot_uniform((p, p), r.child(head, 2)))
-        store.add(f"project.{head}.b2", np.zeros(p))
-    store.add("predict.w1", glorot_uniform((cfg.hidden, cfg.predict_hidden), r.child("pr1")))
-    store.add("predict.b1", np.zeros(cfg.predict_hidden))
-    store.add("predict.w2", glorot_uniform((cfg.predict_hidden, n_classes), r.child("pr2")))
-    store.add("predict.b2", np.zeros(n_classes))
+        yield f"project.{head}.w1", (hd, p), glorot(head, 1)
+        yield f"project.{head}.b1", (p,), zero
+        yield f"project.{head}.w2", (p, p), glorot(head, 2)
+        yield f"project.{head}.b2", (p,), zero
+    yield "predict.w1", (hd, ph), glorot("pr1")
+    yield "predict.b1", (ph,), zero
+    yield "predict.w2", (ph, n_classes), glorot("pr2")
+    yield "predict.b2", (n_classes,), zero
 
 
 def propagation_mats(graph: FlowHypergraph) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .ingest.records import FlowRecord
 from .rng import Rng
-from .tensor_core import ParameterStore, Tensor, glorot_uniform
+from .tensor_core import ParameterStore, Tensor, fill, glorot
 
 LENGTH_SCALE = 1500.0
 
@@ -74,46 +74,47 @@ def build_view_batch(flows: list[FlowRecord], n: int, m: int) -> ViewBatch:
     return ViewBatch(lengths, directions, payloads, counts)
 
 
-def init_extractor_params(store: ParameterStore, cfg: TrainConfig, rng: Rng) -> None:
+def extractor_params(cfg: TrainConfig):
+    """(name, shape, init) of each extractor and fusion parameter, in creation
+    order; init(shape, rng) draws from the part's substream."""
     d = cfg.extractor_dim
     h = cfg.lstm_hidden
     c1, c2 = cfg.cnn_channels
     gh = cfg.gcn_hidden
-
-    r = rng.child("extractor")
-    store.add("temporal.lstm.wx", glorot_uniform((1, 4 * h), r.child("t0")))
-    store.add("temporal.lstm.wh", glorot_uniform((h, 4 * h), r.child("t1")))
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0  # forget gate starts open
-    store.add("temporal.lstm.b", b)
-    store.add("temporal.attn.w", glorot_uniform((h, h), r.child("t2")))
-    store.add("temporal.attn.b", np.zeros(h))
-    store.add("temporal.attn.v", glorot_uniform((h, 1), r.child("t3"))[:, 0])
-    store.add("temporal.out.w", glorot_uniform((h, d), r.child("t4")))
-    store.add("temporal.out.b", np.zeros(d))
-
     k = cfg.conv_kernel
-    store.add("payload.conv1.w", glorot_uniform((c1, 1, k), r.child("p0")))
-    store.add("payload.conv1.b", np.zeros(c1))
-    store.add("payload.conv2.w", glorot_uniform((c2, c1, k), r.child("p1")))
-    store.add("payload.conv2.b", np.zeros(c2))
-    store.add("payload.attn.w", glorot_uniform((c2, c2), r.child("p2")))
-    store.add("payload.attn.b", np.zeros(c2))
-    store.add("payload.attn.v", glorot_uniform((c2, 1), r.child("p3"))[:, 0])
-    store.add("payload.out.w", glorot_uniform((c2, d), r.child("p4")))
-    store.add("payload.out.b", np.zeros(d))
-
-    store.add("interaction.gcn1.w", glorot_uniform((2, gh), r.child("g0")))
-    store.add("interaction.gcn2.w", glorot_uniform((gh, gh), r.child("g1")))
-    store.add("interaction.out.w", glorot_uniform((gh, d), r.child("g2")))
-    store.add("interaction.out.b", np.zeros(d))
-
     fh = cfg.fuse_hidden
-    store.add("fuse.lin1.w", glorot_uniform((2 * d, fh), r.child("f0")))
-    store.add("fuse.lin1.b", np.zeros(fh))
-    store.add("fuse.lin2.w", glorot_uniform((fh, d), r.child("f1")))
-    store.add("fuse.lin2.b", np.zeros(d))
-    store.add("fuse.alpha", np.array([0.5]))
+    zero = fill(0.0)
+
+    yield "temporal.lstm.wx", (1, 4 * h), glorot("t0")
+    yield "temporal.lstm.wh", (h, 4 * h), glorot("t1")
+    # gates [input, forget, cell, output]: the forget gate starts open
+    yield "temporal.lstm.b", (4 * h,), lambda shape, rng: np.repeat([0.0, 1.0, 0.0, 0.0], h)
+    yield "temporal.attn.w", (h, h), glorot("t2")
+    yield "temporal.attn.b", (h,), zero
+    yield "temporal.attn.v", (h,), glorot("t3")
+    yield "temporal.out.w", (h, d), glorot("t4")
+    yield "temporal.out.b", (d,), zero
+
+    yield "payload.conv1.w", (c1, 1, k), glorot("p0")
+    yield "payload.conv1.b", (c1,), zero
+    yield "payload.conv2.w", (c2, c1, k), glorot("p1")
+    yield "payload.conv2.b", (c2,), zero
+    yield "payload.attn.w", (c2, c2), glorot("p2")
+    yield "payload.attn.b", (c2,), zero
+    yield "payload.attn.v", (c2,), glorot("p3")
+    yield "payload.out.w", (c2, d), glorot("p4")
+    yield "payload.out.b", (d,), zero
+
+    yield "interaction.gcn1.w", (2, gh), glorot("g0")
+    yield "interaction.gcn2.w", (gh, gh), glorot("g1")
+    yield "interaction.out.w", (gh, d), glorot("g2")
+    yield "interaction.out.b", (d,), zero
+
+    yield "fuse.lin1.w", (2 * d, fh), glorot("f0")
+    yield "fuse.lin1.b", (fh,), zero
+    yield "fuse.lin2.w", (fh, d), glorot("f1")
+    yield "fuse.lin2.b", (d,), zero
+    yield "fuse.alpha", (1,), fill(0.5)
 
 
 def temporal_encode(store: ParameterStore, lengths: np.ndarray, cfg: TrainConfig) -> Tensor:

@@ -28,4 +28,4 @@ from .engine import (
 )
 from .layers import attention_pool_batch, lstm_batch
 from .optim import Adam
-from .params import ParameterStore, glorot_uniform
+from .params import ParameterStore, fill, glorot

@@ -247,13 +247,13 @@ def relu(a) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def elu(a, alpha: float = 1.0) -> Tensor:
+def elu(a) -> Tensor:
     a = as_tensor(a)
-    neg = alpha * (np.exp(np.minimum(a.data, 0.0)) - 1.0)
+    neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
     data = np.where(a.data > 0.0, a.data, neg)
 
     def bw(g):
-        return (g * np.where(a.data > 0.0, 1.0, neg + alpha),)
+        return (g * np.where(a.data > 0.0, 1.0, neg + 1.0),)
 
     return _node(data, (a,), bw)
 
@@ -329,13 +329,9 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), bw)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 # ---------------------------------------------------------------------------

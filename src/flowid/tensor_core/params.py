@@ -11,10 +11,22 @@ from .engine import Tensor
 
 def glorot_uniform(shape: tuple[int, ...], rng: Rng) -> np.ndarray:
     """Uniform in +/- sqrt(6/(fan_in+fan_out)); the fans are a matrix's two
-    dims, or a conv kernel (C_out, C_in, k)'s C_out*k and C_in*k."""
+    dims, a conv kernel (C_out, C_in, k)'s C_out*k and C_in*k, or a vector's
+    length and 1, the fans of the one-column matrix it draws as."""
+    rows, cols = (*shape, 1)[:2]
     taps = shape[2] if len(shape) == 3 else 1
-    limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * taps))
+    limit = np.sqrt(6.0 / ((rows + cols) * taps))
     return rng.uniform(-limit, limit, shape)
+
+
+def glorot(*key):
+    """An initializer: glorot_uniform drawn from substream `key` of the part's rng."""
+    return lambda shape, rng: glorot_uniform(shape, rng.child(*key))
+
+
+def fill(value: float):
+    """An initializer: every entry `value`."""
+    return lambda shape, rng: np.full(shape, value)
 
 
 class ParameterStore:
@@ -38,9 +50,6 @@ class ParameterStore:
             return self._params[name]
         except KeyError:
             raise ConfigError(f"unknown parameter: {name}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def names(self) -> list[str]:
         return list(self._params)

@@ -28,9 +28,9 @@ from . import tensor_core as tc
 from .augment import make_views
 from .config import TrainConfig
 from .contrast import group_group_loss, node_node_loss
-from .encoder import encode, init_encoder_params, predict, project
+from .encoder import encode, encoder_params, predict, project
 from .errors import CheckpointError, ConfigError
-from .extractors import ViewBatch, build_view_batch, extract, init_extractor_params
+from .extractors import ViewBatch, build_view_batch, extract, extractor_params
 from .hypergraph import FlowHypergraph, build_flow_hypergraph
 from .ingest.records import FlowRecord
 from .metrics import MetricsReport, confusion_matrix, macro_metrics
@@ -95,41 +95,15 @@ class Snapshot:
 
 
 def build_parameter_store(cfg: TrainConfig, n_classes: int) -> ParameterStore:
-    rng = Rng(cfg.seed).child("init")
+    """A new model's parameters, each drawn from its part's substream of
+    the config's seed."""
     store = ParameterStore()
-    init_extractor_params(store, cfg, rng)
-    init_encoder_params(store, cfg, n_classes, rng)
+    for part, params in (("extractor", extractor_params(cfg)),
+                         ("encoder", encoder_params(cfg, n_classes))):
+        rng = Rng(cfg.seed).child("init").child(part)
+        for name, shape, init in params:
+            store.add(name, init(shape, rng))
     return store
-
-
-class _ShapeRecorder(dict):
-    """Takes the init functions' store.add calls: name -> shape."""
-
-    def add(self, name: str, value) -> None:
-        self[name] = np.shape(value)
-
-
-class _ZeroRng:
-    """Takes the init functions' Rng calls: each draw is a broadcast zero,
-    which allocates nothing."""
-
-    def child(self, *keys) -> "_ZeroRng":
-        return self
-
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
-        return np.broadcast_to(0.0, size)
-
-
-def parameter_shapes(cfg: TrainConfig, n_classes: int) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter build_parameter_store makes.
-
-    Nothing is allocated or drawn, so checking a checkpoint against its model
-    costs no second copy of the model's parameters and gradients.
-    """
-    shapes = _ShapeRecorder()
-    init_extractor_params(shapes, cfg, _ZeroRng())
-    init_encoder_params(shapes, cfg, n_classes, _ZeroRng())
-    return dict(shapes)
 
 
 def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
@@ -319,10 +293,12 @@ def load_checkpoint(path, cfg: TrainConfig) -> ParameterStore:
         (width,) = [entry[1][1] for entry in manifest if entry[0] == "predict.w2"]
     except (LookupError, TypeError, ValueError):
         width = None
-    # a head no payload could hold is checked as a two-class one, which names it
-    n_classes = width if type(width) is int and 2 <= width <= len(body) else 2
-    shapes = parameter_shapes(cfg, n_classes)
-    expected = [[name, list(shapes[name])] for name in sorted(shapes)]
+    # a missing or malformed head width is checked as two classes, which names the head
+    n_classes = width if type(width) is int and width >= 2 else 2
+    # a model larger than the manifest differs from it by its first extra entry
+    declared = itertools.chain(extractor_params(cfg), encoder_params(cfg, n_classes))
+    expected = sorted([name, list(shape)]
+                      for name, shape, _ in itertools.islice(declared, len(manifest) + 1))
     for i, (got, want) in enumerate(itertools.zip_longest(
             stored, map(json.dumps, expected), fillvalue="nothing")):
         if got != want:

@@ -23,8 +23,8 @@ from flowid.augment import (
 from flowid.cli import main
 from flowid.config import TrainConfig
 from flowid.contrast import group_group_loss, node_node_loss
-from flowid.encoder import encode, hyperconv_layer, init_encoder_params
-from flowid.extractors import extract, init_extractor_params
+from flowid.encoder import encode, hyperconv_layer
+from flowid.extractors import extract
 from flowid.hypergraph import FlowHypergraph, build_flow_hypergraph, knn_hyperedges
 from flowid.ingest import generate_synthetic_flows, split_flows, three_class_spec, \
     two_class_spec
@@ -43,6 +43,7 @@ from flowid.trainer import (
 from gradcheck import grad_check
 from pcap_util import build_pcap
 from test_contrast import EPS, double_loop_loss
+from test_encoder import make_store as encoder_store
 from test_hypergraph import brute_force_hyperedges
 from test_tensor_core import _op_cases
 from test_trainer import subsample_labels
@@ -155,8 +156,7 @@ def test_criterion_2_hypergraph_oracle():
 
 def test_criterion_3_encoder_oracle():
     cfg = _toy_cfg(hidden=3, extractor_dim=3)
-    store = ParameterStore()
-    init_encoder_params(store, cfg, 2, Rng(9))
+    store = encoder_store(cfg, 2, seed=9)
     rng = np.random.default_rng(31)
     store.get("encoder.layer0.be").data[...] = rng.normal(size=3)
     store.get("encoder.layer0.bv").data[...] = rng.normal(size=3)

@@ -546,6 +546,29 @@ def test_checkpoint_must_hold_the_sidecar_model(workspace, tmp_path, capsys, com
     assert not out.exists()
 
 
+# a sidecar dimension or depth too large for the checkpoint to hold is a
+# model the checkpoint does not hold: no array is sized and no layer listed
+# beyond the manifest's length
+@pytest.mark.parametrize("command", ["eval", "detect"])
+@pytest.mark.parametrize("key, value", [
+    pytest.param("hidden", 2 ** 62, id="hidden_2e62"),
+    pytest.param("hidden", 2 ** 40, id="hidden_2e40"),
+    pytest.param("extractor_dim", 2 ** 62, id="extractor_dim_2e62"),
+    pytest.param("cnn_channels", [3, 2 ** 62], id="cnn_channels_2e62"),  # c1 of TINY_FLAGS
+    pytest.param("depth", 10 ** 9, id="depth_1e9"),
+])
+def test_sidecar_model_beyond_the_checkpoint_exit_2(workspace, tmp_path, capsys,
+                                                    command, key, value):
+    config = json.loads((workspace / "model.ckpt.meta.json").read_text())["config"]
+    out = tmp_path / "out"
+    args = {"eval": ["eval", "--report", str(out)],
+            "detect": ["detect", "--window", "60", "--out", str(out)]}[command]
+    args += ["--flows", str(workspace / "test.jsonl")]
+    assert _run_with_sidecar(workspace, tmp_path, {**config, key: value}, args) == 2
+    assert _one_line_error(capsys).startswith("format error: manifest entry ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "detect"])
 def test_non_finite_checkpoint_value_exit_2(workspace, tmp_path, capsys, command):
     # a NaN weight under a valid checksum would score every flow as one class

@@ -8,8 +8,8 @@ import flowid.tensor_core as tc
 from flowid.config import TrainConfig
 from flowid.encoder import (
     encode,
+    encoder_params,
     hyperconv_layer,
-    init_encoder_params,
     predict,
     project,
     propagation_mats,
@@ -34,8 +34,10 @@ def enc_cfg(**overrides):
 
 
 def make_store(cfg, n_classes=2, seed=0):
+    """The encoder's parameters, drawn from the seed's "encoder" substream."""
     store = ParameterStore()
-    init_encoder_params(store, cfg, n_classes, Rng(seed))
+    for name, shape, init in encoder_params(cfg, n_classes):
+        store.add(name, init(shape, Rng(seed).child("encoder")))
     return store
 
 

@@ -16,8 +16,8 @@ from flowid.extractors import (
     ViewBatch,
     build_view_batch,
     extract,
+    extractor_params,
     fuse,
-    init_extractor_params,
     interaction_encode,
     path_adjacency,
     payload_encode,
@@ -39,8 +39,10 @@ def tiny_cfg(**overrides) -> TrainConfig:
 
 
 def make_store(cfg, seed=0) -> ParameterStore:
+    """The extractor's parameters, drawn from the seed's "extractor" substream."""
     store = ParameterStore()
-    init_extractor_params(store, cfg, Rng(seed))
+    for name, shape, init in extractor_params(cfg):
+        store.add(name, init(shape, Rng(seed).child("extractor")))
     return store
 
 
@@ -140,8 +142,7 @@ def test_payload_purity_and_zero_propagation():
 
 def test_payload_default_output_dim_512():
     cfg = TrainConfig(n=40, m=16).validate()
-    store = ParameterStore()
-    init_extractor_params(store, cfg, Rng(0))
+    store = make_store(cfg)
     payloads = np.random.default_rng(1).integers(0, 256, size=(3, 40, 16)).astype(float)
     out = payload_encode(store, payloads, cfg)
     assert out.shape == (3, 512)

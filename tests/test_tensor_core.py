@@ -1030,7 +1030,7 @@ def _op_cases():
         ),
         "reductions": (
             {"a": x55.copy()},
-            lambda s: tc.tsum(tc.tmean(s.get("a"), axis=0) * tc.tsum(s.get("a"), axis=1, keepdims=False))
+            lambda s: tc.tsum(tc.tmean(s.get("a") * s.get("a")) * tc.tsum(s.get("a"), axis=1))
         ),
         "conv1d_relu_pool": (  # L_out = 5: two pooled pairs and a dropped odd position
             {"x": rng.normal(size=(2, 5, 2)), "k": rng.normal(size=(3, 2, 3)),

@@ -14,7 +14,9 @@ from flowid import trainer
 from flowid.config import TrainConfig
 from flowid.augment import parse_pipeline
 from flowid.cli import main as cli_main
+from flowid.encoder import encoder_params
 from flowid.errors import CheckpointError, ConfigError
+from flowid.extractors import extractor_params
 from flowid.ingest import generate_synthetic_flows, two_class_spec, write_flows_jsonl
 from flowid.metrics import macro_f1_score
 from flowid.rng import Rng
@@ -28,7 +30,6 @@ from flowid.trainer import (
     evaluate_probs,
     fit,
     load_checkpoint,
-    parameter_shapes,
     prepare_snapshot,
     save_checkpoint,
     step_losses,
@@ -354,8 +355,7 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     # [name, shape] in name order, then the float32 tensors end to end
     manifest, payload = sealed_parts(p1.read_bytes())
-    assert manifest == [[name, list(shape)]
-                        for name, shape in sorted(parameter_shapes(cfg, 2).items())]
+    assert manifest == [[name, list(store.get(name).shape)] for name in sorted(store.names())]
     assert payload == b"".join(store.get(name).data.astype("<f4").tobytes()
                                for name, _ in manifest)
 
@@ -471,10 +471,31 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
 
 
 @pytest.mark.parametrize("n_classes", [2, 5])
-def test_parameter_shapes_match_built_store(n_classes):
+def test_declared_shapes_match_built_store(n_classes):
+    """Each initializer draws the shape its declaration gives, the shape a
+    checkpoint's manifest is checked against, and the store keeps the
+    declaration order."""
     cfg = tiny_cfg()
     store = build_parameter_store(cfg, n_classes)
-    assert parameter_shapes(cfg, n_classes) == {name: t.shape for name, t in store.items()}
+    declared = [(name, shape) for name, shape, _ in
+                [*extractor_params(cfg), *encoder_params(cfg, n_classes)]]
+    assert declared == [(name, t.shape) for name, t in store.items()]
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "003594c7db47af6a"),
+    ({"depth": 0, "seed": 3}, "ceb17ef5bf01a9e4"),
+    ({"depth": 3, "hidden": 7, "lstm_hidden": 5, "seed": 9}, "0d1789db6f7c5d83"),
+])
+def test_initial_parameters_are_pinned(overrides, digest):
+    """SHA-256 of each parameter's name and float64 bytes in store order: the
+    substream keys and creation order, on which Adam's iteration order and a
+    checkpoint's bytes depend."""
+    h = hashlib.sha256()
+    for name, t in build_parameter_store(TrainConfig(**overrides).validate(), 3).items():
+        h.update(name.encode())
+        h.update(t.data.astype("<f8").tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_train_writes_checkpoint_sealed_with_sha256(tmp_path, capsys):
