@@ -11,6 +11,7 @@ when the record was snapped short.
 
 from __future__ import annotations
 
+import socket
 import struct
 from dataclasses import dataclass, field
 
@@ -39,18 +40,9 @@ class ParseResult:
         }
 
 
-@dataclass
-class _Decoded:
-    src: str
-    dst: str
-    sport: int
-    dport: int
-    proto: str
-    payload: bytes
-
-
-def _decode_frame(data: bytes) -> _Decoded | None:
-    """Ethernet -> IPv4 -> TCP/UDP; None when the frame is out of scope."""
+def _decode_frame(data: bytes) -> tuple[FiveTuple, bytes] | None:
+    """Ethernet -> IPv4 -> TCP/UDP, as (key, transport payload); None when
+    the frame is out of scope."""
     if len(data) < 34:  # eth(14) + minimal ipv4(20)
         return None
     if struct.unpack_from("!H", data, 12)[0] != _ETHERTYPE_IPV4:
@@ -67,35 +59,25 @@ def _decode_frame(data: bytes) -> _Decoded | None:
     if frag & 0x1FFF:  # non-first fragment: no transport header to read
         return None
     proto_num = data[ip_off + 9]
-    src = ".".join(str(b) for b in data[ip_off + 12 : ip_off + 16])
-    dst = ".".join(str(b) for b in data[ip_off + 16 : ip_off + 20])
+    src = socket.inet_ntoa(data[ip_off + 12 : ip_off + 16])
+    dst = socket.inet_ntoa(data[ip_off + 16 : ip_off + 20])
     ip_end = min(len(data), ip_off + max(total_len, ihl))
     tr_off = ip_off + ihl
     if proto_num == 6:
         if len(data) < tr_off + 20:
             return None
-        sport, dport = struct.unpack_from("!HH", data, tr_off)
         hdr = ((data[tr_off + 12] >> 4) & 0x0F) * 4
         if hdr < 20:
             return None
-        payload = data[min(tr_off + hdr, ip_end) : ip_end]
-        return _Decoded(src, dst, sport, dport, "tcp", payload)
-    if proto_num == 17:
+        proto, payload_off = "tcp", tr_off + hdr
+    elif proto_num == 17:
         if len(data) < tr_off + 8:
             return None
-        sport, dport = struct.unpack_from("!HH", data, tr_off)
-        payload = data[min(tr_off + 8, ip_end) : ip_end]
-        return _Decoded(src, dst, sport, dport, "udp", payload)
-    return None
-
-
-class _OpenFlow:
-    __slots__ = ("record", "last_ts", "seen")
-
-    def __init__(self, record: FlowRecord, ts: float):
-        self.record = record
-        self.last_ts = ts
-        self.seen = 0
+        proto, payload_off = "udp", tr_off + 8
+    else:
+        return None
+    sport, dport = struct.unpack_from("!HH", data, tr_off)
+    return FiveTuple(src, dst, sport, dport, proto), data[min(payload_off, ip_end) : ip_end]
 
 
 def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResult:
@@ -105,7 +87,7 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
     if not idle_timeout > 0:  # NaN fails; inf means flows never split on idle
         raise ConfigError(f"idle_timeout must be positive, got {idle_timeout}")
     result = ParseResult()
-    open_flows: dict[tuple, _OpenFlow] = {}
+    open_flows: dict[tuple, list] = {}  # canonical key -> [record, last_ts]
     # record by record: a capture-sized buffer made the heap grow by its size
     # whenever a fragmented heap had no hole that large
     with open(path, "rb") as fh:
@@ -137,28 +119,23 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
             if decoded is None:
                 result.skipped_frames += 1
                 continue
+            key, payload = decoded
             ts = ts_sec + ts_usec * 1e-6
             wire_len = incl_len if 0 < incl_len < orig_len else orig_len
 
-            key = FiveTuple(decoded.src, decoded.dst, decoded.sport, decoded.dport,
-                            decoded.proto)
             ckey = key.canonical()
             state = open_flows.get(ckey)
-            if state is not None and ts - state.last_ts > idle_timeout:
-                state = None  # idle gap: the old record stays finished in result.flows
-            if state is None:
-                record = FlowRecord(id=f"flow-{len(result.flows) + 1:06d}", key=key)
-                result.flows.append(record)
-                state = _OpenFlow(record, ts)
+            if state is None or ts - state[1] > idle_timeout:
+                # an idle gap leaves the old record finished in result.flows
+                state = [FlowRecord(id=f"flow-{len(result.flows) + 1:06d}", key=key), ts]
+                result.flows.append(state[0])
                 open_flows[ckey] = state
-            direction = -1 if (decoded.src, decoded.sport) == (
-                state.record.key.src_addr, state.record.key.src_port) else 1
-            state.last_ts = ts
-            state.seen += 1
-            if state.seen <= n:
-                state.record.packets.append(
-                    PacketView(ts, direction, int(wire_len), decoded.payload[:m])
-                )
+            record = state[0]
+            state[1] = ts
+            if len(record.packets) < n:
+                direction = -1 if (key.src_addr, key.src_port) == (
+                    record.key.src_addr, record.key.src_port) else 1
+                record.packets.append(PacketView(ts, direction, wire_len, payload[:m]))
             result.packets_kept += 1
 
     return result

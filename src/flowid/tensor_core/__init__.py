@@ -16,7 +16,6 @@ from .engine import (
     logsumexp_last,
     matmul,
     mul,
-    no_grad,
     pick,
     relu,
     softmax_last,

@@ -8,42 +8,18 @@ The engine is deliberately small: a Tensor wraps an ndarray plus the closure
 needed to push gradients to its parents, and `backward` walks the graph once
 in reverse topological order. Only the operations the pipeline actually uses
 are provided. Inputs are typically constants (no gradient); trainable leaves
-are created by ParameterStore and accumulate into their `.grad` array.
+are created by ParameterStore and accumulate into their `.grad` array. An op
+builds a graph node exactly when one of its operands requires a gradient, so
+inference runs on plain tensors (ParameterStore.frozen or copy) and builds none.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-
-
-class _GradMode(threading.local):
-    """Per-thread graph-construction switch; every thread starts enabled."""
-
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph construction inside the block (pure forward evaluation).
-
-    The switch is per thread: a block in one thread never disables or
-    re-enables graph construction in another.
-    """
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = prev
 
 
 class Tensor:
@@ -107,8 +83,9 @@ def constant(x) -> Tensor:
 
 
 def needs_grad(*parents: Tensor) -> bool:
-    """Whether an op on these operands builds a graph node (see _node)."""
-    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+    """Whether an op on these operands builds a graph node (see _node): it
+    does exactly when one of them requires a gradient."""
+    return any(p.requires_grad for p in parents)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:

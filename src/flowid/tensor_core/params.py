@@ -61,6 +61,14 @@ class ParameterStore:
         for t in self._params.values():
             t.zero_grad()
 
+    def frozen(self) -> "ParameterStore":
+        """A view for inference: plain tensors over this store's own arrays,
+        so an op on them builds no graph, and an in-place update shows."""
+        out = ParameterStore()
+        for name, t in self._params.items():
+            out.add(name, Tensor(t.data))
+        return out
+
     def copy(self) -> "ParameterStore":
         """The values only, as plain tensors like a loaded checkpoint's: a
         copy is saved or scored, not trained, so it holds no gradient buffers

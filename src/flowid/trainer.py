@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -96,7 +97,16 @@ class Snapshot:
 
 def build_parameter_store(cfg: TrainConfig, n_classes: int) -> ParameterStore:
     """A new model's parameters, each drawn from its part's substream of
-    the config's seed."""
+    the config's seed. A model whose values, gradients and two Adam moments
+    (32 bytes a parameter) exceed physical memory is a MemoryError before
+    anything is drawn."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    size = 0
+    for _, shape, _ in itertools.chain(extractor_params(cfg), encoder_params(cfg, n_classes)):
+        size += 32 * math.prod(shape)
+        if size > limit:
+            raise MemoryError(f"the model needs more than the {limit / 2**30:.1f} GiB "
+                              "of physical memory, at 32 bytes a parameter")
     store = ParameterStore()
     for part, params in (("extractor", extractor_params(cfg)),
                          ("encoder", encoder_params(cfg, n_classes))):
@@ -114,8 +124,7 @@ def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
     for evaluate_probs with the same store; training steps and fit's
     validation extract features again from the live parameters."""
     views = build_view_batch(flows, cfg.n, cfg.m)
-    with tc.no_grad():
-        features = extract(store, views, cfg).data
+    features = extract(store.frozen(), views, cfg).data
     graph = build_flow_hypergraph(features, cfg.k)
     return Snapshot([f.id for f in flows], views, graph, LabelSet.from_flows(flows), features)
 
@@ -174,17 +183,16 @@ def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
     so `store` must be the store the snapshot was prepared with, unchanged
     since. Once the parameters move (as during fit), prepare a new snapshot
     or extract live features as evaluate_macro_f1 does."""
-    with tc.no_grad():
-        v, _ = encode(snapshot.graph, snapshot.features, store, cfg)
-        return predict(v, store).data.copy()
+    store = store.frozen()
+    v, _ = encode(snapshot.graph, snapshot.features, store, cfg)
+    return predict(v, store).data.copy()
 
 
 def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig) -> float:
     """Macro-F1 over the labeled flows, from features extracted with the live
     parameters: fit moves them after the snapshot was prepared, so the
     features stored on the snapshot are stale."""
-    with tc.no_grad():
-        features = extract(store, snapshot.views, cfg).data
+    features = extract(store.frozen(), snapshot.views, cfg).data
     return snapshot.report(evaluate_probs(replace(snapshot, features=features),
                                           store, cfg)).macro_f1
 

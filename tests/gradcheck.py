@@ -37,8 +37,7 @@ class GradCheckReport:
 
 
 def _eval(f, store: ParameterStore) -> float:
-    with tc.no_grad():
-        out = f(store)
+    out = f(store.frozen())
     val = out.data.item() if isinstance(out, tc.Tensor) else float(out)
     if not np.isfinite(val):
         raise GradCheckFailure(f"objective returned non-finite value {val}")

@@ -845,8 +845,8 @@ def test_detect_malformed_flow_exit_2(workspace, tmp_path, capsys, packets):
 
 
 def test_training_still_works_after_detect(workspace, tmp_path, capsys):
-    # detect scores every window under no_grad; none of that may leave graph
-    # construction off for the rest of this process
+    # detect scores every window through plain tensors; training afterwards
+    # in the same process must still build graphs and move the parameters
     src = [json.loads(line)
            for line in (workspace / "train.jsonl").read_text().splitlines()]
     for i, rec in enumerate(src):
@@ -992,6 +992,7 @@ def _with_first_record(src, dst, edit):
     pytest.param("eval", "--n", 10 ** 22, id="eval_n_1e22"),
     pytest.param("detect", "--n", 10 ** 22, id="detect_n_1e22"),
     pytest.param("train", "--conv-kernel", 10 ** 22, id="conv_kernel_1e22"),
+    pytest.param("train", "--depth", 10 ** 9, id="depth_1e9"),
 ])
 def test_out_of_memory_exit_1(workspace, tmp_path, capsys, command, flag, size):
     train = workspace / "train.jsonl"
@@ -999,6 +1000,8 @@ def test_out_of_memory_exit_1(workspace, tmp_path, capsys, command, flag, size):
     if flag == "label":
         train = _with_first_record(train, tmp_path / "big-label.jsonl",
                                    lambda r: r.update(label=size))
+    elif flag == "--depth":  # the reference width: at --hidden 12 the size walk takes seconds
+        flags += [flag, str(size), "--hidden", "128"]
     else:
         flags[flags.index(flag) + 1] = str(size)
     out = tmp_path / "m.ckpt"

@@ -102,6 +102,11 @@ def test_idle_timeout_starts_new_flow(tmp_path):
     # the second record's initiator is the source of the packet that reopened it
     assert result.flows[1].key.src_addr == "10.0.0.2"
     assert result.flows[1].packets[0].direction == -1
+    # a packet past the cap n still refreshes the idle timer
+    capped = parse_bytes(tmp_path, build_pcap([
+        (t, "10.0.0.1", 1234, "10.0.0.2", 80, "tcp", b"d") for t in (0.0, 1.0, 2.0, 11.5)
+    ]), n=2, idle_timeout=10.0)
+    assert len(capped.flows) == 1 and len(capped.flows[0].packets) == 2
 
 
 def test_packet_cap_and_payload_cap(tmp_path):

@@ -1,7 +1,6 @@
 """Unit and oracle tests for the tensor engine, layers, optimizer, and grad checker."""
 
 import math
-import threading
 import tracemalloc
 
 import numpy as np
@@ -680,15 +679,10 @@ def _retained_bytes(fn):
     return out, retained
 
 
-@pytest.mark.parametrize("mode", ["no_grad", "frozen"])
-def test_lstm_inference_keeps_no_graph_or_buffers(mode):
+def test_lstm_inference_keeps_no_graph_or_buffers():
     x, params, _ = _lstm_case(100, d_in=1, seed=6)
-    leaves = [tc.Tensor(p, requires_grad=mode == "no_grad") for p in params]
-    if mode == "no_grad":
-        with tc.no_grad():
-            out, retained = _retained_bytes(lambda: tc.lstm_batch(x, *leaves))
-    else:
-        out, retained = _retained_bytes(lambda: tc.lstm_batch(x, *leaves))
+    leaves = [tc.Tensor(p) for p in params]
+    out, retained = _retained_bytes(lambda: tc.lstm_batch(x, *leaves))
     assert not out.requires_grad and out._parents == () and out._backward is None
     assert retained < out.data.nbytes + 2**16, (retained, out.data.nbytes)
 
@@ -1072,49 +1066,16 @@ def test_backward_requires_scalar():
         tc.backward(t + t)
 
 
-def test_no_grad_blocks_graph():
-    w = tc.Tensor(np.ones(3), requires_grad=True)
-    with tc.no_grad():
-        out = tc.tsum(w * w)
-    assert not out.requires_grad
-
-
-def test_no_grad_is_per_thread():
-    # force the interleaving A enters, B enters, A exits, B exits; a shared
-    # flag would re-enable graphs inside B's block and leave them disabled
-    w = tc.Tensor(np.ones(3), requires_grad=True)
-    barrier = threading.Barrier(2, timeout=10)
-    built_in_b = []
-    errors = []
-
-    def thread_a():
-        try:
-            with tc.no_grad():
-                barrier.wait()  # 1: A is inside
-                barrier.wait()  # 2: B is inside
-            barrier.wait()      # 3: A has left
-        except Exception as exc:  # surfaced by the assertion below
-            errors.append(exc)
-
-    def thread_b():
-        try:
-            barrier.wait()      # 1
-            with tc.no_grad():
-                barrier.wait()  # 2
-                barrier.wait()  # 3
-                built_in_b.append(tc.tsum(w * w).requires_grad)
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=20)
-        assert not t.is_alive()
-    assert errors == []
-    assert built_in_b == [False]
-    assert tc.tsum(w * w).requires_grad
+def test_frozen_view_shares_arrays_and_builds_no_graph():
+    store = make_store(w=np.ones(3))
+    view = store.frozen()
+    w = view.get("w")
+    assert w.data is store.get("w").data
+    assert w.grad is None and not w.requires_grad
+    store.get("w").data *= 2.0  # an in-place update, as Adam's, shows through
+    out = tc.tsum(w * w)
+    assert out.data == 12.0
+    assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 def test_parameter_store_contracts():

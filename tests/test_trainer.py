@@ -269,8 +269,7 @@ def test_validation_sees_live_extractor_parameters(monkeypatch):
     cfg = tiny_cfg()
     snap, store = toy_snapshot(cfg, per_class=5)
     store.get("fuse.lin2.b").data += 0.5  # moves every flow's features after prepare
-    with tc.no_grad():
-        live = trainer.extract(store, snap.views, cfg).data
+    live = trainer.extract(store.frozen(), snap.views, cfg).data
     assert not np.array_equal(live, snap.features)
     seen = []
     real = trainer.encode
@@ -283,11 +282,38 @@ def test_validation_sees_live_extractor_parameters(monkeypatch):
     f1 = evaluate_macro_f1(snap, store, cfg)
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], live)
-    with tc.no_grad():
-        v, _ = real(snap.graph, tc.constant(live), store, cfg)
-        probs = trainer.predict(v, store).data
+    v, _ = real(snap.graph, tc.constant(live), store.frozen(), cfg)
+    probs = trainer.predict(v, store.frozen()).data
     idx = snap.labels.labeled_indices()
     assert f1 == macro_f1_score(probs[idx].argmax(axis=1), snap.labels.y[idx], 2)
+
+
+def test_inference_on_a_trainable_store_builds_no_graph(monkeypatch):
+    # each entry point reads a trainable store through a frozen view, so no
+    # tensor that extract or encode returns inside them carries a graph
+    cfg = tiny_cfg()
+    store = generic_store(cfg)
+    returned = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            returned.extend(t for t in (out if isinstance(out, tuple) else (out,))
+                            if t is not None)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(trainer, "extract", spy(trainer.extract))
+    monkeypatch.setattr(trainer, "encode", spy(trainer.encode))
+    snap, _ = toy_snapshot(cfg, per_class=5, store=store)
+    evaluate_probs(snap, store, cfg)
+    evaluate_macro_f1(snap, store, cfg)
+    # one extraction each in prepare_snapshot and evaluate_macro_f1, and two
+    # encodings of (nodes, hyperedges)
+    assert len(returned) == 1 + 2 + 1 + 2
+    assert all(not t.requires_grad and t._parents == () for t in returned)
+    # the live store itself still builds graphs
+    assert trainer.extract(store, snap.views, cfg).requires_grad
 
 
 def test_report_counts_classes_by_the_head_width():
