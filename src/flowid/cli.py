@@ -27,6 +27,7 @@ from .errors import (
     ShapeError,
 )
 from .ingest import (
+    ParseResult,
     default_spec,
     generate_synthetic_flows,
     parse_capture,
@@ -150,20 +151,17 @@ def _require_labels(flows) -> None:
         raise ConfigError("evaluation flows carry no labels")
 
 
-def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):
+def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float) -> ParseResult:
     if cfg_n < 1 or cfg_m < 1:
         raise ConfigError(f"packet cap n and byte cap m must be >= 1, got n={cfg_n}, m={cfg_m}")
     if getattr(args, "pcap", None):
-        result = parse_capture(args.pcap, n=cfg_n, m=cfg_m, idle_timeout=timeout)
-        return result.flows, result.counters()
+        return parse_capture(args.pcap, n=cfg_n, m=cfg_m, idle_timeout=timeout)
     flows = read_flows_jsonl(args.flows)
     for flow in flows:  # re-apply caps when reprocessing an existing flow file
         del flow.packets[cfg_n:]
         for pkt in flow.packets:
             pkt.payload_prefix = pkt.payload_prefix[:cfg_m]
-    counters = {"flows": len(flows), "packets": sum(len(f.packets) for f in flows),
-                "skipped_frames": 0, "truncated_records": 0}
-    return flows, counters
+    return ParseResult(flows)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +169,9 @@ def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float):
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    flows, counters = _read_input_flows(args, args.n, args.m, args.timeout)
-    write_flows_jsonl(flows, args.out)
-    print(" ".join(f"{k}={v}" for k, v in counters.items()))
+    result = _read_input_flows(args, args.n, args.m, args.timeout)
+    write_flows_jsonl(result.flows, args.out)
+    print(" ".join(f"{k}={v}" for k, v in result.counters().items()))
     return EXIT_OK
 
 
@@ -228,7 +226,7 @@ def assign_windows(flows, duration: float) -> dict[int, list]:
 
 def cmd_detect(args) -> int:
     store, cfg = _load_model(args)
-    flows, _ = _read_input_flows(args, cfg.n, cfg.m, args.timeout)
+    flows = _read_input_flows(args, cfg.n, cfg.m, args.timeout).flows
     windows = assign_windows(flows, args.window)
 
     # written, and skipped windows reported, only after every window has been

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and the physical-memory check shared across the package."""
+
+import os
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """MemoryError when `nbytes`, a lower bound on `what`, exceeds physical memory."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > limit:
+        raise MemoryError(f"{what} take more than the {limit / 2**30:.1f} GiB of physical memory")
 
 
 class FlowidError(Exception):

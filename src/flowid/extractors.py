@@ -166,7 +166,7 @@ def path_adjacency(counts: np.ndarray) -> np.ndarray:
 
 
 def interaction_encode(store: ParameterStore, lengths: np.ndarray, directions: np.ndarray,
-                       counts: np.ndarray, cfg: TrainConfig) -> Tensor:
+                       counts: np.ndarray) -> Tensor:
     a = tc.constant(path_adjacency(counts))
     t = a.shape[1]
     x = tc.constant(np.stack([lengths[:, :t] / LENGTH_SCALE, directions[:, :t]], axis=2))
@@ -196,5 +196,5 @@ def extract(store: ParameterStore, views: ViewBatch, cfg: TrainConfig,
     with an `rng`, fuse's dropout runs (training)."""
     z_lstm = temporal_encode(store, views.lengths, cfg)
     z_cnn = payload_encode(store, views.payloads, cfg)
-    z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
+    z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts)
     return fuse(store, z_lstm, z_cnn, z_gcn, cfg, rng=rng)[1]

@@ -27,9 +27,12 @@ _LINKTYPE_ETHERNET = 1
 @dataclass
 class ParseResult:
     flows: list[FlowRecord] = field(default_factory=list)
-    packets_kept: int = 0
     skipped_frames: int = 0       # non-IPv4 / non-TCP-UDP / fragments / undersized
     truncated_records: int = 0    # pcap records cut short
+
+    @property
+    def packets_kept(self) -> int:
+        return sum(len(f.packets) for f in self.flows)
 
     def counters(self) -> dict[str, int]:
         return {
@@ -136,6 +139,5 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
                 direction = -1 if (key.src_addr, key.src_port) == (
                     record.key.src_addr, record.key.src_port) else 1
                 record.packets.append(PacketView(ts, direction, wire_len, payload[:m]))
-            result.packets_kept += 1
 
     return result

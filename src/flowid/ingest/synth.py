@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
-from ..errors import ConfigError
+from ..errors import ConfigError, check_memory
 from ..rng import Rng
 from .records import FiveTuple, FlowRecord, PacketView
 
@@ -25,7 +26,8 @@ class SyntheticClassSpec:
 
 def generate_synthetic_flows(classes: list[SyntheticClassSpec], seed: int | Rng,
                              start_span: float = 600.0) -> list[FlowRecord]:
-    """Deterministic labeled flows; class c gets label c."""
+    """Deterministic labeled flows; class c gets label c. Packets beyond physical
+    memory, counted at each class's minimum, are a MemoryError before any draw."""
     if len(classes) < 2:
         raise ConfigError(f"need at least 2 classes, got {len(classes)}")
     for c, spec in enumerate(classes):
@@ -33,6 +35,8 @@ def generate_synthetic_flows(classes: list[SyntheticClassSpec], seed: int | Rng,
             raise ConfigError(f"class {c}: count must be >= 1, got {spec.count}")
         if not spec.direction_pattern or any(d not in (-1, 1) for d in spec.direction_pattern):
             raise ConfigError(f"class {c}: direction pattern must be drawn from -1/+1")
+    check_memory(sum(s.count * s.packets[0] for s in classes) * sys.getsizeof(PacketView(0, 1, 0)),
+                 f"{sum(s.count for s in classes)} synthetic flows")
     root = seed if isinstance(seed, Rng) else Rng(seed)
 
     flows: list[FlowRecord] = []

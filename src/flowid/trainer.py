@@ -19,9 +19,8 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .augment import make_views
 from .config import TrainConfig
 from .contrast import group_group_loss, node_node_loss
 from .encoder import encode, encoder_params, predict, project
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, check_memory
 from .extractors import ViewBatch, build_view_batch, extract, extractor_params
 from .hypergraph import FlowHypergraph, build_flow_hypergraph
 from .ingest.records import FlowRecord
@@ -43,18 +42,16 @@ EPS_LOG = 1e-12
 
 @dataclass
 class LabelSet:
-    """Class indices plus the labeled-subset mask (one-hot rows feed the CE)."""
+    """Class indices of a snapshot's flows (one-hot rows feed the CE)."""
 
-    y: np.ndarray     # (N,) int64; entries at unmasked positions are ignored
-    mask: np.ndarray  # (N,) bool
+    y: np.ndarray  # (N,) int64; -1 marks an unlabeled flow
 
     @classmethod
     def from_flows(cls, flows: list[FlowRecord]) -> "LabelSet":
-        y = np.array([-1 if f.label is None else f.label for f in flows], dtype=np.int64)
-        return cls(y=y, mask=y >= 0)
+        return cls(np.array([-1 if f.label is None else f.label for f in flows], dtype=np.int64))
 
     def labeled_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
+        return np.flatnonzero(self.y >= 0)
 
 
 def cross_entropy_loss(pred: Tensor, labels: LabelSet) -> Tensor:
@@ -64,11 +61,6 @@ def cross_entropy_loss(pred: Tensor, labels: LabelSet) -> Tensor:
         raise ConfigError("cross entropy needs at least one labeled row")
     p_true = tc.pick(pred, idx, labels.y[idx])
     return -tc.tmean(tc.log(p_true + EPS_LOG))
-
-
-def total_loss(l_pred, l_n, l_g, omega_n: float, omega_g: float):
-    """Weighted sum; works on floats and on graph tensors alike."""
-    return l_pred + omega_n * l_n + omega_g * l_g
 
 
 @dataclass
@@ -100,13 +92,10 @@ def build_parameter_store(cfg: TrainConfig, n_classes: int) -> ParameterStore:
     the config's seed. A model whose values, gradients and two Adam moments
     (32 bytes a parameter) exceed physical memory is a MemoryError before
     anything is drawn."""
-    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     size = 0
     for _, shape, _ in itertools.chain(extractor_params(cfg), encoder_params(cfg, n_classes)):
         size += 32 * math.prod(shape)
-        if size > limit:
-            raise MemoryError(f"the model needs more than the {limit / 2**30:.1f} GiB "
-                              "of physical memory, at 32 bytes a parameter")
+        check_memory(size, "the model's values, gradients and Adam moments")
     store = ParameterStore()
     for part, params in (("extractor", extractor_params(cfg)),
                          ("encoder", encoder_params(cfg, n_classes))):
@@ -129,22 +118,10 @@ def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
     return Snapshot([f.id for f in flows], views, graph, LabelSet.from_flows(flows), features)
 
 
-@dataclass
-class StepLosses:
-    total: Tensor
-    l_pred: Tensor
-    l_n: Tensor
-    l_g: Tensor
-
-    def stats(self) -> dict[str, float]:
-        return {"l_pred": float(self.l_pred.data), "l_n": float(self.l_n.data),
-                "l_g": float(self.l_g.data), "total": float(self.total.data)}
-
-
 def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
-                rng: Rng) -> StepLosses:
-    """Training forward pass producing the full loss breakdown. Deterministic
-    in (parameters, snapshot, rng), including dropout and augmentation draws."""
+                rng: Rng) -> dict[str, Tensor]:
+    """Training forward pass: l_pred, l_n, l_g and their weighted total.
+    Deterministic in (parameters, snapshot, rng), including dropout and augmentation draws."""
     z = extract(store, snapshot.views, cfg, rng=rng.child("extract"))
     view1, view2 = make_views(snapshot.graph, cfg.aug1, cfg.aug2, rng.child("augment"))
 
@@ -155,12 +132,10 @@ def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
     v1, e1 = project(*encode(view1, z, store, cfg, rng=rng.child("enc", 1)), store)
     v2, e2 = project(*encode(view2, z, store, cfg, rng=rng.child("enc", 2)), store)
     l_n = node_node_loss(v1, v2, cfg.tau_n, eps=cfg.cosine_eps)
-    if e1 is None or e2 is None:
-        l_g = tc.constant(0.0)
-    else:
-        l_g = group_group_loss(e1, e2, cfg.tau_g, eps=cfg.cosine_eps)
-    total = total_loss(l_pred, l_n, l_g, cfg.omega_n, cfg.omega_g)
-    return StepLosses(total=total, l_pred=l_pred, l_n=l_n, l_g=l_g)
+    l_g = (tc.constant(0.0) if e1 is None  # depth 0: neither view has hyperedges
+           else group_group_loss(e1, e2, cfg.tau_g, eps=cfg.cosine_eps))
+    return {"l_pred": l_pred, "l_n": l_n, "l_g": l_g,
+            "total": l_pred + cfg.omega_n * l_n + cfg.omega_g * l_g}
 
 
 def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
@@ -170,9 +145,9 @@ def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         losses = step_losses(snapshot, store, cfg, rng)
         store.zero_grad()
-        tc.backward(losses.total)
+        tc.backward(losses["total"])
         optimizer.step(store)
-    return losses.stats()
+    return {name: float(loss.data) for name, loss in losses.items()}
 
 
 def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
@@ -191,7 +166,7 @@ def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
 def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig) -> float:
     """Macro-F1 over the labeled flows, from features extracted with the live
     parameters: fit moves them after the snapshot was prepared, so the
-    features stored on the snapshot are stale."""
+    features stored on the snapshot are out of date."""
     features = extract(store.frozen(), snapshot.views, cfg).data
     return snapshot.report(evaluate_probs(replace(snapshot, features=features),
                                           store, cfg)).macro_f1
@@ -199,10 +174,17 @@ def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfi
 
 @dataclass
 class FitResult:
-    store: ParameterStore
-    history: list[dict] = field(default_factory=list)
-    best_epoch: int = -1
-    best_val_macro_f1: float = float("nan")
+    store: ParameterStore  # the parameters after the best epoch
+    history: list[dict]
+
+    @property
+    def best_epoch(self) -> int:
+        """The first epoch with the highest validation macro-F1."""
+        return [entry["val_macro_f1"] for entry in self.history].index(self.best_val_macro_f1)
+
+    @property
+    def best_val_macro_f1(self) -> float:
+        return max(entry["val_macro_f1"] for entry in self.history)
 
 
 def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
@@ -213,23 +195,15 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
     optimizer = Adam(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
 
-    result = FitResult(store=store.copy())
-    result.best_val_macro_f1 = -1.0
-    stale = 0
+    result = FitResult(store, [])  # epoch 0 replaces the store with its copy
     for epoch in range(cfg.epochs):
         stats = train_step(train_snapshot, store, optimizer, cfg, rng.child("epoch", epoch))
-        val_f1 = evaluate_macro_f1(val_snapshot, store, cfg)
-        entry = {"epoch": epoch, **stats, "val_macro_f1": val_f1}
-        result.history.append(entry)
-        if val_f1 > result.best_val_macro_f1:
-            result.best_val_macro_f1 = val_f1
-            result.best_epoch = epoch
+        result.history.append({"epoch": epoch, **stats,
+                               "val_macro_f1": evaluate_macro_f1(val_snapshot, store, cfg)})
+        if result.best_epoch == epoch:
             result.store = store.copy()
-            stale = 0
-        else:
-            stale += 1
-            if cfg.patience is not None and stale >= cfg.patience:
-                break
+        elif cfg.patience is not None and epoch - result.best_epoch >= cfg.patience:
+            break
     return result
 
 

@@ -4,7 +4,9 @@ import contextlib
 import io
 import json
 import re
+import shlex
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,22 @@ def test_extract_empty_pcap(tmp_path):
     assert out.read_text() == ""
 
 
+def test_extract_counts_the_packets_it_keeps(tmp_path, capsys):
+    # a five-packet flow cut to n = 2, and a one-packet flow
+    pcap = tmp_path / "two.pcap"
+    pcap.write_bytes(build_pcap(
+        [(1.0 + 0.1 * i, "10.0.0.1", 1234, "10.0.0.2", 80, "tcp", b"x") for i in range(5)]
+        + [(2.0, "10.0.0.3", 53, "10.0.0.4", 53, "udp", b"q")]))
+    flows = tmp_path / "flows.jsonl"
+    assert main(["extract", "--pcap", str(pcap), "--out", str(flows), "--n", "2"]) == 0
+    line = capsys.readouterr().out
+    held = sum(len(json.loads(record)["packets"]) for record in flows.read_text().splitlines())
+    assert held == 3 and line == "flows=2 packets=3 skipped_frames=0 truncated_records=0\n"
+    # the same counter line for the flows read back from JSONL
+    assert main(["extract", "--flows", str(flows), "--out", str(tmp_path / "again.jsonl")]) == 0
+    assert capsys.readouterr().out == line
+
+
 def test_extract_bad_flag_value_exit_3(tmp_path, capsys):
     rc = main(["extract", "--pcap", "x.pcap", "--out", "y", "--n", "lots"])
     assert rc == 3
@@ -131,6 +149,20 @@ def test_help_exits_zero(capsys):
 def test_unknown_flag_exit_3(capsys):
     assert main(["extract", "--nope"]) == 3
     assert _one_line_error(capsys).startswith("usage error: flowid extract:")
+
+
+def test_readme_examples_parse():
+    # an example that keeps a retired flag would be a usage error for its reader
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"```sh\n(.*?)```", readme, flags=re.S))
+    commands = [shlex.split(line, comments=True)
+                for line in blocks.replace("\\\n", " ").splitlines() if line.startswith("flowid")]
+    assert len(commands) == 6
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 @pytest.mark.parametrize("argv", [["train", "--flows", "a", "--val", "b", "--out", "c",
@@ -1013,6 +1045,19 @@ def test_out_of_memory_exit_1(workspace, tmp_path, capsys, command, flag, size):
             # one window, so that no skipped window is reported
             "detect": ["detect", "--flows", test, "--model", model, "--window", "inf",
                        "--out", str(out), flag, str(size)]}[command]
+    assert main(args) == 1
+    assert _one_line_error(capsys).startswith("out of memory:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+@pytest.mark.parametrize("per_class", [10 ** 11, 2 ** 63])
+def test_synthetic_flows_beyond_memory_exit_1(tmp_path, capsys, command, per_class):
+    # refused before the first draw: generating them would run for hours
+    out = tmp_path / "out"
+    args = {"synth": ["synth", "--per-class", str(per_class), "--out", str(out)],
+            "sweep": ["sweep", "--param", "k", "--values", "2", "--per-class", str(per_class),
+                      "--out", str(out)]}[command]
     assert main(args) == 1
     assert _one_line_error(capsys).startswith("out of memory:")
     assert not out.exists()

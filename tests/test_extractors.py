@@ -51,7 +51,7 @@ def view_embeddings(store, views, cfg) -> tuple:
     embedding plus fuse's two outputs, the last of which extract returns."""
     z_lstm = temporal_encode(store, views.lengths, cfg)
     z_cnn = payload_encode(store, views.payloads, cfg)
-    z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
+    z_gcn = interaction_encode(store, views.lengths, views.directions, views.counts)
     return (z_lstm, z_cnn, z_gcn, *fuse(store, z_lstm, z_cnn, z_gcn, cfg))
 
 
@@ -78,7 +78,7 @@ def random_views(cfg, n_flows, seed=0) -> ViewBatch:
 
 def interaction(store, flows, cfg):
     views = build_view_batch(flows, cfg.n, cfg.m)
-    return interaction_encode(store, views.lengths, views.directions, views.counts, cfg)
+    return interaction_encode(store, views.lengths, views.directions, views.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ def test_view_arrays_match_the_per_flow_tig_reference(packet_lists):
 
     z_gcn = reference_interaction_encode(store, tigs, cfg)
     np.testing.assert_array_equal(
-        interaction_encode(store, views.lengths, views.directions, views.counts, cfg).data,
+        interaction_encode(store, views.lengths, views.directions, views.counts).data,
         z_gcn.data)
     lengths, payloads = reference_sequences(flows, cfg.n, cfg.m)
     np.testing.assert_array_equal(views.lengths, lengths)

@@ -118,7 +118,7 @@ def test_packet_cap_and_payload_cap(tmp_path):
     flow = result.flows[0]
     assert len(flow.packets) == 4
     assert all(p.payload_prefix == bytes(range(5)) for p in flow.packets)
-    assert result.packets_kept == 6
+    assert result.packets_kept == 4  # the packets the flows hold
 
 
 def test_non_ip_frames_skipped(tmp_path):

@@ -33,7 +33,6 @@ from flowid.trainer import (
     prepare_snapshot,
     save_checkpoint,
     step_losses,
-    total_loss,
     train_step,
 )
 from gradcheck import grad_check
@@ -72,13 +71,13 @@ def toy_snapshot(cfg, per_class=6, seed=5, store=None):
 
 def test_cross_entropy_perfect_prediction_near_zero():
     pred = tc.constant(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    labels = LabelSet(np.array([0, 1]), np.array([True, True]))
+    labels = LabelSet(np.array([0, 1]))
     assert abs(float(cross_entropy_loss(pred, labels).data)) <= 1e-9
 
 
 def test_cross_entropy_uniform_is_log_c():
     pred = tc.constant(np.full((3, 4), 0.25))
-    labels = LabelSet(np.array([0, 1, 3]), np.array([True] * 3))
+    labels = LabelSet(np.array([0, 1, 3]))
     assert abs(float(cross_entropy_loss(pred, labels).data) - math.log(4.0)) <= 1e-9
 
 
@@ -86,55 +85,67 @@ def test_cross_entropy_matches_direct_sum_oracle():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=(6, 3))
     pred = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    y = rng.integers(0, 3, 6)
-    mask = np.array([True, True, False, True, False, True])
-    labels = LabelSet(y, mask)
+    y = np.where([True, True, False, True, False, True], rng.integers(0, 3, 6), -1)
+    labels = LabelSet(y)
     ours = float(cross_entropy_loss(tc.constant(pred), labels).data)
     # direct evaluation of the one-hot double sum over labeled rows
     expected = 0.0
     for i in range(6):
-        if not mask[i]:
-            continue
         for j in range(3):
             if y[i] == j:
                 expected -= math.log(pred[i, j] + 1e-12)
-    expected /= mask.sum()
+    expected /= (y >= 0).sum()
     assert abs(ours - expected) <= 1e-12
 
 
 def test_cross_entropy_requires_labels():
     pred = tc.constant(np.full((2, 2), 0.5))
     with pytest.raises(ConfigError):
-        cross_entropy_loss(pred, LabelSet(np.array([-1, -1]), np.array([False, False])))
+        cross_entropy_loss(pred, LabelSet(np.array([-1, -1])))
+
+
+def test_cross_entropy_skips_unlabeled_rows():
+    # a -1 row is unlabeled: it must not pick the last class's probability
+    pred = tc.constant(np.array([[0.9, 0.1], [0.2, 0.8]]))
+    loss = float(cross_entropy_loss(pred, LabelSet(np.array([0, -1]))).data)
+    assert loss == -math.log(0.9 + 1e-12)
 
 
 def subsample_labels(labels: LabelSet, fraction: float, rng: Rng) -> LabelSet:
-    """Keep a stratified fraction of the labeled rows (label-scarcity runs):
-    per class, ceil(fraction * count) labels survive, so no class vanishes."""
-    keep = np.zeros_like(labels.mask)
-    for cls in np.unique(labels.y[labels.mask]):
-        rows = np.flatnonzero(labels.mask & (labels.y == cls))
+    """Hide all but a stratified fraction of the labels (label-scarcity runs):
+    per class, ceil(fraction * count) labels survive, so no class vanishes;
+    the rest become -1."""
+    y = np.full_like(labels.y, -1)
+    for cls in np.unique(labels.y[labels.labeled_indices()]):
+        rows = np.flatnonzero(labels.y == cls)
         take = max(1, int(np.ceil(fraction * rows.size)))
         order = rng.child("labels", int(cls)).permutation(rows.size)
-        keep[rows[order[:take]]] = True
-    return LabelSet(labels.y.copy(), keep)
+        y[rows[order[:take]]] = cls
+    return LabelSet(y)
 
 
 def test_label_subsample():
-    labels = LabelSet(np.arange(100) % 3, np.ones(100, dtype=bool))
+    labels = LabelSet(np.arange(100) % 3)
     sub = subsample_labels(labels, 0.1, Rng(4))
-    assert 0 < sub.mask.sum() < 40
-    np.testing.assert_array_equal(sub.y, labels.y)
+    kept = sub.labeled_indices()
+    assert 0 < kept.size < 40
+    np.testing.assert_array_equal(sub.y[kept], labels.y[kept])
+    assert set(sub.y[kept]) == {0, 1, 2}  # no class vanishes
 
 
 # ---------------------------------------------------------------------------
-# total loss
+# step losses
 # ---------------------------------------------------------------------------
 
-def test_total_loss_weighting():
-    assert total_loss(1.0, 2.0, 3.0, 0.0, 0.0) == 1.0
-    assert total_loss(1.0, 2.0, 3.0, 1.0, 0.0) == 3.0
-    assert total_loss(1.0, 2.0, 3.0, 1.0, 1.0) == 6.0
+@pytest.mark.parametrize("omega_n, omega_g", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+def test_step_losses_total_weighting(omega_n, omega_g):
+    cfg = tiny_cfg(omega_n=omega_n, omega_g=omega_g)
+    snap, store = toy_snapshot(cfg)
+    losses = {name: float(loss.data)
+              for name, loss in step_losses(snap, store, cfg, Rng(3)).items()}
+    assert list(losses) == ["l_pred", "l_n", "l_g", "total"]
+    assert losses["total"] == losses["l_pred"] + omega_n * losses["l_n"] + omega_g * losses["l_g"]
+    assert losses["l_n"] != 0.0 and losses["l_g"] != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +191,7 @@ def test_projection_gradients_exactly_zero_without_contrast():
     snap, store = toy_snapshot(cfg)
     losses = step_losses(snap, store, cfg, Rng(1))
     store.zero_grad()
-    tc.backward(losses.total)
+    tc.backward(losses["total"])
     for name in store.names():
         grad = store.get(name).grad
         if name.startswith("project."):
@@ -195,8 +206,8 @@ def test_gradient_flow_isolation():
                    cosine_eps=1e-8)
     snap, store = toy_snapshot(cfg)
     cfg = replace(cfg, dropout=0.0)  # the draws left are augmentation's
-    a = step_losses(snap, store, cfg, Rng(100)).stats()
-    b = step_losses(snap, store, cfg, Rng(200)).stats()
+    a = {name: float(loss.data) for name, loss in step_losses(snap, store, cfg, Rng(100)).items()}
+    b = {name: float(loss.data) for name, loss in step_losses(snap, store, cfg, Rng(200)).items()}
     assert a["l_pred"] == b["l_pred"]
     assert a["l_n"] != b["l_n"] or a["l_g"] != b["l_g"]
 
@@ -214,7 +225,7 @@ def test_full_loss_gradient_check_six_flow_toy():
     assert len(snap.flow_ids) == 6
 
     def loss(s):
-        return step_losses(snap, s, cfg, Rng(13)).total
+        return step_losses(snap, s, cfg, Rng(13))["total"]
 
     report = grad_check(loss, store, h=1e-5, tol=1e-4)
     assert report.passed, report.worst()
@@ -250,6 +261,33 @@ def test_fit_early_stopping_can_shorten_history():
     val_snap = prepare_snapshot(flows[1::2], store, cfg)
     result = fit(train_snap, val_snap, cfg, store=store)
     assert len(result.history) < 40  # stalls immediately at lr ~ 0
+
+
+def test_fit_keeps_the_first_best_epoch_and_stops_on_patience(monkeypatch):
+    cfg = tiny_cfg(epochs=10, patience=2)
+    flows = generate_synthetic_flows(two_class_spec(6), seed=6)
+    store = generic_store(cfg)
+    train_snap = prepare_snapshot(flows[::2], store, cfg)
+    val_snap = prepare_snapshot(flows[1::2], store, cfg)
+    scores = iter([0.5, 0.7, 0.7, 0.6, 0.9])
+    after_epoch = []  # the live parameters as each epoch's validation sees them
+
+    def fake_f1(snapshot, live, cfg):
+        after_epoch.append(live.copy())
+        return next(scores)
+
+    monkeypatch.setattr(trainer, "evaluate_macro_f1", fake_f1)
+    result = fit(train_snap, val_snap, cfg, store=store)
+    # epoch 2 ties epoch 1, so epochs 2 and 3 are the two without a gain
+    assert [e["val_macro_f1"] for e in result.history] == [0.5, 0.7, 0.7, 0.6]
+    assert result.best_epoch == 1 and result.best_val_macro_f1 == 0.7
+    assert result.store is not store
+    for name in store.names():
+        np.testing.assert_array_equal(result.store.get(name).data,
+                                      after_epoch[1].get(name).data, err_msg=name)
+    # the live parameters moved on in epochs 2 and 3
+    assert any(not np.array_equal(result.store.get(name).data, store.get(name).data)
+               for name in store.names())
 
 
 def test_fit_extracts_twice_per_epoch(extract_calls):
@@ -323,7 +361,7 @@ def test_report_counts_classes_by_the_head_width():
     report = snap.report(probs)
     assert report.confusion.shape == (3, 3) and report.confusion[snap.labels.y[0], 2] == 1
     assert report.accuracy == 0.9 and len(report.per_class) == 3
-    unlabeled = replace(snap, labels=LabelSet(snap.labels.y, np.zeros(10, dtype=bool)))
+    unlabeled = replace(snap, labels=LabelSet(np.full(10, -1)))
     with pytest.raises(ConfigError, match="no labeled flows"):
         unlabeled.report(probs)
 
