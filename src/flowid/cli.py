@@ -130,10 +130,9 @@ def _int_list(flag: str, text: str) -> list[int]:
 def _train(train_flows, val_flows, cfg: TrainConfig):
     """fit's result for a new model whose prediction head has one class per
     label up to the training data's largest."""
-    labels = [f.label for f in train_flows + val_flows if f.label is not None]
-    if not labels:
-        raise ConfigError("training data carries no labels")
-    store = build_parameter_store(cfg, max(labels) + 1)
+    _require_labels(train_flows, "training")
+    _require_labels(val_flows, "validation")
+    store = build_parameter_store(cfg, max(f.label or 0 for f in train_flows + val_flows) + 1)
     train_snap = prepare_snapshot(train_flows, store, cfg)
     val_snap = prepare_snapshot(val_flows, store, cfg)
     return fit(train_snap, val_snap, cfg, store=store)
@@ -146,9 +145,9 @@ def _score(flows, store, cfg: TrainConfig):
     return probs, snapshot.report(probs)
 
 
-def _require_labels(flows) -> None:
+def _require_labels(flows, split: str) -> None:
     if all(f.label is None for f in flows):
-        raise ConfigError("evaluation flows carry no labels")
+        raise ConfigError(f"{split} flows carry no labels")
 
 
 def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float) -> ParseResult:
@@ -196,7 +195,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     store, cfg = _load_model(args)
     flows = read_flows_jsonl(args.flows)
-    _require_labels(flows)
+    _require_labels(flows, "evaluation")
     probs, report = _score(flows, store, cfg)
     Path(args.report).write_text(report.to_json())
     if args.pred_out:
@@ -239,10 +238,9 @@ def cmd_detect(args) -> int:
             continue
         snapshot = prepare_snapshot(members, store, cfg)
         probs = evaluate_probs(snapshot, store, cfg)
-        pred = probs.argmax(axis=1)
-        records.extend({"flow_id": fid, "window": index, "pred": int(pred[i]),
-                        "probs": [float(p) for p in probs[i]]}
-                       for i, fid in enumerate(snapshot.flow_ids))
+        records.extend({"flow_id": flow.id, "window": index, "pred": int(p.argmax()),
+                        "probs": [float(x) for x in p]}
+                       for flow, p in zip(members, probs))
     with open(args.out, "w", encoding="utf-8") as fh:
         for record in records:
             if record.get("skipped"):
@@ -260,7 +258,7 @@ def cmd_sweep(args) -> int:
 
     if args.flows:  # read once: nothing below modifies the flows
         given = tuple(read_flows_jsonl(path) for path in (args.flows, args.val, args.test))
-        _require_labels(given[2])
+        _require_labels(given[2], "test")
     rows = []
     for value in values:
         for seed in seeds:

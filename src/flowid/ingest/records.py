@@ -20,7 +20,7 @@ from ..errors import FlowFormatError
 PROTOCOLS = ("tcp", "udp")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FiveTuple:
     """Bidirectional flow key; src is the initiator (first packet's source)."""
 
@@ -43,7 +43,7 @@ class FiveTuple:
         return hash(self.canonical())
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketView:
     """One packet as the pipeline sees it.
 
@@ -57,7 +57,7 @@ class PacketView:
     payload_prefix: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     id: str
     key: FiveTuple

@@ -26,8 +26,8 @@ class SyntheticClassSpec:
 
 def generate_synthetic_flows(classes: list[SyntheticClassSpec], seed: int | Rng,
                              start_span: float = 600.0) -> list[FlowRecord]:
-    """Deterministic labeled flows; class c gets label c. Packets beyond physical
-    memory, counted at each class's minimum, are a MemoryError before any draw."""
+    """Deterministic labeled flows; class c gets label c. Flows beyond physical
+    memory, each counted at its class's least, are a MemoryError before any draw."""
     if len(classes) < 2:
         raise ConfigError(f"need at least 2 classes, got {len(classes)}")
     for c, spec in enumerate(classes):
@@ -35,7 +35,7 @@ def generate_synthetic_flows(classes: list[SyntheticClassSpec], seed: int | Rng,
             raise ConfigError(f"class {c}: count must be >= 1, got {spec.count}")
         if not spec.direction_pattern or any(d not in (-1, 1) for d in spec.direction_pattern):
             raise ConfigError(f"class {c}: direction pattern must be drawn from -1/+1")
-    check_memory(sum(s.count * s.packets[0] for s in classes) * sys.getsizeof(PacketView(0, 1, 0)),
+    check_memory(sum(s.count * _least_flow_bytes(s) for s in classes),
                  f"{sum(s.count for s in classes)} synthetic flows")
     root = seed if isinstance(seed, Rng) else Rng(seed)
 
@@ -64,6 +64,18 @@ def generate_synthetic_flows(classes: list[SyntheticClassSpec], seed: int | Rng,
                 ts += float(rng.uniform(0.001, 0.2))
             flows.append(FlowRecord(f"syn-{label}-{i:05d}", key, packets, label))
     return flows
+
+
+def _least_flow_bytes(spec: SyntheticClassSpec) -> int:
+    """What a flow of `spec` holds at its fewest packets and shortest payloads,
+    by sys.getsizeof: record, five-tuple, strings, packet list, and per packet
+    a PacketView with its timestamp and payload."""
+    packet = PacketView(0.5, 1, 0, bytes(spec.payload_len[0]))
+    flow = FlowRecord("syn-0-00000", FiveTuple("10.0.0.1", "10.200.0.1", 1024, 443,
+                                               spec.protocol), [packet] * spec.packets[0])
+    held = (flow, flow.id, flow.key, flow.key.src_addr, flow.key.dst_addr, flow.packets)
+    return sum(map(sys.getsizeof, held)) + spec.packets[0] * sum(
+        map(sys.getsizeof, (packet, packet.timestamp, packet.payload_prefix)))
 
 
 def two_class_spec(per_class: int) -> list[SyntheticClassSpec]:

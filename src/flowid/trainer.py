@@ -20,7 +20,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,16 +65,19 @@ def cross_entropy_loss(pred: Tensor, labels: LabelSet) -> Tensor:
 
 @dataclass
 class Snapshot:
-    """Everything the trainer needs about one hypergraph snapshot.
+    """Flows as one store sees them: views, labels, the features the store
+    extracts (no dropout, no gradients) and the KNN hypergraph built from them."""
 
-    `features` are the inference features of the store the snapshot was
-    prepared with; classify it with that same store."""
-
-    flow_ids: list[str]
     views: ViewBatch
-    graph: FlowHypergraph
     labels: LabelSet
-    features: np.ndarray  # (N, d) extractor output the graph was built from
+    features: np.ndarray  # (N, d)
+    graph: FlowHypergraph
+
+    @classmethod
+    def of(cls, views: ViewBatch, labels: LabelSet, store: ParameterStore,
+           cfg: TrainConfig) -> "Snapshot":
+        features = extract(store.frozen(), views, cfg).data
+        return cls(views, labels, features, build_flow_hypergraph(features, cfg.k))
 
     def report(self, probs: np.ndarray) -> MetricsReport:
         """Metrics of `probs`, the (N, C) class distributions evaluate_probs
@@ -107,15 +110,9 @@ def build_parameter_store(cfg: TrainConfig, n_classes: int) -> ParameterStore:
 
 def prepare_snapshot(flows: list[FlowRecord], store: ParameterStore,
                      cfg: TrainConfig) -> Snapshot:
-    """Derive views, run the extractor once (no dropout, no gradients),
-    and build the KNN hypergraph from those features. The incidence structure
-    is fixed for the snapshot's lifetime. The features stay on the snapshot
-    for evaluate_probs with the same store; training steps and fit's
-    validation extract features again from the live parameters."""
-    views = build_view_batch(flows, cfg.n, cfg.m)
-    features = extract(store.frozen(), views, cfg).data
-    graph = build_flow_hypergraph(features, cfg.k)
-    return Snapshot([f.id for f in flows], views, graph, LabelSet.from_flows(flows), features)
+    """The snapshot of `flows` as `store` sees them."""
+    return Snapshot.of(build_view_batch(flows, cfg.n, cfg.m), LabelSet.from_flows(flows),
+                       store, cfg)
 
 
 def step_losses(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig,
@@ -152,24 +149,11 @@ def train_step(snapshot: Snapshot, store: ParameterStore, optimizer: Adam,
 
 def evaluate_probs(snapshot: Snapshot, store: ParameterStore,
                    cfg: TrainConfig) -> np.ndarray:
-    """Class distributions, without dropout, for every flow in the snapshot.
-
-    The encoder reads the features prepare_snapshot stored on the snapshot,
-    so `store` must be the store the snapshot was prepared with, unchanged
-    since. Once the parameters move (as during fit), prepare a new snapshot
-    or extract live features as evaluate_macro_f1 does."""
+    """Class distributions, without dropout, for every flow in the snapshot:
+    its features encoded on its graph by `store`, the store it was built with."""
     store = store.frozen()
     v, _ = encode(snapshot.graph, snapshot.features, store, cfg)
     return predict(v, store).data.copy()
-
-
-def evaluate_macro_f1(snapshot: Snapshot, store: ParameterStore, cfg: TrainConfig) -> float:
-    """Macro-F1 over the labeled flows, from features extracted with the live
-    parameters: fit moves them after the snapshot was prepared, so the
-    features stored on the snapshot are out of date."""
-    features = extract(store.frozen(), snapshot.views, cfg).data
-    return snapshot.report(evaluate_probs(replace(snapshot, features=features),
-                                          store, cfg)).macro_f1
 
 
 @dataclass
@@ -189,8 +173,10 @@ class FitResult:
 
 def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
         store: ParameterStore) -> FitResult:
-    """Train `store` in place on the full snapshot with per-epoch validation;
-    returns a copy of the parameters from the best-validation-macro-F1 epoch."""
+    """Train `store` in place; return a copy of the parameters from the epoch
+    with the best validation macro-F1, scored as eval scores: on a snapshot of
+    val_snapshot's views and labels built with the live parameters. The training
+    graph stays train_snapshot's; whether to rebuild it is an open question."""
     cfg.validate()
     optimizer = Adam(lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
@@ -198,8 +184,9 @@ def fit(train_snapshot: Snapshot, val_snapshot: Snapshot, cfg: TrainConfig,
     result = FitResult(store, [])  # epoch 0 replaces the store with its copy
     for epoch in range(cfg.epochs):
         stats = train_step(train_snapshot, store, optimizer, cfg, rng.child("epoch", epoch))
-        result.history.append({"epoch": epoch, **stats,
-                               "val_macro_f1": evaluate_macro_f1(val_snapshot, store, cfg)})
+        val = Snapshot.of(val_snapshot.views, val_snapshot.labels, store, cfg)
+        f1 = val.report(evaluate_probs(val, store, cfg)).macro_f1
+        result.history.append({"epoch": epoch, **stats, "val_macro_f1": f1})
         if result.best_epoch == epoch:
             result.store = store.copy()
         elif cfg.patience is not None and epoch - result.best_epoch >= cfg.patience:

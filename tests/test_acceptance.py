@@ -110,7 +110,7 @@ def test_criterion_1_gradient_suite():
     flows = generate_synthetic_flows(two_class_spec(3), seed=9)
     store = _nudged(build_parameter_store(cfg, 2), 77)
     snap = prepare_snapshot(flows, store, cfg)
-    assert len(snap.flow_ids) == 6
+    assert snap.features.shape[0] == len(snap.labels.y) == 6
     rep = grad_check(lambda s: step_losses(snap, s, cfg, Rng(13))["total"],
                      store, h=1e-5, tol=1e-4)
     if not rep.passed:

@@ -215,6 +215,21 @@ def test_train_same_seed_identical_checkpoints(workspace, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_best_validation_f1_is_what_eval_reports_on_val(tmp_path, capsys):
+    # validation scores each epoch on the graph eval builds from that epoch's
+    # features; with the initial-feature graph, train printed 0.9666 here
+    assert main(["synth", "--classes", "3", "--per-class", "100", "--seed", "4",
+                 "--out", str(tmp_path), "--split", "0.6,0.2,0.2"]) == 0
+    model = str(tmp_path / "model.ckpt")
+    assert main(["train", "--flows", str(tmp_path / "train.jsonl"),
+                 "--val", str(tmp_path / "val.jsonl"), "--out", model, "--epochs", "8",
+                 "--no-early-stop", "--aug1", "nf:0.4", "--aug2", "ed:0.4", "--seed", "3"]) == 0
+    best = re.search(r"best_val_macro_f1=(\S+)", capsys.readouterr().out).group(1)
+    assert main(["eval", "--flows", str(tmp_path / "val.jsonl"), "--model", model,
+                 "--report", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"macro_f1={best}"
+
+
 def test_train_no_contrast_flags(workspace, tmp_path):
     rc = main(["train", "--flows", str(workspace / "train.jsonl"),
                "--val", str(workspace / "val.jsonl"),
@@ -975,13 +990,13 @@ def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, monkeypatch, case):
         args += ["--flows", _unlabeled_copy(workspace / "train.jsonl", tmp_path / "t.jsonl"),
                  "--val", _unlabeled_copy(workspace / "val.jsonl", tmp_path / "v.jsonl"),
                  "--test", files[2]]
-        message = "training data carries no labels"
+        message = "training flows carry no labels"
     elif case == "unlabeled_test":
         # rejected before any model is fitted
         monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("sweep fitted a model"))
         args += ["--flows", files[0], "--val", files[1],
                  "--test", _unlabeled_copy(workspace / "test.jsonl", tmp_path / "s.jsonl")]
-        message = "evaluation flows carry no labels"
+        message = "test flows carry no labels"
     else:
         args += ["--flows", *files[:1], "--val", files[1], "--test", files[2],
                  "--seeds", "a" if case == "seeds_not_int" else "1,-1"]
@@ -989,6 +1004,21 @@ def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, monkeypatch, case):
     assert main(args) == 3
     assert message in _one_line_error(capsys)
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("split, message", [("--flows", "training flows carry no labels"),
+                                            ("--val", "validation flows carry no labels")])
+def test_train_unlabeled_split_exit_3(workspace, tmp_path, capsys, monkeypatch, split, message):
+    # rejected before any parameter is drawn
+    monkeypatch.setattr(cli, "build_parameter_store",
+                        lambda *a, **k: pytest.fail("train drew parameters"))
+    files = {"--flows": str(workspace / "train.jsonl"), "--val": str(workspace / "val.jsonl")}
+    files[split] = _unlabeled_copy(Path(files[split]), tmp_path / "unlabeled.jsonl")
+    model = tmp_path / "m.ckpt"
+    assert main(["train", *[x for pair in files.items() for x in pair], "--out", str(model),
+                 "--epochs", "1", *TINY_FLAGS]) == 3
+    assert message in _one_line_error(capsys)
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("label", [-1, True, 1.5])

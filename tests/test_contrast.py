@@ -114,6 +114,15 @@ def test_gradients_match_finite_differences():
     assert report.passed, report.worst()
 
 
+@pytest.mark.parametrize("loss", [node_node_loss, group_group_loss])
+def test_infinite_temperature_limit_is_log_n(loss):
+    # every similarity / tau underflows to 0, so each anchor's positive is one
+    # of N equal terms: InfoNCE's exact limit as tau grows without bound
+    rng = np.random.default_rng(4)
+    v1, v2 = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
+    assert abs(float(loss(v1, v2, 1e308, eps=EPS).data) - math.log(7)) <= 1e-12
+
+
 def test_contrast_config_validation():
     cfg = TrainConfig()
     assert cfg.tau_n == 0.5 and cfg.tau_g == 0.5

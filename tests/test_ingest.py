@@ -1,6 +1,7 @@
 """Parser, view arrays, synthetic generator, and JSONL format tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from flowid.ingest import (
     split_flows,
     SyntheticClassSpec,
 )
+from flowid.ingest.synth import _least_flow_bytes
 from pcap_util import build_pcap
 
 
@@ -302,6 +304,21 @@ def test_synthetic_fixed_length_all_negative():
     ]
     flows = generate_synthetic_flows(spec, seed=3)
     assert set(build_view_batch(flows[:5], 8, 1).lengths.ravel().tolist()) <= {-100, 0}
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_synthetic_memory_bound_within_twice_what_flows_hold(classes):
+    spec = default_spec(classes, 500)
+    tracemalloc.start()
+    try:
+        flows = generate_synthetic_flows(spec, seed=5)
+        with_flows = tracemalloc.get_traced_memory()[0]
+        del flows
+        held = with_flows - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bound = sum(s.count * _least_flow_bytes(s) for s in spec)
+    assert bound <= held <= 2 * bound
 
 
 def test_synthetic_requires_two_classes():

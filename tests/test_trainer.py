@@ -5,6 +5,7 @@ import json
 import math
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from flowid.trainer import (
     Snapshot,
     build_parameter_store,
     cross_entropy_loss,
-    evaluate_macro_f1,
     evaluate_probs,
     fit,
     load_checkpoint,
@@ -222,7 +222,7 @@ def test_full_loss_gradient_check_six_flow_toy():
         t = store.get(name)
         t.data += nudge.uniform(-0.05, 0.05, t.data.shape)
     snap = prepare_snapshot(flows, store, cfg)
-    assert len(snap.flow_ids) == 6
+    assert snap.features.shape[0] == len(snap.labels.y) == 6
 
     def loss(s):
         return step_losses(snap, s, cfg, Rng(13))["total"]
@@ -272,11 +272,12 @@ def test_fit_keeps_the_first_best_epoch_and_stops_on_patience(monkeypatch):
     scores = iter([0.5, 0.7, 0.7, 0.6, 0.9])
     after_epoch = []  # the live parameters as each epoch's validation sees them
 
-    def fake_f1(snapshot, live, cfg):
+    def fake_probs(snapshot, live, cfg):
         after_epoch.append(live.copy())
-        return next(scores)
 
-    monkeypatch.setattr(trainer, "evaluate_macro_f1", fake_f1)
+    monkeypatch.setattr(trainer, "evaluate_probs", fake_probs)
+    monkeypatch.setattr(Snapshot, "report",
+                        lambda self, probs: SimpleNamespace(macro_f1=next(scores)))
     result = fit(train_snap, val_snap, cfg, store=store)
     # epoch 2 ties epoch 1, so epochs 2 and 3 are the two without a gain
     assert [e["val_macro_f1"] for e in result.history] == [0.5, 0.7, 0.7, 0.6]
@@ -304,26 +305,36 @@ def test_fit_extracts_twice_per_epoch(extract_calls):
 
 
 def test_validation_sees_live_extractor_parameters(monkeypatch):
-    cfg = tiny_cfg()
-    snap, store = toy_snapshot(cfg, per_class=5)
-    store.get("fuse.lin2.b").data += 0.5  # moves every flow's features after prepare
-    live = trainer.extract(store.frozen(), snap.views, cfg).data
-    assert not np.array_equal(live, snap.features)
+    # fit validates on the graph of the live features, not the snapshot's
+    cfg = tiny_cfg(epochs=1)
+    flows = generate_synthetic_flows(two_class_spec(10), seed=6)
+    store = generic_store(cfg)
+    train_snap = prepare_snapshot(flows[::2], store, cfg)
+    val_snap = prepare_snapshot(flows[1::2], store, cfg)
+    # a new fusion projection, so the flows' nearest neighbours change
+    store.get("fuse.lin2.w").data[...] = np.random.default_rng(3).normal(
+        size=(cfg.fuse_hidden, cfg.extractor_dim))
     seen = []
     real = trainer.encode
 
     def spy(graph, features, *args, **kwargs):
-        seen.append(tc.as_tensor(features).data)
+        seen.append((graph, tc.as_tensor(features).data, kwargs))
         return real(graph, features, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "encode", spy)
-    f1 = evaluate_macro_f1(snap, store, cfg)
-    assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], live)
-    v, _ = real(snap.graph, tc.constant(live), store.frozen(), cfg)
+    result = fit(train_snap, val_snap, cfg, store=store)
+    graph, features, kwargs = seen[-1]  # the three training encodes draw dropout
+    assert len(seen) == 4 and "rng" not in kwargs
+    live = trainer.extract(store.frozen(), val_snap.views, cfg).data
+    live_graph = trainer.build_flow_hypergraph(live, cfg.k)
+    assert not np.array_equal(live_graph.incidence, val_snap.graph.incidence)
+    np.testing.assert_array_equal(features, live)
+    np.testing.assert_array_equal(graph.incidence, live_graph.incidence)
+    v, _ = real(live_graph, tc.constant(live), store.frozen(), cfg)
     probs = trainer.predict(v, store.frozen()).data
-    idx = snap.labels.labeled_indices()
-    assert f1 == macro_f1_score(probs[idx].argmax(axis=1), snap.labels.y[idx], 2)
+    idx = val_snap.labels.labeled_indices()
+    assert result.history[0]["val_macro_f1"] == macro_f1_score(
+        probs[idx].argmax(axis=1), val_snap.labels.y[idx], 2)
 
 
 def test_inference_on_a_trainable_store_builds_no_graph(monkeypatch):
@@ -345,10 +356,10 @@ def test_inference_on_a_trainable_store_builds_no_graph(monkeypatch):
     monkeypatch.setattr(trainer, "encode", spy(trainer.encode))
     snap, _ = toy_snapshot(cfg, per_class=5, store=store)
     evaluate_probs(snap, store, cfg)
-    evaluate_macro_f1(snap, store, cfg)
-    # one extraction each in prepare_snapshot and evaluate_macro_f1, and two
-    # encodings of (nodes, hyperedges)
-    assert len(returned) == 1 + 2 + 1 + 2
+    Snapshot.of(snap.views, snap.labels, store, cfg)  # as fit's validation builds it
+    # one extraction in prepare_snapshot, an encoding of (nodes, hyperedges),
+    # and one extraction in Snapshot.of
+    assert len(returned) == 1 + 2 + 1
     assert all(not t.requires_grad and t._parents == () for t in returned)
     # the live store itself still builds graphs
     assert trainer.extract(store, snap.views, cfg).requires_grad
