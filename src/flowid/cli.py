@@ -49,9 +49,6 @@ EXIT_IO = 1
 EXIT_FORMAT = 2
 EXIT_CONFIG = 3
 
-# how numpy reports an array whose shape or byte count overflows
-_SHAPE_OVERFLOW = ("Maximum allowed dimension exceeded", "array is too big")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems in one line with exit code 3."""
@@ -95,26 +92,19 @@ def _meta_path(model_path: str) -> Path:
     return Path(str(model_path) + ".meta.json")
 
 
-# config fields that eval/detect flags may override over the sidecar
-_OVERRIDE_KEYS = ("n", "m", "k")
-
-
 def _write_meta(model_path: str, cfg: TrainConfig) -> None:
     _meta_path(model_path).write_text(json.dumps({"config": cfg.echo()}, indent=2))
 
 
 def _load_model(args) -> tuple:
-    """(store, cfg) from --model, its required sidecar and the --n/--m/--k
-    overrides. The checkpoint must hold exactly the model that the sidecar's
-    config describes."""
+    """(store, cfg) from --model and its required sidecar. The checkpoint must
+    hold exactly the model that the sidecar's config describes."""
     meta_file = _meta_path(args.model)
     try:
         cfg = TrainConfig.from_echo(json.loads(meta_file.read_text())["config"])
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
-    cfg = replace(cfg, **{key: getattr(args, key) for key in _OVERRIDE_KEYS
-                          if getattr(args, key) is not None}).validate()
-    return load_checkpoint(args.model, cfg), cfg
+    return load_checkpoint(args.model, cfg.validate()), cfg
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -150,17 +140,16 @@ def _require_labels(flows, split: str) -> None:
         raise ConfigError(f"{split} flows carry no labels")
 
 
-def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float) -> ParseResult:
-    if cfg_n < 1 or cfg_m < 1:
-        raise ConfigError(f"packet cap n and byte cap m must be >= 1, got n={cfg_n}, m={cfg_m}")
-    if getattr(args, "pcap", None):
-        return parse_capture(args.pcap, n=cfg_n, m=cfg_m, idle_timeout=timeout)
-    flows = read_flows_jsonl(args.flows)
-    for flow in flows:  # re-apply caps when reprocessing an existing flow file
-        del flow.packets[cfg_n:]
-        for pkt in flow.packets:
-            pkt.payload_prefix = pkt.payload_prefix[:cfg_m]
-    return ParseResult(flows)
+def _read_input_flows(args, n: int, m: int) -> ParseResult:
+    """The flows of --pcap, capped at n packets and m payload bytes, or of
+    --flows as written."""
+    if n < 1 or m < 1:
+        raise ConfigError(f"packet cap n and byte cap m must be >= 1, got n={n}, m={m}")
+    if not args.timeout > 0:  # NaN fails; inf means flows never split on idle
+        raise ConfigError(f"idle_timeout must be positive, got {args.timeout}")
+    if args.pcap:
+        return parse_capture(args.pcap, n=n, m=m, idle_timeout=args.timeout)
+    return ParseResult(read_flows_jsonl(args.flows))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +157,11 @@ def _read_input_flows(args, cfg_n: int, cfg_m: int, timeout: float) -> ParseResu
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args) -> int:
-    result = _read_input_flows(args, args.n, args.m, args.timeout)
+    result = _read_input_flows(args, args.n, args.m)
+    for flow in result.flows:  # --pcap's flows are capped already, --flows' are as written
+        del flow.packets[args.n:]
+        for pkt in flow.packets:
+            pkt.payload_prefix = pkt.payload_prefix[:args.m]
     write_flows_jsonl(result.flows, args.out)
     print(" ".join(f"{k}={v}" for k, v in result.counters().items()))
     return EXIT_OK
@@ -184,8 +177,7 @@ def cmd_train(args) -> int:
           f"classes={result.store.get('predict.b2').shape[0]}")
     save_checkpoint(result.store, args.out)
     _write_meta(args.out, cfg)
-    history_path = args.history or (str(args.out) + ".history.json")
-    Path(history_path).write_text(json.dumps(result.history, indent=2))
+    Path(str(args.out) + ".history.json").write_text(json.dumps(result.history, indent=2))
     print(f"done best_epoch={result.best_epoch} "
           f"best_val_macro_f1={result.best_val_macro_f1:.4f} "
           f"epochs_ran={len(result.history)}")
@@ -225,7 +217,7 @@ def assign_windows(flows, duration: float) -> dict[int, list]:
 
 def cmd_detect(args) -> int:
     store, cfg = _load_model(args)
-    flows = _read_input_flows(args, cfg.n, cfg.m, args.timeout).flows
+    flows = _read_input_flows(args, cfg.n, cfg.m).flows
     windows = assign_windows(flows, args.window)
 
     # written, and skipped windows reported, only after every window has been
@@ -252,6 +244,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.flows and not (args.val and args.test):
+        raise ConfigError("sweep with --flows also needs --val and --test")
     base = _config_from_args(args)
     values = _int_list("--values", args.values)
     seeds = _int_list("--seeds", args.seeds) if args.seeds else [base.seed]
@@ -332,7 +326,6 @@ def build_parser() -> _Parser:
     p.add_argument("--flows", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--history")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -341,8 +334,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--pred-out")
-    for key in _OVERRIDE_KEYS:
-        p.add_argument(f"--{key}", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("detect", help="windowed snapshot inference over a capture")
@@ -353,8 +344,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=float, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--timeout", type=float, default=64.0)
-    for key in _OVERRIDE_KEYS:
-        p.add_argument(f"--{key}", type=int, default=None)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("sweep", help="train+eval over a parameter grid")
@@ -387,8 +376,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "sweep" and args.flows and not (args.val and args.test):
-            raise ConfigError("sweep with --flows also needs --val and --test")
         # an overflow, NaN or division by zero stops the command with one line
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
@@ -404,9 +391,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (MemoryError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not str(exc).startswith(_SHAPE_OVERFLOW):
-            raise
+    except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except FlowidError as exc:

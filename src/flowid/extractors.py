@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .config import TrainConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_memory
 from .ingest.records import FlowRecord
 from .rng import Rng
 from .tensor_core import ParameterStore, Tensor, fill, glorot
@@ -54,6 +54,9 @@ def build_view_batch(flows: list[FlowRecord], n: int, m: int) -> ViewBatch:
         raise ConfigError("cannot build a view batch from zero flows")
     if n < 1 or m < 1:
         raise ConfigError(f"n and m must be >= 1, got n={n}, m={m}")
+    # lengths, directions and payloads: 8 bytes an entry, n * (m + 2) a flow
+    check_memory(8 * len(flows) * n * (m + 2),
+                 f"the view arrays of {len(flows)} flows at n={n}, m={m}")
     lengths = np.zeros((len(flows), n))
     directions = np.zeros((len(flows), n))
     payloads = np.zeros((len(flows), n, m))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, golden files."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -294,6 +295,36 @@ def test_config_flag_sets_its_field(command, name, flags, value):
     cfg = cli._config_from_args(cli.build_parser().parse_args(PARSER_ARGS[command] + flags))
     assert getattr(cfg, name) == value != getattr(TrainConfig(), name)
     assert replace(cfg, **{name: getattr(TrainConfig(), name)}) == TrainConfig()
+
+
+# every long option of every command: a new one must be added here, in sight
+CONFIG_OPTIONS = [
+    "--epochs", "--lr", "--weight-decay", "--omega-n", "--omega-g", "--tau-n", "--tau-g",
+    "--depth", "--hidden", "--projection-dim", "--extractor-dim", "--n", "--m", "--k",
+    "--dropout", "--seed", "--lstm-hidden", "--conv-kernel", "--gcn-hidden", "--fuse-hidden",
+    "--predict-hidden", "--patience", "--cosine-eps", "--aug1", "--aug2", "--cnn-channels",
+    "--no-early-stop",
+]
+OPTIONS = {
+    "extract": ["--pcap", "--flows", "--out", "--n", "--m", "--timeout"],
+    "train": ["--flows", "--val", "--out", *CONFIG_OPTIONS],
+    "eval": ["--flows", "--model", "--report", "--pred-out"],
+    "detect": ["--pcap", "--flows", "--model", "--window", "--out", "--timeout"],
+    "sweep": ["--param", "--values", "--seeds", "--out", "--flows", "--val", "--test",
+              "--synth-classes", "--per-class", *CONFIG_OPTIONS],
+    "synth": ["--classes", "--per-class", "--seed", "--out", "--split"],
+}
+
+
+def test_option_inventory():
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    found = {name: sorted(option for action in parser._actions
+                          for option in action.option_strings
+                          if option.startswith("--") and option != "--help")
+             for name, parser in commands.items()}
+    assert found == {name: sorted(options) for name, options in OPTIONS.items()}
+    assert sum(map(len, OPTIONS.values())) == 87
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +750,25 @@ def test_detect_deterministic(workspace, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_detect_ignores_what_the_caps_drop(workspace, tmp_path, capsys):
+    # the workspace model reads a flow's first n = 8 packets and m = 6 payload bytes
+    flows = workspace / "test.jsonl"
+    packets = [json.loads(line)["packets"] for line in flows.read_text().splitlines()]
+    assert any(len(p) > 8 for p in packets)
+    assert any(len(pkt["payload_hex"]) > 2 * 6 for p in packets for pkt in p[:8])
+    capped = tmp_path / "capped.jsonl"
+    assert main(["extract", "--flows", str(flows), "--out", str(capped),
+                 "--n", "8", "--m", "6"]) == 0
+    capsys.readouterr()
+    runs = []
+    for source in (flows, capped):
+        out = tmp_path / f"det-{source.stem}.jsonl"
+        assert main(["detect", "--flows", str(source), "--model", str(workspace / "model.ckpt"),
+                     "--window", "120", "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
 def test_detect_from_pcap(workspace, tmp_path, capsys):
     pcap = tmp_path / "mini.pcap"
     packets = []
@@ -1042,17 +1092,19 @@ def _with_first_record(src, dst, edit):
 
 
 # Sizes whose byte count is beyond a 47-bit address space: the allocation
-# fails at once, whatever the machine's overcommit policy. Beyond int64,
-# numpy refuses the shape itself ("Maximum allowed dimension exceeded"), and
-# a byte count beyond int64 is "array is too big".
+# fails at once, whatever the machine's overcommit policy. The model and the
+# view arrays are checked against physical memory before numpy sees a shape,
+# so a size beyond int64 ends the same way. eval and detect read n from the
+# sidecar, and only there.
 @pytest.mark.parametrize("command, flag, size", [
     pytest.param("train", "--hidden", 10 ** 13, id="hidden"),
     pytest.param("train", "label", 10 ** 14, id="label"),
     pytest.param("train", "--hidden", 10 ** 22, id="hidden_1e22"),
     pytest.param("train", "--hidden", 2 ** 62, id="hidden_2e62"),
     pytest.param("train", "--n", 10 ** 22, id="n_1e22"),
-    pytest.param("eval", "--n", 10 ** 22, id="eval_n_1e22"),
-    pytest.param("detect", "--n", 10 ** 22, id="detect_n_1e22"),
+    pytest.param("train", "--m", 10 ** 22, id="m_1e22"),
+    pytest.param("eval", "n", 10 ** 22, id="eval_n_1e22"),
+    pytest.param("detect", "n", 10 ** 22, id="detect_n_1e22"),
     pytest.param("train", "--conv-kernel", 10 ** 22, id="conv_kernel_1e22"),
     pytest.param("train", "--depth", 10 ** 9, id="depth_1e9"),
 ])
@@ -1064,19 +1116,25 @@ def test_out_of_memory_exit_1(workspace, tmp_path, capsys, command, flag, size):
                                    lambda r: r.update(label=size))
     elif flag == "--depth":  # the reference width: at --hidden 12 the size walk takes seconds
         flags += [flag, str(size), "--hidden", "128"]
-    else:
+    elif command == "train":
         flags[flags.index(flag) + 1] = str(size)
+    else:
+        meta = json.loads((workspace / "model.ckpt.meta.json").read_text())
+        meta["config"][flag] = size
+        (tmp_path / "model.ckpt.meta.json").write_text(json.dumps(meta))
+        (tmp_path / "model.ckpt").write_bytes((workspace / "model.ckpt").read_bytes())
     out = tmp_path / "m.ckpt"
-    test, model = str(workspace / "test.jsonl"), str(workspace / "model.ckpt")
+    test, model = str(workspace / "test.jsonl"), str(tmp_path / "model.ckpt")
     args = {"train": ["train", "--flows", str(train), "--val", str(workspace / "val.jsonl"),
                       "--out", str(out), "--epochs", "1", *flags],
-            "eval": ["eval", "--flows", test, "--model", model, "--report", str(out),
-                     flag, str(size)],
+            "eval": ["eval", "--flows", test, "--model", model, "--report", str(out)],
             # one window, so that no skipped window is reported
             "detect": ["detect", "--flows", test, "--model", model, "--window", "inf",
-                       "--out", str(out), flag, str(size)]}[command]
+                       "--out", str(out)]}[command]
     assert main(args) == 1
-    assert _one_line_error(capsys).startswith("out of memory:")
+    views = flag.strip("-") in ("n", "m")
+    assert _one_line_error(capsys).startswith("out of memory: the view arrays of " if views
+                                              else "out of memory:")
     assert not out.exists()
 
 
@@ -1295,7 +1353,8 @@ def test_numeric_config_flag_fuzz(workspace, tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("case", ["detect_window", "detect_tiny_window", "detect_small_window",
-                                  "detect_timeout", "extract_timeout", "synth_split"])
+                                  "detect_timeout", "extract_timeout", "detect_flows_timeout",
+                                  "extract_flows_timeout", "synth_split"])
 def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
     pcap = _two_packet_pcap(tmp_path)
     out = tmp_path / "out"
@@ -1313,6 +1372,11 @@ def test_nan_ranges_exit_3(workspace, tmp_path, capsys, case):
                                     "--timeout", "nan"],
         "extract_timeout": ["extract", "--pcap", str(pcap), "--out", str(out),
                             "--timeout", "nan"],
+        # a flow file holds its flows already, but the setting is checked alike
+        "detect_flows_timeout": detect + ["--flows", str(workspace / "test.jsonl"),
+                                          "--window", "60", "--timeout", "nan"],
+        "extract_flows_timeout": ["extract", "--flows", str(workspace / "test.jsonl"),
+                                  "--out", str(out), "--timeout", "-1"],
         "synth_split": ["synth", "--per-class", "5", "--out", str(out),
                         "--split", "0.5,0.5,nan"],
     }[case]
