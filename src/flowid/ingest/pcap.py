@@ -2,11 +2,11 @@
 
 Scope: classic pcap (magic 0xa1b2c3d4 / 0xd4c3b2a1, either byte order),
 Ethernet link layer, IPv4, TCP/UDP. Everything else is counted and skipped.
-Flows are keyed by the bidirectional 5-tuple; a silence longer than
-idle_timeout between consecutive packets of a key starts a new flow. Each
-flow keeps its first n packets and the first m transport-payload bytes per
-packet. Packet "length" is the on-wire frame length, or the captured length
-when the record was snapped short.
+Flows are keyed on both ends' address and port bytes, in sorted order, plus the
+protocol, and each flow gets one FiveTuple. A silence longer than idle_timeout
+between a key's packets starts a new flow. Each flow keeps its first n packets
+and the first m transport-payload bytes of each. Packet "length" is the on-wire
+frame length, or the captured length when the record was snapped short.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class ParseResult:
         }
 
 
-def _decode_frame(data: bytes) -> tuple[FiveTuple, bytes] | None:
-    """Ethernet -> IPv4 -> TCP/UDP, as (key, transport payload); None when
+def _decode_frame(data: bytes) -> tuple[bytes, bytes, str, bytes] | None:
+    """Ethernet -> IPv4 -> TCP/UDP, as (source end, destination end, protocol,
+    transport payload), an end being its 4 address and 2 port bytes; None when
     the frame is out of scope."""
     if len(data) < 34:  # eth(14) + minimal ipv4(20)
         return None
@@ -62,8 +63,6 @@ def _decode_frame(data: bytes) -> tuple[FiveTuple, bytes] | None:
     if frag & 0x1FFF:  # non-first fragment: no transport header to read
         return None
     proto_num = data[ip_off + 9]
-    src = socket.inet_ntoa(data[ip_off + 12 : ip_off + 16])
-    dst = socket.inet_ntoa(data[ip_off + 16 : ip_off + 20])
     ip_end = min(len(data), ip_off + max(total_len, ihl))
     tr_off = ip_off + ihl
     if proto_num == 6:
@@ -79,8 +78,9 @@ def _decode_frame(data: bytes) -> tuple[FiveTuple, bytes] | None:
         proto, payload_off = "udp", tr_off + 8
     else:
         return None
-    sport, dport = struct.unpack_from("!HH", data, tr_off)
-    return FiveTuple(src, dst, sport, dport, proto), data[min(payload_off, ip_end) : ip_end]
+    return (data[ip_off + 12 : ip_off + 16] + data[tr_off : tr_off + 2],
+            data[ip_off + 16 : ip_off + 20] + data[tr_off + 2 : tr_off + 4],
+            proto, data[min(payload_off, ip_end) : ip_end])
 
 
 def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResult:
@@ -90,7 +90,7 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
     if not idle_timeout > 0:  # NaN fails; inf means flows never split on idle
         raise ConfigError(f"idle_timeout must be positive, got {idle_timeout}")
     result = ParseResult()
-    open_flows: dict[tuple, list] = {}  # canonical key -> [record, last_ts]
+    open_flows: dict[tuple, list] = {}  # (sorted ends, proto) -> [record, last_ts, initiator end]
     # record by record: a capture-sized buffer made the heap grow by its size
     # whenever a fragmented heap had no hole that large
     with open(path, "rb") as fh:
@@ -122,22 +122,24 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
             if decoded is None:
                 result.skipped_frames += 1
                 continue
-            key, payload = decoded
+            src, dst, proto, payload = decoded
             ts = ts_sec + ts_usec * 1e-6
             wire_len = incl_len if 0 < incl_len < orig_len else orig_len
 
-            ckey = key.canonical()
-            state = open_flows.get(ckey)
+            flow_key = (src, dst, proto) if src <= dst else (dst, src, proto)
+            state = open_flows.get(flow_key)
             if state is None or ts - state[1] > idle_timeout:
                 # an idle gap leaves the old record finished in result.flows
-                state = [FlowRecord(id=f"flow-{len(result.flows) + 1:06d}", key=key), ts]
+                src_addr, sport, dst_addr, dport = struct.unpack("!4sH4sH", src + dst)
+                key = FiveTuple(socket.inet_ntoa(src_addr), socket.inet_ntoa(dst_addr),
+                                sport, dport, proto)
+                state = [FlowRecord(id=f"flow-{len(result.flows) + 1:06d}", key=key), ts, src]
                 result.flows.append(state[0])
-                open_flows[ckey] = state
+                open_flows[flow_key] = state
             record = state[0]
             state[1] = ts
             if len(record.packets) < n:
-                direction = -1 if (key.src_addr, key.src_port) == (
-                    record.key.src_addr, record.key.src_port) else 1
+                direction = -1 if src == state[2] else 1
                 record.packets.append(PacketView(ts, direction, wire_len, payload[:m]))
 
     return result

@@ -20,27 +20,15 @@ from ..errors import FlowFormatError
 PROTOCOLS = ("tcp", "udp")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class FiveTuple:
-    """Bidirectional flow key; src is the initiator (first packet's source)."""
+    """A flow's endpoints, initiator first, compared field by field."""
 
     src_addr: str
     dst_addr: str
     src_port: int
     dst_port: int
     protocol: str  # "tcp" | "udp"
-
-    def canonical(self) -> tuple:
-        a = (self.src_addr, self.src_port)
-        b = (self.dst_addr, self.dst_port)
-        lo, hi = (a, b) if a <= b else (b, a)
-        return (lo, hi, self.protocol)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiveTuple) and self.canonical() == other.canonical()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical())
 
 
 @dataclass(slots=True)
@@ -139,14 +127,11 @@ def flow_from_json(line: str) -> FlowRecord:
         raise FlowFormatError(f"malformed flow record: {exc}") from exc
 
 
-def write_flows_jsonl(flows: Iterable[FlowRecord], path) -> int:
-    count = 0
+def write_flows_jsonl(flows: Iterable[FlowRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for flow in flows:
             fh.write(flow_to_json(flow))
             fh.write("\n")
-            count += 1
-    return count
 
 
 def read_flows_jsonl(path) -> list[FlowRecord]:

@@ -9,6 +9,8 @@ from ..errors import ConfigError, check_memory
 from ..rng import Rng
 from .records import FiveTuple, FlowRecord, PacketView
 
+_START_SPAN = 600.0  # seconds over which flows' first packets are drawn
+
 
 @dataclass
 class SyntheticClassSpec:
@@ -24,8 +26,8 @@ class SyntheticClassSpec:
     protocol: str = "tcp"
 
 
-def generate_synthetic_flows(classes: list[SyntheticClassSpec], seed: int | Rng,
-                             start_span: float = 600.0) -> list[FlowRecord]:
+def generate_synthetic_flows(classes: list[SyntheticClassSpec],
+                             seed: int | Rng) -> list[FlowRecord]:
     """Deterministic labeled flows; class c gets label c. Flows beyond physical
     memory, each counted at its class's least, are a MemoryError before any draw."""
     if len(classes) < 2:
@@ -44,7 +46,7 @@ def generate_synthetic_flows(classes: list[SyntheticClassSpec], seed: int | Rng,
         for i in range(spec.count):
             rng = root.child("synth", label, i)
             n_pkts = int(rng.integers(*spec.packets))
-            start = float(rng.uniform(0.0, start_span))
+            start = float(rng.uniform(0.0, _START_SPAN))
             key = FiveTuple(
                 src_addr=f"10.{label}.{(i // 250) % 250}.{i % 250 + 1}",
                 dst_addr=f"10.200.0.{label + 1}",

@@ -26,11 +26,12 @@ def ethernet_frame(src: str, sport: int, dst: str, dport: int, proto: str,
 
 
 def build_pcap(packets, magic_le: bool = True, linktype: int = 1) -> bytes:
-    """packets: iterable of (ts, src, sport, dst, dport, proto, payload)."""
+    """packets: iterable of (ts, src, sport, dst, dport, proto, payload), or of
+    (ts, frame) for a frame given whole."""
     end = "<" if magic_le else ">"
     out = struct.pack(end + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 262144, linktype)
-    for ts, src, sport, dst, dport, proto, payload in packets:
-        frame = ethernet_frame(src, sport, dst, dport, proto, payload)
+    for ts, *fields in packets:
+        frame = fields[0] if len(fields) == 1 else ethernet_frame(*fields)
         sec = int(ts)
         usec = int(round((ts - sec) * 1e6))
         out += struct.pack(end + "IIII", sec, usec, len(frame), len(frame)) + frame

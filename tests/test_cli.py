@@ -29,7 +29,7 @@ from flowid.trainer import (
     save_checkpoint,
 )
 from pcap_util import build_pcap
-from test_trainer import sealed_parts, write_sealed
+from test_trainer import seal, sealed_parts, write_sealed
 
 TINY_FLAGS = [
     "--extractor-dim", "24", "--hidden", "12", "--projection-dim", "12",
@@ -376,6 +376,13 @@ def _retagged(magic):
     return lambda bad, blob: bad.write_bytes(magic + blob[8:])
 
 
+def _manifest_past_body(bad, blob):
+    """Write the workspace checkpoint sealed again with a manifest length that
+    ends one byte past its body (the file less its 8-byte seal)."""
+    body = blob[:8] + (len(blob) - 8 - 12 + 1).to_bytes(4, "little") + blob[12:-8]
+    bad.write_bytes(body + seal(body))
+
+
 # defect -> (writer, stderr prefix); fuse.alpha is (1,). Checkpoints sealed
 # with CRC-64 (FLOWID01), or laid out by offsets (FLOWID02), must be retrained.
 BAD_CHECKPOINTS = {
@@ -396,6 +403,10 @@ BAD_CHECKPOINTS = {
                          "format error: payload of"),
     "short_payload": (_resealed(lambda manifest, payload: (manifest, payload[:-4])),
                       "format error: payload of"),
+    "fifteen_bytes": (lambda bad, blob: bad.write_bytes(blob[:15]),
+                      "format error: checkpoint shorter than its fixed framing\n"),
+    "manifest_past_body": (_manifest_past_body,
+                           "format error: manifest length exceeds file size\n"),
 }
 
 
@@ -1018,9 +1029,9 @@ def test_sweep_reads_each_input_once(workspace, tmp_path, capsys, monkeypatch):
     assert lines == expected
 
 
-def _unlabeled_copy(src, dst):
+def _relabeled_copy(src, dst, label=None):
     records = [json.loads(line) for line in src.read_text().splitlines()]
-    dst.write_text("".join(json.dumps({**r, "label": None}) + "\n" for r in records))
+    dst.write_text("".join(json.dumps({**r, "label": label}) + "\n" for r in records))
     return str(dst)
 
 
@@ -1031,22 +1042,28 @@ def _one_line_error(capsys) -> str:
 
 
 @pytest.mark.parametrize("case", ["unlabeled", "seeds_not_int", "seeds_negative",
-                                  "unlabeled_test"])
+                                  "unlabeled_test", "flows_alone", "synth_classes_4"])
 def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, monkeypatch, case):
     files = [str(workspace / f"{name}.jsonl") for name in ("train", "val", "test")]
     args = ["sweep", "--param", "k", "--values", "2", "--out", str(tmp_path / "s.csv"),
             "--epochs", "1", *TINY_FLAGS]
     if case == "unlabeled":
-        args += ["--flows", _unlabeled_copy(workspace / "train.jsonl", tmp_path / "t.jsonl"),
-                 "--val", _unlabeled_copy(workspace / "val.jsonl", tmp_path / "v.jsonl"),
+        args += ["--flows", _relabeled_copy(workspace / "train.jsonl", tmp_path / "t.jsonl"),
+                 "--val", _relabeled_copy(workspace / "val.jsonl", tmp_path / "v.jsonl"),
                  "--test", files[2]]
         message = "training flows carry no labels"
     elif case == "unlabeled_test":
         # rejected before any model is fitted
         monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("sweep fitted a model"))
         args += ["--flows", files[0], "--val", files[1],
-                 "--test", _unlabeled_copy(workspace / "test.jsonl", tmp_path / "s.jsonl")]
+                 "--test", _relabeled_copy(workspace / "test.jsonl", tmp_path / "s.jsonl")]
         message = "test flows carry no labels"
+    elif case == "flows_alone":
+        args += ["--flows", files[0]]
+        message = "sweep with --flows also needs --val and --test"
+    elif case == "synth_classes_4":
+        args += ["--synth-classes", "4", "--per-class", "5"]
+        message = "no built-in preset for 4 classes"
     else:
         args += ["--flows", *files[:1], "--val", files[1], "--test", files[2],
                  "--seeds", "a" if case == "seeds_not_int" else "1,-1"]
@@ -1063,11 +1080,21 @@ def test_train_unlabeled_split_exit_3(workspace, tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "build_parameter_store",
                         lambda *a, **k: pytest.fail("train drew parameters"))
     files = {"--flows": str(workspace / "train.jsonl"), "--val": str(workspace / "val.jsonl")}
-    files[split] = _unlabeled_copy(Path(files[split]), tmp_path / "unlabeled.jsonl")
+    files[split] = _relabeled_copy(Path(files[split]), tmp_path / "unlabeled.jsonl")
     model = tmp_path / "m.ckpt"
     assert main(["train", *[x for pair in files.items() for x in pair], "--out", str(model),
                  "--epochs", "1", *TINY_FLAGS]) == 3
     assert message in _one_line_error(capsys)
+    assert not model.exists()
+
+
+def test_train_single_class_exit_3(workspace, tmp_path, capsys):
+    files = [_relabeled_copy(workspace / f"{name}.jsonl", tmp_path / f"{name}.jsonl", 0)
+             for name in ("train", "val")]
+    model = tmp_path / "m.ckpt"
+    assert main(["train", "--flows", files[0], "--val", files[1], "--out", str(model),
+                 "--epochs", "1", *TINY_FLAGS]) == 3
+    assert "need at least 2 classes, got 1" in _one_line_error(capsys)
     assert not model.exists()
 
 
@@ -1399,6 +1426,31 @@ def test_infinite_window_and_timeout_keep_their_meaning(workspace, tmp_path, cap
     capsys.readouterr()
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert records and {r["window"] for r in records} == {0}
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--split", "a,b,c", "--split expects three floats"),
+    ("--split", "0.5,0.5", "--split expects exactly three fractions"),
+    ("--classes", "4", "no built-in preset for 4 classes"),
+])
+def test_synth_bad_input_exit_3(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    assert main(["synth", "--per-class", "5", "--out", str(out), flag, value]) == 3
+    assert message in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_eval_skips_blank_jsonl_lines(workspace, tmp_path, capsys):
+    lines = (workspace / "test.jsonl").read_text().splitlines()
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + "\n\n".join(lines) + "\n\n")
+    reports = []
+    for flows in (workspace / "test.jsonl", spaced):
+        report = tmp_path / f"{flows.stem}.json"
+        assert main(["eval", "--flows", str(flows), "--model", str(workspace / "model.ckpt"),
+                     "--report", str(report)]) == 0
+        reports.append((report.read_bytes(), capsys.readouterr().out))
+    assert reports[0] == reports[1]
 
 
 def test_synth_deterministic(tmp_path):

@@ -23,7 +23,7 @@ from flowid.ingest import (
     SyntheticClassSpec,
 )
 from flowid.ingest.synth import _least_flow_bytes
-from pcap_util import build_pcap
+from pcap_util import build_pcap, ethernet_frame
 
 
 def parse_bytes(tmp_path, raw, n=40, m=16, idle_timeout=64.0):
@@ -73,7 +73,7 @@ def test_two_interleaved_udp_keys(tmp_path):
 
 def test_bidirectional_keying_swap_property(tmp_path):
     # Swapping every packet's src/dst flips the recorded initiator, so the flow
-    # partition is identical, each key compares equal bidirectionally, and each
+    # partition is identical, each key has its two ends swapped, and each
     # packet keeps its sign relative to its own flow's initiator.
     packets = [
         (1.0, "10.0.0.1", 1234, "10.0.0.2", 80, "tcp", b"x"),
@@ -87,7 +87,9 @@ def test_bidirectional_keying_swap_property(tmp_path):
     res_b = parse_bytes(tmp_path, build_pcap(swapped))
     assert len(res_a.flows) == len(res_b.flows)
     for fa, fb in zip(res_a.flows, res_b.flows):
-        assert fa.key == fb.key  # FiveTuple equality is bidirectional
+        assert fb.key == FiveTuple(fa.key.dst_addr, fa.key.src_addr, fa.key.dst_port,
+                                   fa.key.src_port, fa.key.protocol)
+        assert fb.key != fa.key  # FiveTuples compare field by field
         assert fb.key.src_addr == fa.key.dst_addr
         assert [p.direction for p in fa.packets] == [p.direction for p in fb.packets]
         assert [p.length for p in fa.packets] == [p.length for p in fb.packets]
@@ -132,6 +134,106 @@ def test_non_ip_frames_skipped(tmp_path):
     result = parse_bytes(tmp_path, raw)
     assert len(result.flows) == 1
     assert result.skipped_frames == 1
+
+
+def _edited(frame: bytes, offset: int, value: bytes) -> bytes:
+    return frame[:offset] + value + frame[offset + len(value):]
+
+
+_TCP = ethernet_frame("10.0.0.3", 7, "10.0.0.4", 8, "tcp", b"pp")
+_UDP = ethernet_frame("10.0.0.3", 7, "10.0.0.4", 8, "udp", b"pp")
+
+# each frame is out of scope for exactly one reason; the IPv4 header starts at
+# byte 14 and the transport header at byte 34
+OUT_OF_SCOPE_FRAMES = {
+    "under_34_bytes": _TCP[:33],
+    "ip_version_6": _edited(_TCP, 14, b"\x65"),
+    "ihl_below_20_bytes": _edited(_TCP, 14, b"\x44"),
+    "shorter_than_ihl": _edited(_TCP, 14, b"\x4f"),  # 60-byte header, 56-byte frame
+    "non_first_fragment": _edited(_TCP, 20, b"\x00\x01"),
+    "tcp_under_20_bytes": _TCP[:34 + 19],
+    "tcp_data_offset_below_5": _edited(_TCP, 34 + 12, b"\x40"),
+    "udp_under_8_bytes": _UDP[:34 + 7],
+    "icmp": _edited(_TCP, 23, b"\x01"),
+}
+
+
+@pytest.mark.parametrize("frame", list(OUT_OF_SCOPE_FRAMES.values()),
+                         ids=list(OUT_OF_SCOPE_FRAMES))
+def test_out_of_scope_frame_skipped(tmp_path, frame):
+    valid = (1.0, "10.0.0.1", 1, "10.0.0.2", 2, "tcp", b"ok")
+    alone = parse_bytes(tmp_path, build_pcap([valid])).flows
+    result = parse_bytes(tmp_path, build_pcap([valid, (1.5, frame)]))
+    assert result.skipped_frames == 1
+    assert [flow_to_json(f) for f in result.flows] == [flow_to_json(f) for f in alone]
+
+
+def test_first_fragment_kept(tmp_path):
+    more_fragments = _edited(_TCP, 20, b"\x20\x00")  # MF set, offset 0
+    result = parse_bytes(tmp_path, build_pcap([
+        (1.0, "10.0.0.1", 1, "10.0.0.2", 2, "tcp", b"ok"), (1.5, more_fragments)]))
+    assert result.skipped_frames == 0 and len(result.flows) == 2
+    assert result.flows[1].key == FiveTuple("10.0.0.3", "10.0.0.4", 7, 8, "tcp")
+    assert result.flows[1].packets[0].payload_prefix == b"pp"
+
+
+def _reference_flows(packets, n, m, idle_timeout):
+    """What parse_capture must return for build_pcap(packets), worked out on
+    the packet tuples: (flows as (key fields, packets), skipped frames)."""
+    flows, open_flows, skipped = [], {}, 0
+    for ts, *fields in packets:
+        if len(fields) == 1:  # a frame given whole is out of scope here
+            skipped += 1
+            continue
+        src, sport, dst, dport, proto, payload = fields
+        ends = sorted([(src, sport), (dst, dport)])
+        state = open_flows.get((*ends, proto))
+        if state is None or ts - state["last"] > idle_timeout:
+            state = {"key": (src, dst, sport, dport, proto), "initiator": (src, sport),
+                     "packets": []}
+            flows.append(state)
+            open_flows[(*ends, proto)] = state
+        state["last"] = ts
+        if len(state["packets"]) < n:
+            direction = -1 if (src, sport) == state["initiator"] else 1
+            header = 14 + 20 + (20 if proto == "tcp" else 8)
+            state["packets"].append((ts, direction, header + len(payload), payload[:m]))
+    return [(f["key"], f["packets"]) for f in flows], skipped
+
+
+# two pairs of ends that share one end, and differ from each other in one port
+END_PAIRS = [(("10.0.0.1", 80), ("10.0.0.2", 1234)), (("10.0.0.1", 80), ("10.0.0.2", 80))]
+ORACLE_TIMEOUT = 2.0  # whole-second gaps of 0 to 3 s fall below, at and above it
+
+
+@given(st.lists(st.tuples(
+           st.integers(0, 3),
+           st.one_of(st.tuples(st.sampled_from(END_PAIRS), st.booleans(),
+                               st.sampled_from(["tcp", "udp"]), st.binary(max_size=6)),
+                     st.sampled_from(list(OUT_OF_SCOPE_FRAMES.values())))),
+           max_size=24),
+       st.integers(1, 4), st.integers(1, 4), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_parse_capture_matches_the_reference(tmp_path_factory, events, n, m, magic_le):
+    packets, ts = [], 0
+    for gap, event in events:
+        ts += gap
+        if isinstance(event, bytes):
+            packets.append((float(ts), event))
+        else:
+            ends, reply, proto, payload = event
+            (src, sport), (dst, dport) = ends[::-1] if reply else ends
+            packets.append((float(ts), src, sport, dst, dport, proto, payload))
+    result = parse_bytes(tmp_path_factory.mktemp("oracle"), build_pcap(packets, magic_le),
+                         n=n, m=m, idle_timeout=ORACLE_TIMEOUT)
+    flows, skipped = _reference_flows(packets, n, m, ORACLE_TIMEOUT)
+    got = [((f.key.src_addr, f.key.dst_addr, f.key.src_port, f.key.dst_port, f.key.protocol),
+            [(p.timestamp, p.direction, p.length, p.payload_prefix) for p in f.packets])
+           for f in result.flows]
+    assert got == flows
+    assert [f.id for f in result.flows] == [f"flow-{i:06d}" for i in range(1, len(flows) + 1)]
+    assert (result.skipped_frames, result.truncated_records) == (skipped, 0)
+    assert result.packets_kept == sum(len(p) for _, p in flows)
 
 
 def test_truncated_record_counted(tmp_path):
