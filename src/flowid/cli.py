@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,14 +19,7 @@ import numpy as np
 
 from .augment import parse_pipeline
 from .config import TrainConfig
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    FlowFormatError,
-    FlowidError,
-    PcapFormatError,
-    ShapeError,
-)
+from .errors import ConfigError, FlowidError, FormatError
 from .ingest import (
     ParseResult,
     default_spec,
@@ -46,8 +40,6 @@ from .trainer import (
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_FORMAT = 2
-EXIT_CONFIG = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         print(f"usage error: {self.prog}: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+        raise SystemExit(ConfigError.exit_code)
 
 
 # TrainConfig fields whose flag is not --field-name
@@ -103,7 +95,7 @@ def _load_model(args) -> tuple:
     try:
         cfg = TrainConfig.from_echo(json.loads(meta_file.read_text())["config"])
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CheckpointError(f"{meta_file}: malformed metadata: {exc!r}") from exc
+        raise FormatError(f"{meta_file}: malformed metadata: {exc!r}") from exc
     return load_checkpoint(args.model, cfg.validate()), cfg
 
 
@@ -137,7 +129,14 @@ def _score(flows, store, cfg: TrainConfig):
 
 def _require_labels(flows, split: str) -> None:
     if all(f.label is None for f in flows):
-        raise ConfigError(f"{split} flows carry no labels")
+        raise ConfigError(f"{split} split of {len(flows)} flows carries no labels")
+
+
+def _require_writable(*paths) -> None:
+    """OSError, creating no file, when an output's directory is missing or not writable."""
+    for path in map(Path, paths):
+        if not os.access(path.parent, os.W_OK | os.X_OK):
+            raise OSError(f"cannot write {path}: its directory is missing or not writable")
 
 
 def _read_input_flows(args, n: int, m: int) -> ParseResult:
@@ -169,6 +168,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    _require_writable(args.out, _meta_path(args.out), str(args.out) + ".history.json")
     print("config " + json.dumps(cfg.echo()))
     train_flows = read_flows_jsonl(args.flows)
     val_flows = read_flows_jsonl(args.val)
@@ -248,7 +248,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep with --flows also needs --val and --test")
     base = _config_from_args(args)
     values = _int_list("--values", args.values)
-    seeds = _int_list("--seeds", args.seeds) if args.seeds else [base.seed]
+    seeds = _int_list("--seeds", args.seeds) if args.seeds is not None else [base.seed]
+    _require_writable(args.out)
 
     if args.flows:  # read once: nothing below modifies the flows
         given = tuple(read_flows_jsonl(path) for path in (args.flows, args.val, args.test))
@@ -382,20 +383,14 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (PcapFormatError, FlowFormatError, CheckpointError) as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (ConfigError, ShapeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except FlowidError as exc:  # each class carries its prefix and exit code
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FlowidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor_core as tc
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor_core import Tensor
 
 
@@ -26,7 +26,7 @@ def _normalize_rows(x: Tensor, eps: float) -> Tensor:
 
 def _info_nce(a: Tensor, b: Tensor, tau: float, eps: float) -> Tensor:
     if a.shape != b.shape or a.ndim != 2:
-        raise ShapeError(f"views must share (N, d) shape, got {a.shape} vs {b.shape}")
+        raise ConfigError(f"views must share (N, d) shape, got {a.shape} vs {b.shape}")
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     n = a.shape[0]

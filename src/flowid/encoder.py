@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .config import TrainConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .hypergraph import FlowHypergraph
 from .rng import Rng
 from .tensor_core import ParameterStore, Tensor, fill, glorot
@@ -57,7 +57,7 @@ def hyperconv_layer(v_prev: Tensor, graph: FlowHypergraph, store: ParameterStore
                     layer: int) -> tuple[Tensor, Tensor]:
     """One node->hyperedge->node message pass; returns (E_l, V_l)."""
     if v_prev.shape[0] != graph.num_nodes:
-        raise ShapeError(
+        raise ConfigError(
             f"embedding rows {v_prev.shape[0]} != graph nodes {graph.num_nodes}")
     p_e, p_v = propagation_mats(graph)
     we = store.get(f"encoder.layer{layer}.we")

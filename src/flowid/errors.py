@@ -1,4 +1,8 @@
-"""Exception types and the physical-memory check shared across the package."""
+"""Exception types and the physical-memory check shared across the package.
+
+Each error class carries the exit code and the prefix of the line that the
+`flowid` CLI prints for it: one class per exit code.
+"""
 
 import os
 
@@ -11,28 +15,16 @@ def check_memory(nbytes: int, what: str) -> None:
 
 
 class FlowidError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of this package's errors; only its subclasses are raised."""
+    exit_code: int
+    prefix: str
+
+
+class FormatError(FlowidError):
+    """Malformed capture, flow record, checkpoint or checkpoint sidecar."""
+    exit_code, prefix = 2, "format error"
 
 
 class ConfigError(FlowidError):
-    """Invalid configuration value or combination."""
-
-
-class ShapeError(FlowidError):
-    """Tensor/matrix geometry does not satisfy an operation's contract."""
-
-
-class PcapFormatError(FlowidError):
-    """Malformed capture file. Carries the byte offset of the defect."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
-class FlowFormatError(FlowidError):
-    """Malformed flow JSONL record."""
-
-
-class CheckpointError(FlowidError):
-    """Unreadable, corrupt, or inconsistent checkpoint file."""
+    """Invalid configuration value or combination, or tensor geometry."""
+    exit_code, prefix = 3, "config error"

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .config import TrainConfig
-from .errors import ConfigError, ShapeError, check_memory
+from .errors import ConfigError, check_memory
 from .ingest.records import FlowRecord
 from .rng import Rng
 from .tensor_core import ParameterStore, Tensor, fill, glorot
@@ -123,7 +123,7 @@ def extractor_params(cfg: TrainConfig):
 def temporal_encode(store: ParameterStore, lengths: np.ndarray, cfg: TrainConfig) -> Tensor:
     lengths = np.asarray(lengths, dtype=np.float64)
     if lengths.ndim != 2 or lengths.shape[1] != cfg.n:
-        raise ShapeError(f"lengths must be (N, {cfg.n}), got {lengths.shape}")
+        raise ConfigError(f"lengths must be (N, {cfg.n}), got {lengths.shape}")
     inputs = (lengths / LENGTH_SCALE)[:, :, None]
     states = tc.lstm_batch(inputs, store.get("temporal.lstm.wx"),
                            store.get("temporal.lstm.wh"), store.get("temporal.lstm.b"),
@@ -137,7 +137,7 @@ def temporal_encode(store: ParameterStore, lengths: np.ndarray, cfg: TrainConfig
 def payload_encode(store: ParameterStore, payloads: np.ndarray, cfg: TrainConfig) -> Tensor:
     payloads = np.asarray(payloads, dtype=np.float64)
     if payloads.ndim != 3 or payloads.shape[1:] != (cfg.n, cfg.m):
-        raise ShapeError(f"payloads must be (N, {cfg.n}, {cfg.m}), got {payloads.shape}")
+        raise ConfigError(f"payloads must be (N, {cfg.n}, {cfg.m}), got {payloads.shape}")
     n_flows = payloads.shape[0]
     stream = tc.constant((payloads / 255.0).reshape(n_flows, cfg.n * cfg.m, 1))
 

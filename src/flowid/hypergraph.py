@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 # Byte budget for one block of the (N, N) GEMM distance matrix: a block holds
 # budget // (8 N) query rows, so scratch memory stays near a few budgets
@@ -101,7 +101,7 @@ def knn_hyperedges(features: np.ndarray, k: int) -> np.ndarray:
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
-        raise ShapeError(f"features must be (N, d), got {features.shape}")
+        raise ConfigError(f"features must be (N, d), got {features.shape}")
     n, d = features.shape
     if k < 1:
         raise ConfigError(f"K must be >= 1, got {k}")

@@ -15,7 +15,7 @@ import socket
 import struct
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, PcapFormatError
+from ..errors import ConfigError, FormatError
 from .records import FiveTuple, FlowRecord, PacketView
 
 _MAGIC_LE = b"\xd4\xc3\xb2\xa1"
@@ -96,17 +96,17 @@ def parse_capture(path, n: int, m: int, idle_timeout: float = 64.0) -> ParseResu
     with open(path, "rb") as fh:
         header = fh.read(24)
         if len(header) < 24:
-            raise PcapFormatError("file shorter than the 24-byte pcap global header", 0)
+            raise FormatError("file shorter than the 24-byte pcap global header (byte offset 0)")
         magic = header[:4]
         if magic == _MAGIC_LE:
             end = "<"
         elif magic == _MAGIC_BE:
             end = ">"
         else:
-            raise PcapFormatError(f"unknown pcap magic {magic.hex()}", 0)
+            raise FormatError(f"unknown pcap magic {magic.hex()} (byte offset 0)")
         linktype = struct.unpack_from(end + "I", header, 20)[0]
         if linktype != _LINKTYPE_ETHERNET:
-            raise PcapFormatError(f"unsupported link type {linktype} (need Ethernet)", 20)
+            raise FormatError(f"unsupported link type {linktype} (need Ethernet) (byte offset 20)")
 
         rec_hdr = struct.Struct(end + "IIII")
         while record_header := fh.read(16):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..errors import FlowFormatError
+from ..errors import FormatError
 
 PROTOCOLS = ("tcp", "udp")
 
@@ -99,7 +99,7 @@ def _field(obj: dict, key: str):
     value = obj[key]
     test, demand = _FIELD_TYPES[key]
     if not test(value):
-        raise FlowFormatError(f"{key} must be {demand}, got {value!r}")
+        raise FormatError(f"{key} must be {demand}, got {value!r}")
     return value
 
 
@@ -107,12 +107,12 @@ def flow_from_json(line: str) -> FlowRecord:
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also too deep, or too long an integer
-        raise FlowFormatError(f"invalid JSON: {exc}") from exc
+        raise FormatError(f"invalid JSON: {exc}") from exc
     try:
         ft = obj["five_tuple"]
         proto = ft["proto"]
         if proto not in PROTOCOLS:
-            raise FlowFormatError(f"unknown protocol {proto!r}")
+            raise FormatError(f"unknown protocol {proto!r}")
         key = FiveTuple(_field(ft, "src"), _field(ft, "dst"), _field(ft, "sport"),
                         _field(ft, "dport"), proto)
         packets = [
@@ -121,10 +121,10 @@ def flow_from_json(line: str) -> FlowRecord:
             for p in obj["packets"]
         ]
         if not packets:
-            raise FlowFormatError("flow has no packets")
+            raise FormatError("flow has no packets")
         return FlowRecord(_field(obj, "id"), key, packets, _field(obj, "label"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FlowFormatError(f"malformed flow record: {exc}") from exc
+        raise FormatError(f"malformed flow record: {exc}") from exc
 
 
 def write_flows_jsonl(flows: Iterable[FlowRecord], path) -> None:
@@ -143,6 +143,6 @@ def read_flows_jsonl(path) -> list[FlowRecord]:
                 continue
             try:
                 flows.append(flow_from_json(line))
-            except FlowFormatError as exc:
-                raise FlowFormatError(f"{path}:{lineno}: {exc}") from exc
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return flows

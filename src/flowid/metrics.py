@@ -64,9 +64,10 @@ def confusion_matrix(pred, truth, n_classes: int) -> np.ndarray:
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ConfigError(f"pred/truth must be equal-length vectors, got "
                           f"{pred.shape} vs {truth.shape}")
-    if pred.size and (pred.min() < 0 or pred.max() >= n_classes
-                      or truth.min() < 0 or truth.max() >= n_classes):
-        raise ConfigError(f"class index out of range for C={n_classes}")
+    indices = np.concatenate((pred, truth))
+    outside = indices[(indices < 0) | (indices >= n_classes)]
+    if outside.size:
+        raise ConfigError(f"class index {outside.max()} out of range for C={n_classes}")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (truth, pred), 1)
     return counts

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError
 
 
 class Tensor:
@@ -101,7 +101,7 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into every reachable leaf's .grad array."""
     if root.data.size != 1:
-        raise ShapeError(f"backward() needs a scalar, got shape {root.shape}")
+        raise ConfigError(f"backward() needs a scalar, got shape {root.shape}")
     if not root.requires_grad:
         return
     topo: list[Tensor] = []
@@ -253,7 +253,7 @@ def clamp(a, lo: float, hi: float) -> Tensor:
 def transpose2d(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
-        raise ShapeError(f"transpose2d expects a matrix, got {a.shape}")
+        raise ConfigError(f"transpose2d expects a matrix, got {a.shape}")
     data = a.data.T
 
     def bw(g):
@@ -319,9 +319,9 @@ def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch broadcasting; operands must be >= 2-D."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
+        raise ConfigError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+        raise ConfigError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def bw(g):
@@ -467,14 +467,14 @@ def conv1d_relu_pool(x, kernel, bias, padding: int = 0, dtype=np.float64) -> Ten
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     if x.ndim != 3 or kernel.ndim != 3 or bias.shape != kernel.shape[:1]:
-        raise ShapeError(f"conv1d_relu_pool expects (N,L,C_in), (C_out,C_in,k) and (C_out,), "
+        raise ConfigError(f"conv1d_relu_pool expects (N,L,C_in), (C_out,C_in,k) and (C_out,), "
                          f"got {x.shape}, {kernel.shape}, {bias.shape}")
     n, length, c_in = x.shape
     c_out, kc_in, k = kernel.shape
     if kc_in != c_in:
-        raise ShapeError(f"conv1d_relu_pool channel mismatch: input {c_in}, kernel {kc_in}")
+        raise ConfigError(f"conv1d_relu_pool channel mismatch: input {c_in}, kernel {kc_in}")
     if k < 1 or padding < 0 or length + 2 * padding < k:
-        raise ShapeError(f"conv1d_relu_pool geometry invalid: L={length}, k={k}, "
+        raise ConfigError(f"conv1d_relu_pool geometry invalid: L={length}, k={k}, "
                          f"padding={padding}")
     l_out = length + 2 * padding - k + 1
     pool = l_out >= 2

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError
 from . import engine as tc
 from .engine import Tensor
 
@@ -44,11 +44,11 @@ def lstm_batch(inputs: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor,
     """
     inputs = np.asarray(inputs, dtype=dtype)
     if inputs.ndim != 3:
-        raise ShapeError(f"lstm_batch expects (N, T, d_in), got {inputs.shape}")
+        raise ConfigError(f"lstm_batch expects (N, T, d_in), got {inputs.shape}")
     n, t_steps, d_in = inputs.shape
     hidden = wh.shape[0]
     if wx.shape != (d_in, 4 * hidden) or wh.shape != (hidden, 4 * hidden) or b.shape != (4 * hidden,):
-        raise ShapeError(
+        raise ConfigError(
             f"lstm params inconsistent: wx {wx.shape}, wh {wh.shape}, b {b.shape}, d_in {d_in}"
         )
     keep = tc.needs_grad(wx, wh, b)
@@ -115,7 +115,7 @@ def attention_pool_batch(states: Tensor, w: Tensor, b: Tensor, v: Tensor) -> Ten
     rows), so the gradients differ in the last bits. Constant states get none.
     """
     if states.ndim != 3:
-        raise ShapeError(f"attention_pool_batch expects (N, T, d), got {states.shape}")
+        raise ConfigError(f"attention_pool_batch expects (N, T, d), got {states.shape}")
     n, t_steps, d = states.shape
     da = w.shape[1]
     s = states.data

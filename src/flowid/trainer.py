@@ -29,7 +29,7 @@ from .augment import make_views
 from .config import TrainConfig
 from .contrast import group_group_loss, node_node_loss
 from .encoder import encode, encoder_params, predict, project
-from .errors import CheckpointError, ConfigError, check_memory
+from .errors import ConfigError, FormatError, check_memory
 from .extractors import ViewBatch, build_view_batch, extract, extractor_params
 from .hypergraph import FlowHypergraph, build_flow_hypergraph
 from .ingest.records import FlowRecord
@@ -241,22 +241,22 @@ def load_checkpoint(path, cfg: TrainConfig) -> ParameterStore:
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())  # body and payload are slices, not copies
     if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 8:
-        raise CheckpointError("checkpoint shorter than its fixed framing")
+        raise FormatError("checkpoint shorter than its fixed framing")
     if blob[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic {bytes(blob[:8])!r}")
+        raise FormatError(f"bad magic {bytes(blob[:8])!r}")
     body, trailer = blob[:-8], blob[-8:]
     if _seal(body) != trailer:
-        raise CheckpointError("checksum mismatch")
+        raise FormatError("checksum mismatch")
     (manifest_len,) = struct.unpack_from("<I", body, 8)
     payload_start = 12 + manifest_len
     if payload_start > len(body):
-        raise CheckpointError("manifest length exceeds file size")
+        raise FormatError("manifest length exceeds file size")
     try:
         manifest = json.loads(str(body[12:payload_start], "utf-8"))
         # entries compare as JSON text, so 2.0 and true do not pass for 2 and 1
         stored = [json.dumps(entry) for entry in manifest]
     except (ValueError, TypeError, RecursionError) as exc:
-        raise CheckpointError(f"unreadable manifest: {exc}") from exc
+        raise FormatError(f"unreadable manifest: {exc}") from exc
 
     try:
         (width,) = [entry[1][1] for entry in manifest if entry[0] == "predict.w2"]
@@ -271,17 +271,17 @@ def load_checkpoint(path, cfg: TrainConfig) -> ParameterStore:
     for i, (got, want) in enumerate(itertools.zip_longest(
             stored, map(json.dumps, expected), fillvalue="nothing")):
         if got != want:
-            raise CheckpointError(f"manifest entry {i}: expected {want}, got {got}")
+            raise FormatError(f"manifest entry {i}: expected {want}, got {got}")
 
     payload = body[payload_start:]
     sizes = [math.prod(shape) for _, shape in expected]
     if len(payload) != 4 * sum(sizes):
-        raise CheckpointError(f"payload of {len(payload)} bytes, where the model's "
+        raise FormatError(f"payload of {len(payload)} bytes, where the model's "
                               f"tensors take {4 * sum(sizes)}")
     values = np.split(np.frombuffer(payload, dtype="<f4"), np.cumsum(sizes)[:-1])
     store = ParameterStore()
     for (name, shape), arr in zip(expected, values):
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"tensor {name}: non-finite value")
+            raise FormatError(f"tensor {name}: non-finite value")
         store.add(name, Tensor(arr.reshape(shape).astype(np.float64)))
     return store

@@ -1042,7 +1042,8 @@ def _one_line_error(capsys) -> str:
 
 
 @pytest.mark.parametrize("case", ["unlabeled", "seeds_not_int", "seeds_negative",
-                                  "unlabeled_test", "flows_alone", "synth_classes_4"])
+                                  "unlabeled_test", "flows_alone", "synth_classes_4",
+                                  "seeds_empty"])
 def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, monkeypatch, case):
     files = [str(workspace / f"{name}.jsonl") for name in ("train", "val", "test")]
     args = ["sweep", "--param", "k", "--values", "2", "--out", str(tmp_path / "s.csv"),
@@ -1051,19 +1052,22 @@ def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, monkeypatch, case):
         args += ["--flows", _relabeled_copy(workspace / "train.jsonl", tmp_path / "t.jsonl"),
                  "--val", _relabeled_copy(workspace / "val.jsonl", tmp_path / "v.jsonl"),
                  "--test", files[2]]
-        message = "training flows carry no labels"
+        message = "training split of 36 flows carries no labels"
     elif case == "unlabeled_test":
         # rejected before any model is fitted
         monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("sweep fitted a model"))
         args += ["--flows", files[0], "--val", files[1],
                  "--test", _relabeled_copy(workspace / "test.jsonl", tmp_path / "s.jsonl")]
-        message = "test flows carry no labels"
+        message = "test split of 12 flows carries no labels"
     elif case == "flows_alone":
         args += ["--flows", files[0]]
         message = "sweep with --flows also needs --val and --test"
     elif case == "synth_classes_4":
         args += ["--synth-classes", "4", "--per-class", "5"]
         message = "no built-in preset for 4 classes"
+    elif case == "seeds_empty":
+        args += ["--per-class", "5", "--seeds", ""]
+        message = "--seeds expects integers, got ''"
     else:
         args += ["--flows", *files[:1], "--val", files[1], "--test", files[2],
                  "--seeds", "a" if case == "seeds_not_int" else "1,-1"]
@@ -1073,8 +1077,9 @@ def test_sweep_bad_input_exit_3(workspace, tmp_path, capsys, monkeypatch, case):
     assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.mark.parametrize("split, message", [("--flows", "training flows carry no labels"),
-                                            ("--val", "validation flows carry no labels")])
+@pytest.mark.parametrize("split, message", [
+    ("--flows", "training split of 36 flows carries no labels"),
+    ("--val", "validation split of 12 flows carries no labels")])
 def test_train_unlabeled_split_exit_3(workspace, tmp_path, capsys, monkeypatch, split, message):
     # rejected before any parameter is drawn
     monkeypatch.setattr(cli, "build_parameter_store",
@@ -1086,6 +1091,67 @@ def test_train_unlabeled_split_exit_3(workspace, tmp_path, capsys, monkeypatch, 
                  "--epochs", "1", *TINY_FLAGS]) == 3
     assert message in _one_line_error(capsys)
     assert not model.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_empty_split_reads_as_empty(workspace, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "build_parameter_store",
+                        lambda *a, **k: pytest.fail(f"{command} drew parameters"))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    argv = {"train": ["train", "--flows", str(workspace / "train.jsonl"), "--val", str(empty),
+                      "--out", str(tmp_path / "m.ckpt")],
+            # 2 flows per class split 0.6/0.2/0.2 leave no validation flow
+            "sweep": ["sweep", "--param", "k", "--values", "2", "--per-class", "2",
+                      "--out", str(tmp_path / "s.csv")]}[command]
+    assert main([*argv, "--epochs", "1", *TINY_FLAGS]) == 3
+    assert "validation split of 0 flows carries no labels" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("parent", ["missing", "a_file"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unwritable_output_fails_before_the_fit(workspace, tmp_path, capsys, monkeypatch,
+                                                command, parent):
+    monkeypatch.setattr(cli, "build_parameter_store",
+                        lambda *a, **k: pytest.fail(f"{command} drew parameters"))
+    if parent == "a_file":
+        (tmp_path / "a_file").write_text("")
+    out = tmp_path / parent / "out"
+    files = [str(workspace / f"{name}.jsonl") for name in ("train", "val", "test")]
+    argv = {"train": ["train", "--flows", files[0], "--val", files[1]],
+            "sweep": ["sweep", "--param", "k", "--values", "2", "--flows", files[0],
+                      "--val", files[1], "--test", files[2]]}[command]
+    assert main([*argv, "--out", str(out), "--epochs", "1", *TINY_FLAGS]) == 1
+    assert _one_line_error(capsys) == (
+        f"io error: cannot write {out}: its directory is missing or not writable\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if parent == "missing" else [parent])
+
+
+def test_failed_retrain_keeps_the_model(workspace, tmp_path, capsys, monkeypatch):
+    names = ["m.ckpt", "m.ckpt.meta.json", "m.ckpt.history.json"]
+    for name in names:
+        (tmp_path / name).write_bytes((workspace / name.replace("m.", "model.", 1)).read_bytes())
+
+    def fail(*args, **kwargs):
+        raise MemoryError("the fit ran out of memory")
+
+    monkeypatch.setattr(cli, "fit", fail)
+    assert main(["train", "--flows", str(workspace / "train.jsonl"),
+                 "--val", str(workspace / "val.jsonl"), "--out", str(tmp_path / "m.ckpt"),
+                 "--epochs", "1", *TINY_FLAGS]) == 1
+    assert "out of memory: the fit ran out of memory" in _one_line_error(capsys)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == \
+            (workspace / name.replace("m.", "model.", 1)).read_bytes()
+
+
+def test_eval_label_past_the_head_exit_3(workspace, tmp_path, capsys):
+    flows = _relabeled_copy(workspace / "test.jsonl", tmp_path / "t.jsonl", 7)
+    report = tmp_path / "r.json"
+    assert main(["eval", "--flows", flows, "--model", str(workspace / "model.ckpt"),
+                 "--report", str(report)]) == 3
+    assert "class index 7 out of range for C=2" in _one_line_error(capsys)
+    assert not report.exists()
 
 
 def test_train_single_class_exit_3(workspace, tmp_path, capsys):

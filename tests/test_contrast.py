@@ -130,3 +130,9 @@ def test_contrast_config_validation():
         TrainConfig(tau_n=0.0).validate()
     with pytest.raises(ConfigError):
         node_node_loss(np.eye(2), np.eye(2), tau_n=-1.0, eps=EPS)
+
+
+@pytest.mark.parametrize("loss", [node_node_loss, group_group_loss])
+def test_views_of_different_shapes_rejected(loss):
+    with pytest.raises(ConfigError, match="views must share"):
+        loss(np.ones((3, 2)), np.ones((2, 2)), 0.5, eps=EPS)

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import flowid.tensor_core as tc
 from flowid.config import TrainConfig
@@ -14,6 +15,7 @@ from flowid.encoder import (
     project,
     propagation_mats,
 )
+from flowid.errors import ConfigError
 from flowid.hypergraph import FlowHypergraph, build_flow_hypergraph
 from flowid.rng import Rng
 from flowid.tensor_core import ParameterStore
@@ -83,6 +85,13 @@ def test_two_nodes_shared_edge_mean():
     e_l, v_l = hyperconv_layer(tc.constant(np.stack([v1, v2])), graph, store, 0)
     np.testing.assert_allclose(e_l.data, [(v1 + v2) / 2], atol=1e-15)
     np.testing.assert_allclose(v_l.data, np.stack([(v1 + v2) / 2] * 2), atol=1e-15)
+
+
+def test_hyperconv_rejects_rows_unequal_to_nodes():
+    cfg = enc_cfg()
+    graph = graph_from_incidence(np.array([[1.0], [1.0]]))
+    with pytest.raises(ConfigError, match="embedding rows 3 != graph nodes 2"):
+        hyperconv_layer(tc.constant(np.ones((3, cfg.hidden))), graph, make_store(cfg), 0)
 
 
 def test_hyperconv_matches_dense_oracle_random_graphs():

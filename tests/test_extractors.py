@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import flowid.tensor_core as tc
 from flowid import extractors
 from flowid.config import TrainConfig
-from flowid.errors import ConfigError, ShapeError
+from flowid.errors import ConfigError
 from flowid.extractors import (
     LENGTH_SCALE,
     ViewBatch,
@@ -120,7 +120,7 @@ def test_temporal_gradient_check_2x4_batch():
 
 def test_temporal_shape_mismatch():
     cfg = tiny_cfg()
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         temporal_encode(make_store(cfg), np.zeros((2, cfg.n + 1)), cfg)
 
 
@@ -138,6 +138,16 @@ def test_payload_purity_and_zero_propagation():
     # all-zero payload: conv biases are zero-initialized, so the row is zero
     zero = payload_encode(store, np.zeros((1, cfg.n, cfg.m)), cfg)
     np.testing.assert_allclose(zero.data, np.zeros((1, cfg.extractor_dim)), atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", ["flat", "one_byte_more", "one_packet_fewer"])
+def test_payload_shape_mismatch(shape):
+    cfg = tiny_cfg()
+    payloads = {"flat": np.zeros((2, cfg.n * cfg.m)),
+                "one_byte_more": np.zeros((2, cfg.n, cfg.m + 1)),
+                "one_packet_fewer": np.zeros((2, cfg.n - 1, cfg.m))}[shape]
+    with pytest.raises(ConfigError, match="payloads must be"):
+        payload_encode(make_store(cfg), payloads, cfg)
 
 
 def test_payload_default_output_dim_512():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowid import hypergraph
-from flowid.errors import ConfigError, ShapeError
+from flowid.errors import ConfigError
 from flowid.hypergraph import (
     FlowHypergraph,
     build_flow_hypergraph,
@@ -42,7 +42,7 @@ def difference_form_reference(features, k):
     for the GEMM candidate search."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
-        raise ShapeError(f"features must be (N, d), got {features.shape}")
+        raise ConfigError(f"features must be (N, d), got {features.shape}")
     n = features.shape[0]
     if k < 1:
         raise ConfigError(f"K must be >= 1, got {k}")
@@ -122,6 +122,11 @@ def test_small_n_rejected():
         knn_hyperedges(np.zeros((3, 2)), k=3)
     with pytest.raises(ConfigError):
         knn_hyperedges(np.zeros((4, 2)), k=0)
+
+
+def test_one_dimensional_features_rejected():
+    with pytest.raises(ConfigError, match=r"features must be \(N, d\)"):
+        knn_hyperedges(np.zeros(5), k=1)
 
 
 def test_degree_hand_example():

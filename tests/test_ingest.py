@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowid.errors import ConfigError, FlowFormatError, PcapFormatError
+from flowid.errors import ConfigError, FormatError
 from flowid.extractors import build_view_batch, path_adjacency
 from flowid.ingest import (
     FiveTuple,
@@ -245,9 +245,8 @@ def test_truncated_record_counted(tmp_path):
 
 
 def test_bad_magic_reports_offset(tmp_path):
-    with pytest.raises(PcapFormatError) as err:
+    with pytest.raises(FormatError, match=r"\(byte offset 0\)$"):
         parse_bytes(tmp_path, b"\x00" * 24)
-    assert err.value.offset == 0
 
 
 def test_big_endian_magic_supported(tmp_path):
@@ -258,7 +257,7 @@ def test_big_endian_magic_supported(tmp_path):
 
 
 def test_wrong_linktype_rejected(tmp_path):
-    with pytest.raises(PcapFormatError):
+    with pytest.raises(FormatError):
         parse_bytes(tmp_path, build_pcap([], linktype=101))
 
 
@@ -267,6 +266,14 @@ def test_bad_limits_rejected(tmp_path):
     path.write_bytes(build_pcap([]))
     with pytest.raises(ConfigError):
         parse_capture(path, n=0, m=1)
+
+
+@pytest.mark.parametrize("timeout", [0.0, float("nan")])
+def test_bad_idle_timeout_rejected(tmp_path, timeout):
+    path = tmp_path / "x.pcap"
+    path.write_bytes(build_pcap([]))
+    with pytest.raises(ConfigError, match="idle_timeout must be positive"):
+        parse_capture(path, n=1, m=1, idle_timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +435,16 @@ def test_synthetic_requires_two_classes():
         generate_synthetic_flows([SyntheticClassSpec(count=3)], seed=1)
 
 
+@pytest.mark.parametrize("spec,message", [
+    (SyntheticClassSpec(count=0), "class 1: count must be >= 1"),
+    (SyntheticClassSpec(count=3, direction_pattern=(-1, 0)), "class 1: direction pattern"),
+    (SyntheticClassSpec(count=3, direction_pattern=()), "class 1: direction pattern"),
+])
+def test_synthetic_rejects_bad_class_spec(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        generate_synthetic_flows([SyntheticClassSpec(count=3), spec], seed=1)
+
+
 def test_split_is_deterministic_and_stratified():
     flows = generate_synthetic_flows(default_spec(2, 50), seed=5)
     t1, v1, s1 = split_flows(flows, (0.6, 0.2, 0.2), seed=9)
@@ -491,7 +508,7 @@ def test_jsonl_rejects_empty_flow_and_bad_direction(packets, message):
                                                   "dst": "5.6.7.8", "dport": 20,
                                                   "proto": "udp"},
                        "label": None, "packets": packets})
-    with pytest.raises(FlowFormatError, match=message):
+    with pytest.raises(FormatError, match=message):
         flow_from_json(line)
 
 
@@ -507,7 +524,7 @@ def test_jsonl_rejects_wrongly_typed_record_fields(field, value):
     flow = flow_from_json(json.dumps(rec))  # the unmodified record is valid
     assert (flow.label, flow.packets[0].timestamp) == (1, 1.0)
     (rec["five_tuple"] if field in rec["five_tuple"] else rec)[field] = value
-    with pytest.raises(FlowFormatError, match=f"^{field} must be"):
+    with pytest.raises(FormatError, match=f"^{field} must be"):
         flow_from_json(json.dumps(rec))
 
 
@@ -560,7 +577,7 @@ def _nested(opener, depth):
 def test_flow_from_json_gives_a_record_or_a_format_error(line):
     try:
         flow = flow_from_json(line)
-    except FlowFormatError:
+    except FormatError:
         return
     assert isinstance(flow, FlowRecord)
 

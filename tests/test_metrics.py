@@ -38,6 +38,11 @@ def test_confusion_rejects_out_of_range():
         confusion_matrix(np.array([0, 3]), np.array([0, 1]), 3)
 
 
+def test_confusion_rejects_unequal_lengths():
+    with pytest.raises(ConfigError, match="equal-length"):
+        confusion_matrix(np.array([0, 1, 1]), np.array([0, 1]), 2)
+
+
 def test_perfect_two_class_metrics():
     report = macro_metrics(np.diag([5, 7]))
     assert report.accuracy == 1.0

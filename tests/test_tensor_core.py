@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flowid.tensor_core as tc
-from flowid.errors import ConfigError, ShapeError
+from flowid.errors import ConfigError
 from flowid.rng import Rng
 from flowid.tensor_core import ParameterStore
 from gradcheck import GradCheckFailure, grad_check
@@ -49,8 +49,18 @@ def test_matmul_triple_loop_oracle():
 
 
 def test_matmul_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         tc.matmul(tc.constant(np.ones((2, 3))), tc.constant(np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("op,operands,message", [
+    (tc.matmul, (np.ones(3), np.ones((3, 2))), "matmul needs >=2-D operands"),
+    (tc.matmul, (np.ones((2, 3)), np.ones(3)), "matmul needs >=2-D operands"),
+    (tc.transpose2d, (np.ones((2, 3, 4)),), "transpose2d expects a matrix"),
+])
+def test_wrong_rank_operands_rejected(op, operands, message):
+    with pytest.raises(ConfigError, match=message):
+        op(*map(tc.constant, operands))
 
 
 def test_matmul_batched_matches_loop():
@@ -122,13 +132,13 @@ def test_conv1d_paper_geometry():
 
 
 def test_conv1d_bad_geometry():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         _stage(np.ones((1, 3, 1)), np.ones((1, 1, 6)), np.zeros(1), 1)
-    with pytest.raises(ShapeError):  # channel mismatch
+    with pytest.raises(ConfigError):  # channel mismatch
         _stage(np.ones((1, 8, 2)), np.ones((1, 3, 3)), np.zeros(1))
-    with pytest.raises(ShapeError):  # unbatched input
+    with pytest.raises(ConfigError):  # unbatched input
         _stage(np.ones((8, 1)), np.ones((1, 1, 3)), np.zeros(1))
-    with pytest.raises(ShapeError):  # bias of the wrong length
+    with pytest.raises(ConfigError):  # bias of the wrong length
         _stage(np.ones((1, 8, 1)), np.ones((2, 1, 3)), np.zeros(1))
 
 
@@ -343,6 +353,10 @@ def test_conv1d_nan_tail_is_no_constant_run(constant_runs):
     assert np.isnan(out[:, -1]).all() and not np.isnan(out[:, :4]).any()
 
 
+def test_empty_batch_has_no_constant_run():
+    assert tc.engine._constant_run(np.ones((0, 7, 2))) == 7
+
+
 def _max_rel_error(approx, exact) -> float:
     """Largest absolute error relative to the exact array's largest magnitude."""
     return float(np.abs(approx - exact).max() / np.abs(exact).max())
@@ -497,6 +511,17 @@ def test_lstm_zero_params_zero_states():
     np.testing.assert_array_equal(out.data, np.zeros((1, 5, 3)))
 
 
+@pytest.mark.parametrize("x_shape,wx_shape,b_shape,message", [
+    ((5, 2), (2, 12), (12,), "lstm_batch expects"),  # one flow without its batch axis
+    ((1, 5, 2), (3, 12), (12,), "lstm params inconsistent"),  # wx rows != d_in
+    ((1, 5, 2), (2, 12), (8,), "lstm params inconsistent"),  # b is not 4H long
+])
+def test_lstm_bad_shapes_rejected(x_shape, wx_shape, b_shape, message):
+    store = make_store(wx=np.zeros(wx_shape), wh=np.zeros((3, 12)), b=np.zeros(b_shape))
+    with pytest.raises(ConfigError, match=message):
+        tc.lstm_batch(np.zeros(x_shape), store.get("wx"), store.get("wh"), store.get("b"))
+
+
 def test_lstm_single_step_is_one_cell():
     rng = np.random.default_rng(7)
     wx, wh, b = rng.normal(size=(2, 12)), rng.normal(size=(3, 12)), rng.normal(size=12)
@@ -576,11 +601,11 @@ def graph_lstm_reference(inputs, wx, wh, b):
     """lstm_batch as it was built from per-step graph nodes before it was one op."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
-        raise ShapeError(f"lstm_batch expects (N, T, d_in), got {inputs.shape}")
+        raise ConfigError(f"lstm_batch expects (N, T, d_in), got {inputs.shape}")
     n, t_steps, d_in = inputs.shape
     hidden = wh.shape[0]
     if wx.shape != (d_in, 4 * hidden) or wh.shape != (hidden, 4 * hidden) or b.shape != (4 * hidden,):
-        raise ShapeError(
+        raise ConfigError(
             f"lstm params inconsistent: wx {wx.shape}, wh {wh.shape}, b {b.shape}, d_in {d_in}"
         )
     h = tc.constant(np.zeros((n, hidden)))
@@ -731,6 +756,12 @@ def test_attention_single_state():
     s = rng.normal(size=(1, 3))
     out = _attend(s, w, b, v)
     np.testing.assert_allclose(out, s[0], atol=1e-12)
+
+
+def test_attention_rejects_unbatched_states():
+    w, b, v = _attn_params(np.random.default_rng(23))
+    with pytest.raises(ConfigError, match="attention_pool_batch expects"):
+        tc.attention_pool_batch(tc.constant(np.ones((4, 3))), w, b, v)
 
 
 def test_attention_hand_softmax():
@@ -1062,8 +1093,19 @@ def test_op_gradients_match_finite_differences(name):
 
 def test_backward_requires_scalar():
     t = tc.Tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ConfigError):
         tc.backward(t + t)
+
+
+def test_backward_of_a_root_without_gradient_changes_no_grad():
+    store = make_store(w=np.ones(3))
+    store.get("w").grad[...] = 7.0
+    w = store.frozen().get("w")
+    root = tc.tsum(w * w)
+    assert not root.requires_grad
+    tc.backward(root)
+    np.testing.assert_array_equal(store.get("w").grad, 7.0)
+    assert w.grad is None and root.grad is None
 
 
 def test_frozen_view_shares_arrays_and_builds_no_graph():

@@ -16,7 +16,7 @@ from flowid.config import TrainConfig
 from flowid.augment import parse_pipeline
 from flowid.cli import main as cli_main
 from flowid.encoder import encoder_params
-from flowid.errors import CheckpointError, ConfigError
+from flowid.errors import ConfigError, FormatError
 from flowid.extractors import extractor_params
 from flowid.ingest import generate_synthetic_flows, two_class_spec, write_flows_jsonl
 from flowid.metrics import macro_f1_score
@@ -452,7 +452,7 @@ def test_checkpoint_duplicate_manifest_name_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     manifest, payload = tiny_checkpoint(path)
     write_sealed(path, manifest[:1] + manifest, payload)
-    with pytest.raises(CheckpointError, match="manifest entry 1"):
+    with pytest.raises(FormatError, match="manifest entry 1"):
         load_checkpoint(path, tiny_cfg())
 
 
@@ -490,7 +490,7 @@ def test_checkpoint_malformed_manifest_rejected(tmp_path, change):
     write_sealed(path, manifest, payload)
     assert load_checkpoint(path, tiny_cfg()).names()
     write_sealed(path, change(manifest) if callable(change) else change, payload)
-    with pytest.raises(CheckpointError, match="manifest"):
+    with pytest.raises(FormatError, match="manifest"):
         load_checkpoint(path, tiny_cfg())
 
 
@@ -502,14 +502,14 @@ def test_checkpoint_corruption_detected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0x01
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(FormatError):
         load_checkpoint(path, cfg)
 
 
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(FormatError, match="magic"):
         load_checkpoint(path, tiny_cfg())
 
 
@@ -532,7 +532,7 @@ def test_checkpoint_payload_must_end_at_the_seal(tmp_path, change):
     path = tmp_path / "model.ckpt"
     manifest, payload = tiny_checkpoint(path)
     write_sealed(path, manifest, payload[:-40] if change == "short" else payload + bytes(4))
-    with pytest.raises(CheckpointError, match="payload of"):
+    with pytest.raises(FormatError, match="payload of"):
         load_checkpoint(path, tiny_cfg())
 
 
@@ -541,7 +541,7 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     store = build_parameter_store(cfg, 2)
     path = tmp_path / "model.ckpt"
     save_checkpoint(store, path)
-    with pytest.raises(CheckpointError, match="encoder"):
+    with pytest.raises(FormatError, match="encoder"):
         load_checkpoint(path, tiny_cfg(hidden=6))
 
 
@@ -604,5 +604,5 @@ def test_checkpoint_bit_flip_anywhere_is_a_checksum_mismatch(tmp_path):
         bad = bytearray(blob)
         bad[offset] ^= 0x10
         path.write_bytes(bytes(bad))
-        with pytest.raises(CheckpointError, match="checksum mismatch"):
+        with pytest.raises(FormatError, match="checksum mismatch"):
             load_checkpoint(path, TrainConfig())
